@@ -33,6 +33,7 @@ from .dataset import (
     write_release,
 )
 from .experiments import (
+    EvalConfig,
     EvaluationRecord,
     ForestModel,
     GaussianNBModel,
@@ -73,6 +74,7 @@ __all__ = [
     "DataError",
     "Defect",
     "DefectOutcome",
+    "EvalConfig",
     "EvaluationRecord",
     "ForestModel",
     "GaussianNBModel",

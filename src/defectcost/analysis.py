@@ -30,15 +30,14 @@ from .learners import (
     ForestParams,
     LogitModel,
     TreeNode,
-    differential_evolution,
     fit_multinomial_logit_elastic_net,
     forest_importance,
     gini_importance,
     oob_accuracy,
-    params_from_vector,
     predict_proba_tree,
     train_cart,
     train_random_forest,
+    tune_forest_params,
 )
 
 log = logging.getLogger(__name__)
@@ -113,10 +112,6 @@ class RelationshipModel:
             return np.argmax(predict_proba_tree(self.tree, Xi, len(Potential)), axis=1)
         return self.forest.predict(Xi)
 
-    def predict_records(self, records: Sequence[EvaluationRecord]) -> np.ndarray:
-        X, _ = records_matrix(records)
-        return self.predict_levels(X)
-
 
 @dataclass(frozen=True, eq=False)
 class RelationshipFit:
@@ -157,21 +152,8 @@ def fit_relationship_models(
 
     params = forest_params
     if tune_forest:
-        def objective(vec):
-            cand = params_from_vector(vec, base=forest_params)
-            forest = train_random_forest(Xi, y, cand, seed=seed, n_classes=len(Potential))
-            score = oob_accuracy(forest, Xi, y)
-            return np.inf if math.isnan(score) else -score
-
-        best, _ = differential_evolution(
-            objective,
-            bounds=[(0.0, 1.0), (2, 20), (1, 20)],
-            population=tune_population,
-            generations=tune_generations,
-            integer_dims=(1, 2),
-            seed=seed,
-        )
-        params = params_from_vector(best, base=forest_params)
+        params = tune_forest_params(Xi, y, seed, oob_accuracy, len(Potential), base=params,
+                                    population=tune_population, generations=tune_generations)
     forest = train_random_forest(Xi, y, params, seed=seed, n_classes=len(Potential))
 
     k = len(VARIABLE_NAMES)
@@ -538,6 +520,15 @@ def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+class NoUsableRecords(ValueError):
+    """A record set of the diff regression without a finite positive diff;
+    ``role`` is "training" or "evaluation"."""
+
+    def __init__(self, role: str):
+        super().__init__(f"no {role} records with finite positive diff")
+        self.role = role
+
+
 def sensitivity_regression(
     train_records: Sequence[EvaluationRecord],
     eval_records: Sequence[EvaluationRecord],
@@ -551,16 +542,16 @@ def sensitivity_regression(
     is the decadic log of diff).
     """
 
-    def subset(records):
+    def subset(records, role):
         keep = [r for r in records if math.isfinite(r.bounds.diff) and r.bounds.diff > 0]
         if not keep:
-            raise ValueError("no records with finite positive diff")
+            raise NoUsableRecords(role)
         X = np.array([[r.variables()[n] for n in VARIABLE_NAMES] for r in keep])
         y = np.log10(np.array([r.bounds.diff for r in keep]))
         return X, y
 
-    X_train, y_train = subset(train_records)
-    X_eval, y_eval = subset(eval_records)
+    X_train, y_train = subset(train_records, "training")
+    X_eval, y_eval = subset(eval_records, "evaluation")
     imputer = fit_imputer(X_train)
     forest = train_random_forest(
         imputer.transform(X_train), y_train, forest_params, seed=seed, task="regress"
@@ -601,7 +592,6 @@ def write_report_bundle(
     forest_params: ForestParams = ForestParams(),
     tune_forest: bool = False,
     boundaries: tuple[float, float] = DEFAULT_BOUNDARIES,
-    eval_records: Sequence[EvaluationRecord] | None = None,
 ) -> dict[str, Path]:
     """Write the full report bundle for a record set.
 
@@ -648,18 +638,8 @@ def write_report_bundle(
     )
     paths["distribution"] = _write_json(outdir / "distribution.json", distribution_export(records))
 
-    sens = sensitivity_boundaries(records, seed=seed, base=boundaries, forest_params=forest_params)
-    payload = sens.to_json_dict()
-    if eval_records is not None:
-        try:
-            reg = sensitivity_regression(records, eval_records, seed=seed, forest_params=forest_params)
-            payload["regression"] = {
-                "train_r2": json_number(reg["train_r2"]),
-                "eval_r2": json_number(reg["eval_r2"]),
-                "n_train": reg["n_train"],
-                "n_eval": reg["n_eval"],
-            }
-        except ValueError as exc:
-            payload["regression"] = {"error": str(exc)}
-    paths["sensitivity"] = _write_json(outdir / "sensitivity.json", payload)
+    paths["sensitivity"] = _write_json(
+        outdir / "sensitivity.json",
+        sensitivity_boundaries(records, seed=seed, base=boundaries, forest_params=forest_params).to_json_dict(),
+    )
     return paths

@@ -6,6 +6,7 @@ error, 3 runtime failure. All randomness is traceable to --seed; identical
 configuration and seed reproduce outputs byte for byte.
 
 Option precedence: command-line flags > JSON config file (--config) > defaults.
+Config values pass through the same parsing and checks as flags.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import analysis
 from .costmodel import DEFAULT_BOUNDARIES
-from .extmath import json_number
+from .learners import ForestParams
 from .metrics import CoverageError
 from .dataset import (
     DataError,
@@ -29,17 +31,22 @@ from .dataset import (
     load_release_dir,
     write_release,
 )
+from .extmath import json_number
 from .experiments import (
+    CROSS_PROJECT_GAP_DAYS,
+    OVERSAMPLE_MODES,
+    TRANSFER_KINDS,
+    BootstrapConfig,
+    EvalConfig,
+    ForestModel,
+    GaussianNBModel,
     evaluate_external_prediction,
-    make_model,
     read_records,
     run_bootstrap,
     run_cross_project,
     run_cross_version,
     write_records_csv,
     write_records_jsonl,
-    BootstrapConfig,
-    CROSS_PROJECT_GAP_DAYS,
 )
 from .synth import SynthSpec, generate_synthetic
 
@@ -58,6 +65,21 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; the contract is 1
         raise UsageError(message)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommand action that places the --config file's values for the
+    chosen subcommand right after it, as if typed there, so that the user's
+    own flags, which follow, win. Top-level options precede the subcommand
+    and are parsed by now."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        command, *rest = values
+        if namespace.config is not None and command in self.choices:
+            settings = _read_config(namespace.config)
+            namespace.verbose = namespace.verbose or "--verbose" in _config_tokens(settings, parser)
+            rest = _config_tokens(settings, self.choices[command]) + rest
+        super().__call__(parser, namespace, [command, *rest], option_string)
 
 
 def _parse_boundaries(text: str) -> tuple[float, float]:
@@ -82,13 +104,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="defectcost", description=__doc__)
     parser.add_argument("--config", type=Path, help="JSON config file with default option values")
     parser.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
-    def add_common(p, samples=False):
+    def add_boundaries(p):
+        p.add_argument("--boundaries", type=_parse_boundaries, default=DEFAULT_BOUNDARIES,
+                       help="potential boundaries 'b1,b2'")
+
+    def add_experiment(name, help_text, oversample):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", type=Path, help="corpus directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--out", type=Path, required=True, help="output directory")
-        p.add_argument("--boundaries", default=None, help="potential boundaries 'b1,b2'")
+        add_boundaries(p)
         p.add_argument("--min-instances", type=int, default=100)
         p.add_argument("--min-defects", type=int, default=5)
         p.add_argument("--count-mode", choices=("defective_files", "defects"), default="defective_files")
@@ -97,13 +124,16 @@ def build_parser() -> _Parser:
         p.add_argument("--tune", action="store_true", help="tune the forest with differential evolution")
         p.add_argument("--de-population", type=int, default=20)
         p.add_argument("--de-generations", type=int, default=30)
-        p.add_argument("--oversample", choices=("off", "smote", "smote_tuned"), default=None)
-        p.add_argument("--transfer", choices=("none", "watanabe", "camargo_cruz"), default="none")
+        p.add_argument("--oversample", choices=OVERSAMPLE_MODES)
         p.add_argument("--threshold", type=float, default=0.5)
         p.add_argument("--effort-mode", choices=("defects", "files"), default="defects")
-        if samples:
-            p.add_argument("--samples", type=int, default=100)
-            p.add_argument("--jobs", type=int, default=1)
+        p.set_defaults(oversample=oversample)
+        return p
+
+    def add_cross(name, help_text):
+        p = add_experiment(name, help_text, "off")
+        p.add_argument("--transfer", choices=TRANSFER_KINDS, default="none")
+        return p
 
     p = sub.add_parser("validate", help="load and validate a corpus")
     p.add_argument("--data", type=Path, required=True)
@@ -115,18 +145,16 @@ def build_parser() -> _Parser:
     p.add_argument("--release", type=Path, required=True, help="release directory")
     p.add_argument("--pred", type=Path, required=True, help="CSV with columns artifact_id,score")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--boundaries", default=None)
+    add_boundaries(p)
     p.add_argument("--effort-mode", choices=("defects", "files"), default="defects")
     p.add_argument("-o", "--out", type=Path, required=True)
 
-    p = sub.add_parser("bootstrap", help="bootstrap experiment over a corpus")
-    add_common(p, samples=True)
+    p = add_experiment("bootstrap", "bootstrap experiment over a corpus", "smote")
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("cross-version", help="train on the prior release of each project")
-    add_common(p)
-
-    p = sub.add_parser("cross-project", help="train on other projects with temporal filtering")
-    add_common(p)
+    add_cross("cross-version", "train on the prior release of each project")
+    p = add_cross("cross-project", "train on other projects with temporal filtering")
     p.add_argument("--gap-days", type=int, default=CROSS_PROJECT_GAP_DAYS)
 
     p = sub.add_parser("analyze", help="relationship models and report bundle from records")
@@ -135,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--tune", action="store_true")
     p.add_argument("--corr-threshold", type=float, default=0.8)
-    p.add_argument("--boundaries", default=None)
+    add_boundaries(p)
     p.add_argument("-o", "--out", type=Path, required=True)
 
     p = sub.add_parser("sensitivity", help="boundary-shift and diff-regression analysis")
@@ -143,7 +171,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eval-records", type=Path, help="records from another experiment for the regression")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--boundaries", default=None)
+    add_boundaries(p)
     p.add_argument("-o", "--out", type=Path, required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -161,34 +189,35 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if args.config:
-        try:
-            overrides = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config file: {exc}", args.config) from exc
-        if not isinstance(overrides, dict):
-            raise DataError("config file must hold a JSON object", args.config)
-        # flags beat config: only fill values the user did not set explicitly
-        given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in given:
-                setattr(args, attr, value)
-    return args
+def _read_config(path: Path) -> dict:
+    try:
+        values = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read config file: {exc}", path) from exc
+    if not isinstance(values, dict):
+        raise DataError("config file must hold a JSON object", path)
+    return values
 
 
-def _boundaries_of(args) -> tuple[float, float]:
-    raw = getattr(args, "boundaries", None)
-    if raw is None:
-        return DEFAULT_BOUNDARIES
-    if isinstance(raw, (list, tuple)):
-        b1, b2 = (float(v) for v in raw)
-        if not (0 < b1 < b2):
-            raise UsageError("boundaries must satisfy 0 < b1 < b2")
-        return (b1, b2)
-    return _parse_boundaries(str(raw))
+def _config_tokens(values: dict, parser: argparse.ArgumentParser) -> list[str]:
+    """The config values for options of ``parser`` as command-line tokens:
+    lists become 'a,b', true a bare flag. Other keys (``config`` among
+    them), and null values, are ignored."""
+    options = {a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
+    for key, value in values.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None or value is None:
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false, got {value!r}")
+            tokens += [flag] if value else []
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            tokens.append(f"{flag}={text}")
+    return tokens
 
 
 def _load_filtered(args):
@@ -201,14 +230,17 @@ def _load_filtered(args):
     return releases, kept
 
 
-def _model_of(args):
-    return make_model(
-        args.model,
-        tune=args.tune,
-        n_trees=args.trees,
-        tune_population=args.de_population,
-        tune_generations=args.de_generations,
-    )
+def _scenario_config(args, config_type, **extra):
+    """The config of an experiment subcommand: the model from the model
+    options, every other field from the option of the same name, if there is
+    one, or from ``extra``."""
+    if args.model == "forest":
+        model = ForestModel(params=ForestParams(n_trees=args.trees), tune=args.tune,
+                            tune_population=args.de_population, tune_generations=args.de_generations)
+    else:
+        model = GaussianNBModel()
+    options = {f.name: getattr(args, f.name) for f in fields(config_type) if f.name != "model" and hasattr(args, f.name)}
+    return config_type(model=model, **options, **extra)
 
 
 def _write_outputs(result, outdir: Path) -> None:
@@ -255,7 +287,7 @@ def cmd_metrics(args) -> int:
         release,
         scores,
         threshold=args.threshold,
-        boundaries=_boundaries_of(args),
+        boundaries=args.boundaries,
         effort_mode=args.effort_mode,
     )
     args.out.mkdir(parents=True, exist_ok=True)
@@ -270,55 +302,21 @@ def cmd_bootstrap(args) -> int:
     _, kept = _load_filtered(args)
     if not kept:
         raise DataError("no releases pass the eligibility filter")
-    config = BootstrapConfig(
-        n_samples=args.samples,
-        seed=args.seed,
-        model=_model_of(args),
-        oversample=args.oversample if args.oversample is not None else "smote",
-        boundaries=_boundaries_of(args),
-        threshold=args.threshold,
-        effort_mode=args.effort_mode,
-    )
-    result = run_bootstrap(kept, args.samples, args.seed, config=config, jobs=args.jobs)
+    config = _scenario_config(args, BootstrapConfig, n_samples=args.samples)
+    result = run_bootstrap(kept, config=config, jobs=args.jobs)
     _write_outputs(result, args.out)
     return EXIT_OK
 
 
 def cmd_cross_version(args) -> int:
     releases, _ = _load_filtered(args)
-    result = run_cross_version(
-        releases,
-        model=_model_of(args),
-        seed=args.seed,
-        min_instances=args.min_instances,
-        min_defects=args.min_defects,
-        count_mode=args.count_mode,
-        transfer=args.transfer,
-        oversample=args.oversample if args.oversample is not None else "off",
-        boundaries=_boundaries_of(args),
-        threshold=args.threshold,
-        effort_mode=args.effort_mode,
-    )
-    _write_outputs(result, args.out)
+    _write_outputs(run_cross_version(releases, seed=args.seed, config=_scenario_config(args, EvalConfig)), args.out)
     return EXIT_OK
 
 
 def cmd_cross_project(args) -> int:
     releases, _ = _load_filtered(args)
-    result = run_cross_project(
-        releases,
-        model=_model_of(args),
-        seed=args.seed,
-        gap_days=args.gap_days,
-        min_instances=args.min_instances,
-        min_defects=args.min_defects,
-        count_mode=args.count_mode,
-        transfer=args.transfer,
-        oversample=args.oversample if args.oversample is not None else "off",
-        boundaries=_boundaries_of(args),
-        threshold=args.threshold,
-        effort_mode=args.effort_mode,
-    )
+    result = run_cross_project(releases, seed=args.seed, config=_scenario_config(args, EvalConfig), gap_days=args.gap_days)
     _write_outputs(result, args.out)
     return EXIT_OK
 
@@ -335,8 +333,6 @@ def _read_records_checked(path):
 
 def cmd_analyze(args) -> int:
     records = _read_records_checked(args.records)
-    from .learners import ForestParams
-
     analysis.write_report_bundle(
         args.out,
         records,
@@ -344,7 +340,7 @@ def cmd_analyze(args) -> int:
         correlation_threshold=args.corr_threshold,
         forest_params=ForestParams(n_trees=args.trees),
         tune_forest=args.tune,
-        boundaries=_boundaries_of(args),
+        boundaries=args.boundaries,
     )
     log.info("report bundle written to %s", args.out)
     return EXIT_OK
@@ -352,25 +348,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     records = _read_records_checked(args.records)
-    from .learners import ForestParams
-
     params = ForestParams(n_trees=args.trees)
-    sens = analysis.sensitivity_boundaries(
-        records, seed=args.seed, base=_boundaries_of(args), forest_params=params
-    )
+    sens = analysis.sensitivity_boundaries(records, seed=args.seed, base=args.boundaries, forest_params=params)
     payload = sens.to_json_dict()
     if args.eval_records:
         eval_records = _read_records_checked(args.eval_records)
         try:
             reg = analysis.sensitivity_regression(records, eval_records, seed=args.seed, forest_params=params)
-            payload["regression"] = {
-                "train_r2": json_number(reg["train_r2"]),
-                "eval_r2": json_number(reg["eval_r2"]),
-                "n_train": reg["n_train"],
-                "n_eval": reg["n_eval"],
-            }
-        except ValueError as exc:
-            raise DataError(str(exc), args.eval_records) from exc
+        except analysis.NoUsableRecords as exc:
+            raise DataError(str(exc), args.records if exc.role == "training" else args.eval_records) from exc
+        payload["regression"] = {key: json_number(value) for key, value in reg.items()}
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "sensitivity.json").write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
     log.info("sensitivity report written to %s", args.out / "sensitivity.json")
@@ -415,7 +402,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(sys.argv[1:] if argv is None else argv)
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(asctime)s %(levelname)s %(name)s: %(message)s",

@@ -362,11 +362,6 @@ def filter_releases(
     ]
 
 
-def is_eligible(release: Release, min_instances: int = 100, min_defects: int = 5,
-                mode: str = "defective_files") -> bool:
-    return bool(filter_releases([release], min_instances, min_defects, mode))
-
-
 def bootstrap_split(release: Release, seed: int, max_redraws: int = 1000) -> SplitSample:
     """Size-|S| resample with replacement; out-of-bag artifacts form the test set.
 

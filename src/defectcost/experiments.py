@@ -34,16 +34,14 @@ from .costmodel import (
     cost_bounds,
 )
 from .dataset import Release, ReleaseView, SplitError, bootstrap_split
-from .extmath import fmt_float
+from .extmath import fmt_float, parse_extended
 from .learners import (
     ForestParams,
-    SmoteTuning,
     apply_smote,
-    differential_evolution,
     oob_mcc,
-    params_from_vector,
     train_gaussian_nb,
     train_random_forest,
+    tune_forest_params,
     tune_smote,
 )
 from .metrics import METRIC_NAMES, MetricVector, Prediction, evaluate_metrics
@@ -180,18 +178,13 @@ def read_records_csv(path) -> list[EvaluationRecord]:
 
 
 def read_records_jsonl(path) -> list[EvaluationRecord]:
-    from .extmath import parse_extended
-
     records = []
     with Path(path).open() as fh:
         for line in fh:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            variables = {
-                k: (float("nan") if v is None else float(v))
-                for k, v in {**obj["metrics"], **obj["confounders"]}.items()
-            }
+            variables = {k: parse_extended(v) for k, v in {**obj["metrics"], **obj["confounders"]}.items()}
             records.append(
                 _record_from_parts(
                     obj,
@@ -233,23 +226,8 @@ class ForestModel:
             return FittedScorer(constant=float(y[0]) if len(y) else 0.0)
         params = self.params
         if self.tune:
-            base = self.params
-
-            def objective(vec):
-                cand = params_from_vector(vec, base=base)
-                forest = train_random_forest(X, y, cand, seed=seed, n_classes=2)
-                score = oob_mcc(forest, X, y)
-                return np.inf if np.isnan(score) else -score
-
-            best, _ = differential_evolution(
-                objective,
-                bounds=[(0.0, 1.0), (2, 20), (1, 20)],
-                population=self.tune_population,
-                generations=self.tune_generations,
-                integer_dims=(1, 2),
-                seed=seed,
-            )
-            params = params_from_vector(best, base=base)
+            params = tune_forest_params(X, y, seed, oob_mcc, 2, base=params,
+                                        population=self.tune_population, generations=self.tune_generations)
         forest = train_random_forest(X, y, params, seed=seed, n_classes=2)
         return FittedScorer(forest=forest)
 
@@ -284,20 +262,6 @@ class FittedScorer:
         if col is None:
             return np.zeros(X.shape[0])
         return probs[:, col]
-
-
-def make_model(name: str, *, tune: bool = False, n_trees: int = 100,
-               tune_population: int = 20, tune_generations: int = 30):
-    if name == "forest":
-        return ForestModel(
-            params=ForestParams(n_trees=n_trees),
-            tune=tune,
-            tune_population=tune_population,
-            tune_generations=tune_generations,
-        )
-    if name == "gnb":
-        return GaussianNBModel()
-    raise ValueError(f"unknown model {name!r} (expected 'forest' or 'gnb')")
 
 
 # ---------------------------------------------------------------------------
@@ -354,59 +318,94 @@ class RunResult:
     notices: list[str] = field(default_factory=list)
 
 
-def build_record(
-    *,
-    scenario: str,
-    project: str,
-    release: str,
-    sample: int,
-    preprocessing: str,
-    seed: int,
-    train_labels,
-    train_prime_labels,
-    test_view: ReleaseView,
-    scores: np.ndarray,
-    threshold: float = 0.5,
-    boundaries: tuple[float, float] = DEFAULT_BOUNDARIES,
-    effort_mode: str = "defects",
-) -> EvaluationRecord:
-    pred = Prediction.from_arrays(test_view.ids, scores, threshold)
-    metrics = evaluate_metrics(test_view, pred, effort_mode=effort_mode)
-    confounders = compute_confounders(train_labels, train_prime_labels, test_view)
-    bounds = cost_bounds(test_view, pred)
-    return EvaluationRecord(
-        scenario=scenario,
-        project=project,
-        release=release,
-        sample=sample,
-        preprocessing=preprocessing,
-        seed=seed,
-        metrics=metrics,
-        confounders=confounders,
-        bounds=bounds,
-        potential=classify_potential(bounds.diff, boundaries),
-    )
+OVERSAMPLE_MODES = ("off", "smote", "smote_tuned")
 
 
-@dataclass(frozen=True)
-class BootstrapConfig:
-    n_samples: int
-    seed: int
+@dataclass(frozen=True, kw_only=True)
+class RecordConfig:
+    """Settings that shape an evaluation record, shared by every scenario."""
+
     model: object = ForestModel()
-    oversample: str = "smote"  # off | smote | smote_tuned
-    smote_k: int = 5
-    smote_ratio: float = 0.5
-    smote_tuning: SmoteTuning = SmoteTuning()
-    boundaries: tuple[float, float] = DEFAULT_BOUNDARIES
-    max_redraws: int = 1000
+    oversample: str = "off"  # off | smote | smote_tuned
     threshold: float = 0.5
+    boundaries: tuple[float, float] = DEFAULT_BOUNDARIES
     effort_mode: str = "defects"
 
     def __post_init__(self):
-        if self.oversample not in ("off", "smote", "smote_tuned"):
+        if self.oversample not in OVERSAMPLE_MODES:
             raise ValueError(f"unknown oversample mode {self.oversample!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class EvalConfig(RecordConfig):
+    """Settings of the cross-version and cross-project scenarios: the record
+    settings plus the transfer transform and the size/defect filter that
+    training releases must pass."""
+
+    transfer: str = "none"  # none | watanabe | camargo_cruz
+    min_instances: int = 100
+    min_defects: int = 5
+    count_mode: str = "defective_files"
+
+
+@dataclass(frozen=True, kw_only=True)
+class BootstrapConfig(RecordConfig):
+    """The record settings plus the bootstrap sampling settings; oversampling
+    defaults to SMOTE."""
+
+    n_samples: int
+    seed: int
+    max_redraws: int = 1000
+    oversample: str = "smote"
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+
+
+def _fit_and_record(
+    config: RecordConfig,
+    oversample: str,
+    seeds,
+    *,
+    scenario: str,
+    release: Release,
+    sample: int,
+    train_X,
+    train_y,
+    test_view: ReleaseView,
+    transfer: str | None = None,
+) -> EvaluationRecord:
+    """Transfer (when given) and oversample the training data, fit
+    ``config.model`` on it and evaluate the model on ``test_view``. ``seeds``
+    are the (model, SMOTE, SMOTE tuning) seeds the scenario derived."""
+    model_seed, smote_seed, tune_seed = (int(v) for v in seeds)
+    test_X = test_view.X
+    if transfer is not None:
+        moved = transfer_transform(transfer, train_X, test_X)
+        train_X, test_X = moved.train_X, moved.target_X
+    X, y = train_X, np.asarray(train_y, dtype=np.int64)
+    if oversample != "off":
+        tuned = tune_smote(X, y, seed=tune_seed) if oversample == "smote_tuned" else ()
+        X, y = apply_smote(X, y, *tuned, seed=smote_seed)
+    scores = config.model.fit(X, y, seed=model_seed).predict_scores(test_X)
+    pred = Prediction.from_arrays(test_view.ids, scores, config.threshold)
+    metrics = evaluate_metrics(test_view, pred, effort_mode=config.effort_mode)
+    confounders = compute_confounders(train_y, y, test_view)
+    bounds = cost_bounds(test_view, pred)
+    return EvaluationRecord(
+        scenario=scenario,
+        project=release.project,
+        release=release.release_id,
+        sample=sample,
+        preprocessing="plain" if oversample == "off" else "oversampled",
+        seed=model_seed,
+        metrics=metrics,
+        confounders=confounders,
+        bounds=bounds,
+        potential=classify_potential(bounds.diff, config.boundaries),
+    )
 
 
 def _bootstrap_release(args) -> tuple[list[EvaluationRecord], list[str]]:
@@ -415,43 +414,29 @@ def _bootstrap_release(args) -> tuple[list[EvaluationRecord], list[str]]:
     notices: list[str] = []
     for s in range(config.n_samples):
         ss = np.random.SeedSequence([config.seed, SCENARIO_CODES["bootstrap"], release_idx, s])
-        split_seed, model_plain, model_over, smote_seed, tune_seed = (int(v) for v in ss.generate_state(5))
+        split_seed, model_plain, model_over, smote_seed, tune_seed = ss.generate_state(5)
         try:
-            split = bootstrap_split(release, seed=split_seed, max_redraws=config.max_redraws)
+            split = bootstrap_split(release, seed=int(split_seed), max_redraws=config.max_redraws)
         except SplitError as exc:
             notices.append(str(exc))
             continue
         train_view = release.view(split.train)
         test_view = release.view(split.test)
-
-        variants = [("plain", model_plain)]
+        variants = [("off", model_plain)]
         if config.oversample != "off":
-            variants.append(("oversampled", model_over))
-
-        for variant, model_seed in variants:
-            X, y = train_view.X, train_view.y
-            if variant == "oversampled":
-                if config.oversample == "smote_tuned":
-                    k, ratio = tune_smote(X, y, seed=tune_seed, tuning=config.smote_tuning)
-                else:
-                    k, ratio = config.smote_k, config.smote_ratio
-                X, y = apply_smote(X, y, k_neighbors=k, target_ratio=ratio, seed=smote_seed)
-            fitted = config.model.fit(X, y, seed=model_seed)
+            variants.append((config.oversample, model_over))
+        for oversample, model_seed in variants:
             records.append(
-                build_record(
+                _fit_and_record(
+                    config,
+                    oversample,
+                    (model_seed, smote_seed, tune_seed),
                     scenario="bootstrap",
-                    project=release.project,
-                    release=release.release_id,
+                    release=release,
                     sample=s,
-                    preprocessing=variant,
-                    seed=model_seed,
-                    train_labels=train_view.y,
-                    train_prime_labels=y,
+                    train_X=train_view.X,
+                    train_y=train_view.y,
                     test_view=test_view,
-                    scores=fitted.predict_scores(test_view.X),
-                    threshold=config.threshold,
-                    boundaries=config.boundaries,
-                    effort_mode=config.effort_mode,
                 )
             )
     return records, notices
@@ -459,8 +444,8 @@ def _bootstrap_release(args) -> tuple[list[EvaluationRecord], list[str]]:
 
 def run_bootstrap(
     releases: Sequence[Release],
-    n_samples: int,
-    seed: int,
+    n_samples: int | None = None,
+    seed: int | None = None,
     *,
     config: BootstrapConfig | None = None,
     jobs: int = 1,
@@ -469,12 +454,11 @@ def run_bootstrap(
 
     Produces per release and sample one record on the plain training data and
     one after oversampling (unless oversampling is off). Redraw exhaustion is
-    reported per release and the run continues.
+    reported per release and the run continues. ``n_samples`` and ``seed``,
+    when given, override those of ``config``.
     """
-    if config is None:
-        config = BootstrapConfig(n_samples=n_samples, seed=seed)
-    else:
-        config = replace(config, n_samples=n_samples, seed=seed)
+    given = {k: v for k, v in (("n_samples", n_samples), ("seed", seed)) if v is not None}
+    config = replace(config, **given) if config is not None else BootstrapConfig(**given)
     tasks = [(release, i, config) for i, release in enumerate(releases)]
     results: list[tuple[list[EvaluationRecord], list[str]]] = []
     if jobs > 1 and len(tasks) > 1:
@@ -490,6 +474,15 @@ def run_bootstrap(
     for note in notices:
         log.warning("%s", note)
     return RunResult(records=records, notices=notices)
+
+
+def _cross_config(config: EvalConfig | None, model) -> EvalConfig:
+    config = config or EvalConfig()
+    return config if model is None else replace(config, model=model)
+
+
+def _cross_seeds(seed: int, scenario: str, target_idx: int):
+    return np.random.SeedSequence([seed, SCENARIO_CODES[scenario], target_idx]).generate_state(3)
 
 
 def _ordered_by_time(releases: Sequence[Release]) -> list[Release]:
@@ -512,79 +505,21 @@ def _eligible_train_view(
     return view
 
 
-def _fit_and_record(
-    *,
-    scenario: str,
-    target: Release,
-    train_X,
-    train_y,
-    sample: int,
-    seed_parts: Sequence[int],
-    model,
-    transfer: str,
-    oversample: str,
-    smote_k: int,
-    smote_ratio: float,
-    smote_tuning: SmoteTuning,
-    boundaries,
-    threshold: float,
-    effort_mode: str,
-) -> EvaluationRecord:
-    ss = np.random.SeedSequence(list(seed_parts))
-    model_seed, smote_seed, tune_seed = (int(v) for v in ss.generate_state(3))
-    test_view = target.view()
-    moved = transfer_transform(transfer, train_X, test_view.X)
-    X, y = moved.train_X, np.asarray(train_y, dtype=np.int64)
-    preprocessing = "plain"
-    if oversample != "off":
-        if oversample == "smote_tuned":
-            k, ratio = tune_smote(X, y, seed=tune_seed, tuning=smote_tuning)
-        else:
-            k, ratio = smote_k, smote_ratio
-        X, y = apply_smote(X, y, k_neighbors=k, target_ratio=ratio, seed=smote_seed)
-        preprocessing = "oversampled"
-    fitted = model.fit(X, y, seed=model_seed)
-    return build_record(
-        scenario=scenario,
-        project=target.project,
-        release=target.release_id,
-        sample=sample,
-        preprocessing=preprocessing,
-        seed=model_seed,
-        train_labels=train_y,
-        train_prime_labels=y,
-        test_view=test_view,
-        scores=fitted.predict_scores(moved.target_X),
-        threshold=threshold,
-        boundaries=boundaries,
-        effort_mode=effort_mode,
-    )
-
-
 def run_cross_version(
     releases: Sequence[Release],
     model=None,
     seed: int = 0,
     *,
-    min_instances: int = 100,
-    min_defects: int = 5,
-    count_mode: str = "defective_files",
-    transfer: str = "none",
-    oversample: str = "off",
-    smote_k: int = 5,
-    smote_ratio: float = 0.5,
-    smote_tuning: SmoteTuning = SmoteTuning(),
-    boundaries=DEFAULT_BOUNDARIES,
-    threshold: float = 0.5,
-    effort_mode: str = "defects",
+    config: EvalConfig | None = None,
 ) -> RunResult:
     """Train on the closest eligible prior release of the same project.
 
     Targets are never filtered; training candidates must pass the size/defect
-    filter after their labels are restricted to defects fixed before the
-    target release (no future information enters training).
+    filter of ``config`` after their labels are restricted to defects fixed
+    before the target release (no future information enters training).
+    ``model`` overrides ``config.model``.
     """
-    model = model or ForestModel()
+    config = _cross_config(config, model)
     records: list[EvaluationRecord] = []
     notices: list[str] = []
     by_project: dict[str, list[Release]] = {}
@@ -597,33 +532,26 @@ def run_cross_version(
             target_idx += 1
             train_view = None
             for candidate in reversed(ordered[:i]):
-                view = _eligible_train_view(
-                    candidate, target.released_at, min_instances, min_defects,
-                    "defects" if count_mode == "defects" else "defective_files",
+                train_view = _eligible_train_view(
+                    candidate, target.released_at, config.min_instances, config.min_defects, config.count_mode
                 )
-                if view is not None:
-                    train_view = view
+                if train_view is not None:
                     break
             if train_view is None:
                 notices.append(f"cross_version: no eligible prior release for {target.key()}")
                 continue
             records.append(
                 _fit_and_record(
+                    config,
+                    config.oversample,
+                    _cross_seeds(seed, "cross_version", target_idx),
                     scenario="cross_version",
-                    target=target,
+                    release=target,
+                    sample=0,
                     train_X=train_view.X,
                     train_y=train_view.y,
-                    sample=0,
-                    seed_parts=[seed, SCENARIO_CODES["cross_version"], target_idx],
-                    model=model,
-                    transfer=transfer,
-                    oversample=oversample,
-                    smote_k=smote_k,
-                    smote_ratio=smote_ratio,
-                    smote_tuning=smote_tuning,
-                    boundaries=boundaries,
-                    threshold=threshold,
-                    effort_mode=effort_mode,
+                    test_view=target.view(),
+                    transfer=config.transfer,
                 )
             )
     for note in notices:
@@ -657,10 +585,9 @@ def cross_project_training_views(
     Pool releases respect the temporal gap; their labels only reflect defects
     fixed before the target's release date.
     """
-    mode = "defects" if count_mode == "defects" else "defective_files"
     out = []
     for candidate in cross_project_pool(releases, target, gap_days):
-        view = _eligible_train_view(candidate, target.released_at, min_instances, min_defects, mode)
+        view = _eligible_train_view(candidate, target.released_at, min_instances, min_defects, count_mode)
         if view is not None:
             out.append((candidate, view))
     return out
@@ -671,26 +598,17 @@ def run_cross_project(
     model=None,
     seed: int = 0,
     *,
+    config: EvalConfig | None = None,
     gap_days: int = CROSS_PROJECT_GAP_DAYS,
-    min_instances: int = 100,
-    min_defects: int = 5,
-    count_mode: str = "defective_files",
-    transfer: str = "none",
-    oversample: str = "off",
-    smote_k: int = 5,
-    smote_ratio: float = 0.5,
-    smote_tuning: SmoteTuning = SmoteTuning(),
-    boundaries=DEFAULT_BOUNDARIES,
-    threshold: float = 0.5,
-    effort_mode: str = "defects",
 ) -> RunResult:
     """Strict cross-project prediction with temporal-leakage removal.
 
-    The training pool contains eligible releases of other projects released at
-    least ``gap_days`` before the target; training labels only reflect defects
-    fixed before the target's release date.
+    The training pool contains releases of other projects released at least
+    ``gap_days`` before the target that pass the size/defect filter of
+    ``config``; training labels only reflect defects fixed before the
+    target's release date. ``model`` overrides ``config.model``.
     """
-    model = model or ForestModel()
+    config = _cross_config(config, model)
     records: list[EvaluationRecord] = []
     notices: list[str] = []
     for idx, target in enumerate(sorted(releases, key=lambda r: (r.project, r.released_at, r.release_id))):
@@ -698,32 +616,25 @@ def run_cross_project(
             releases,
             target,
             gap_days=gap_days,
-            min_instances=min_instances,
-            min_defects=min_defects,
-            count_mode=count_mode,
+            min_instances=config.min_instances,
+            min_defects=config.min_defects,
+            count_mode=config.count_mode,
         )
         if not pool:
             notices.append(f"cross_project: empty training pool for {target.key()}")
             continue
-        train_X = np.vstack([v.X for _, v in pool])
-        train_y = np.concatenate([v.y for _, v in pool])
         records.append(
             _fit_and_record(
+                config,
+                config.oversample,
+                _cross_seeds(seed, "cross_project", idx),
                 scenario="cross_project",
-                target=target,
-                train_X=train_X,
-                train_y=train_y,
+                release=target,
                 sample=0,
-                seed_parts=[seed, SCENARIO_CODES["cross_project"], idx],
-                model=model,
-                transfer=transfer,
-                oversample=oversample,
-                smote_k=smote_k,
-                smote_ratio=smote_ratio,
-                smote_tuning=smote_tuning,
-                boundaries=boundaries,
-                threshold=threshold,
-                effort_mode=effort_mode,
+                train_X=np.vstack([v.X for _, v in pool]),
+                train_y=np.concatenate([v.y for _, v in pool]),
+                test_view=target.view(),
+                transfer=config.transfer,
             )
         )
     for note in notices:

@@ -18,10 +18,6 @@ def is_undefined(x: float) -> bool:
     return math.isnan(x)
 
 
-def is_defined(x: float) -> bool:
-    return not math.isnan(x)
-
-
 def safe_div(num: float, den: float) -> float:
     """Division on the extended reals: 0/0 -> undefined, x/0 -> signed infinity."""
     if den == 0:
@@ -51,10 +47,11 @@ def ext_sub(a: float, b: float) -> float:
 
 
 def json_number(x: float):
-    """Undefined -> None for JSON; integral floats stay numeric."""
+    """Undefined -> None for JSON, infinities -> the sentinel strings of
+    json_extended; integral floats stay numeric."""
     if math.isnan(x):
         return None
-    return x
+    return json_extended(x)
 
 
 def json_extended(x: float):
@@ -69,12 +66,8 @@ def json_extended(x: float):
 
 
 def parse_extended(v) -> float:
-    """Inverse of json_extended; also accepts plain numbers."""
-    if v is None:
-        return UNDEFINED
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
+    """Inverse of json_extended and json_number; also accepts plain numbers."""
+    return UNDEFINED if v is None else float(v)
 
 
 def fmt_float(x) -> str:

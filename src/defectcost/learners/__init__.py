@@ -9,6 +9,7 @@ from .forest import (
     oob_mcc,
     params_from_vector,
     train_random_forest,
+    tune_forest_params,
 )
 from .logit import (
     GoodnessOfFit,
@@ -68,5 +69,6 @@ __all__ = [
     "train_gaussian_nb",
     "train_random_forest",
     "tree_depth",
+    "tune_forest_params",
     "tune_smote",
 ]

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..extmath import UNDEFINED
 from ..metrics import mcc_from_counts
+from .de import differential_evolution
 from .tree import (
     TreeNode,
     predict_proba_tree,
@@ -58,8 +59,6 @@ class Forest:
     in_bag: tuple[np.ndarray, ...]  # in-bag row indices per tree
     n_train: int
     n_classes: int = 2
-    train_min: float = 0.0
-    train_max: float = 0.0
 
     def predict_proba(self, X) -> np.ndarray:
         if self.task != "classify":
@@ -78,22 +77,6 @@ class Forest:
         for tree in self.trees:
             acc += predict_tree_regression(tree, X)
         return acc / len(self.trees)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": 1,
-            "kind": f"random_forest_{self.task}",
-            "params": {
-                "feature_ratio": self.params.feature_ratio,
-                "min_split": self.params.min_split,
-                "min_leaf": self.params.min_leaf,
-                "n_trees": self.params.n_trees,
-                "depth_limit": self.params.depth_limit,
-                "bootstrap": self.params.bootstrap,
-            },
-            "n_classes": self.n_classes,
-            "trees": [t.to_dict() for t in self.trees],
-        }
 
     def oob_proba(self, X) -> tuple[np.ndarray, np.ndarray]:
         """(mask of rows with any out-of-bag vote, averaged probabilities)."""
@@ -154,7 +137,6 @@ def train_random_forest(
         )
         trees.append(tree)
         bags.append(bag)
-    yf = y.astype(np.float64)
     return Forest(
         task=task,
         params=params,
@@ -162,8 +144,6 @@ def train_random_forest(
         in_bag=tuple(bags),
         n_train=n,
         n_classes=n_classes,
-        train_min=float(yf.min()),
-        train_max=float(yf.max()),
     )
 
 
@@ -177,13 +157,23 @@ def forest_importance(forest: Forest, n_features: int) -> np.ndarray:
     return acc / len(forest.trees)
 
 
-def oob_mcc(forest: Forest, X, y) -> float:
-    """Matthews correlation of out-of-bag predictions (binary labels)."""
+def _oob_labels(forest: Forest, X, y, scored=None) -> tuple[np.ndarray, np.ndarray]:
+    """(true, predicted) labels of the ``scored`` rows (default all) that have
+    an out-of-bag vote."""
     mask, probs = forest.oob_proba(X)
-    if not mask.any():
+    if scored is not None:
+        mask = mask & scored
+    return np.asarray(y)[mask], np.argmax(probs[mask], axis=1)
+
+
+def oob_mcc(forest: Forest, X, y, scored=None) -> float:
+    """Matthews correlation of out-of-bag predictions (binary labels).
+
+    ``scored`` masks the training rows that enter the score (default all).
+    """
+    truth, pred = _oob_labels(forest, X, y, scored)
+    if not len(truth):
         return UNDEFINED
-    pred = np.argmax(probs[mask], axis=1)
-    truth = np.asarray(y)[mask]
     tp = int(np.sum((truth == 1) & (pred == 1)))
     fp = int(np.sum((truth == 0) & (pred == 1)))
     tn = int(np.sum((truth == 0) & (pred == 0)))
@@ -192,11 +182,10 @@ def oob_mcc(forest: Forest, X, y) -> float:
 
 
 def oob_accuracy(forest: Forest, X, y) -> float:
-    mask, probs = forest.oob_proba(X)
-    if not mask.any():
+    truth, pred = _oob_labels(forest, X, y)
+    if not len(truth):
         return UNDEFINED
-    pred = np.argmax(probs[mask], axis=1)
-    return float(np.mean(pred == np.asarray(y)[mask]))
+    return float(np.mean(pred == truth))
 
 
 def params_from_vector(vec, base: ForestParams = ForestParams()) -> ForestParams:
@@ -211,3 +200,36 @@ def params_from_vector(vec, base: ForestParams = ForestParams()) -> ForestParams
     min_split = min(max(min_split, MIN_SPLIT_BOUNDS[0]), MIN_SPLIT_BOUNDS[1])
     min_leaf = min(max(min_leaf, MIN_LEAF_BOUNDS[0]), MIN_LEAF_BOUNDS[1])
     return replace(base, feature_ratio=ratio, min_split=min_split, min_leaf=min_leaf)
+
+
+def tune_forest_params(
+    X,
+    y,
+    seed: int,
+    score,
+    n_classes: int,
+    base: ForestParams = ForestParams(),
+    population: int = 20,
+    generations: int = 30,
+) -> ForestParams:
+    """Differential-evolution search over (feature_ratio, min_split, min_leaf).
+
+    Maximizes ``score(forest, X, y)``, an out-of-bag score such as
+    ``oob_mcc``; candidates with an undefined score lose. Every other setting
+    comes from ``base``.
+    """
+
+    def objective(vec):
+        forest = train_random_forest(X, y, params_from_vector(vec, base=base), seed=seed, n_classes=n_classes)
+        value = score(forest, X, y)
+        return np.inf if math.isnan(value) else -value
+
+    best, _ = differential_evolution(
+        objective,
+        bounds=[FEATURE_RATIO_BOUNDS, MIN_SPLIT_BOUNDS, MIN_LEAF_BOUNDS],
+        population=population,
+        generations=generations,
+        integer_dims=(1, 2),
+        seed=seed,
+    )
+    return params_from_vector(best, base=base)

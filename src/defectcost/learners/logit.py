@@ -163,10 +163,6 @@ class LogitModel:
     """Two-stage elastic-net multinomial logit."""
 
     classes: tuple
-    mu: np.ndarray
-    sigma: np.ndarray
-    stage1_W: np.ndarray
-    stage1_b: np.ndarray
     lam: float
     alpha: float
     selected: tuple[int, ...]
@@ -192,19 +188,6 @@ class LogitModel:
     def coefficients(self) -> dict[int, np.ndarray]:
         """Stage-2 coefficient vector per selected feature index."""
         return {f: self.stage2_W[i] for i, f in enumerate(self.selected)}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": 1,
-            "kind": "multinomial_logit_elastic_net",
-            "classes": [str(c) for c in self.classes],
-            "lambda": self.lam,
-            "alpha": self.alpha,
-            "selected_features": list(self.selected),
-            "stage2_coefficients": self.stage2_W.tolist(),
-            "stage2_intercepts": self.stage2_b.tolist(),
-            "r2_adjusted": self.goodness.r2_adjusted,
-        }
 
 
 def fit_multinomial_logit_elastic_net(
@@ -257,9 +240,9 @@ def fit_multinomial_logit_elastic_net(
                 )
             )
             if best is None or r2 > best[0]:
-                best = (r2, float(lam), float(alpha), W.copy(), b.copy(), tuple(int(i) for i in selected))
+                best = (r2, float(lam), float(alpha), tuple(int(i) for i in selected))
 
-    _, lam, alpha, W1, b1, selected = best
+    _, lam, alpha, selected = best
 
     # stage 2: unpenalized, unnormalized refit on the surviving features
     X2 = X[:, list(selected)] if selected else np.zeros((len(y_idx), 0))
@@ -278,10 +261,6 @@ def fit_multinomial_logit_elastic_net(
     )
     return LogitModel(
         classes=classes,
-        mu=mu,
-        sigma=sigma,
-        stage1_W=W1,
-        stage1_b=b1,
         lam=lam,
         alpha=alpha,
         selected=selected,

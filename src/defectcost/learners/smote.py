@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..metrics import mcc_from_counts
 from .de import differential_evolution
-from .forest import ForestParams, train_random_forest
+from .forest import ForestParams, oob_mcc, train_random_forest
 
 
 def _n_synthetic(n_minority: int, n_majority: int, target_ratio: float) -> int:
@@ -112,7 +111,6 @@ def tune_smote(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n_real = len(y)
     params = ForestParams(n_trees=tuning.objective_trees)
 
     def objective(vec):
@@ -123,17 +121,7 @@ def tune_smote(
         except ValueError:
             return np.inf
         forest = train_random_forest(X_aug, y_aug, params, seed=seed)
-        mask_all, probs_all = forest.oob_proba(X_aug)
-        mask = mask_all[:n_real]
-        if not mask.any():
-            return np.inf
-        pred = np.argmax(probs_all[:n_real][mask], axis=1)
-        truth = y[mask]
-        tp = int(np.sum((truth == 1) & (pred == 1)))
-        fp = int(np.sum((truth == 0) & (pred == 1)))
-        tn = int(np.sum((truth == 0) & (pred == 0)))
-        fn = int(np.sum((truth == 1) & (pred == 0)))
-        mcc = mcc_from_counts(tp, fp, tn, fn)
+        mcc = oob_mcc(forest, X_aug, y_aug, scored=np.arange(len(y_aug)) < len(y))
         return np.inf if math.isnan(mcc) else -mcc
 
     best, _ = differential_evolution(

@@ -31,21 +31,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def to_dict(self) -> dict:
-        d = {
-            "n": int(self.n_samples),
-            "impurity": float(self.impurity),
-            "value": self.value.tolist() if isinstance(self.value, np.ndarray) else float(self.value),
-        }
-        if not self.is_leaf:
-            d.update(
-                feature=int(self.feature),
-                threshold=float(self.threshold),
-                left=self.left.to_dict(),
-                right=self.right.to_dict(),
-            )
-        return d
-
 
 def _gini(counts: np.ndarray) -> float:
     n = counts.sum()
