@@ -1,7 +1,9 @@
 """Byte-identity pins for configurations that no other test or benchmark digests.
 
-The sha256 values were recorded before the scenarios shared one
-oversample -> fit -> record path, so any change to records, RNG streams or
+The first five sha256 values were recorded before the scenarios shared one
+oversample -> fit -> record path, the last three (effort mode "files", a 0.3
+threshold, the record files of ``defectcost metrics``) before metrics and cost
+bounds were computed from arrays, so any change to records, RNG streams or
 tuned parameters shows here. Each case runs on a tiny seeded synth corpus with
 few trees and a small DE budget.
 """
@@ -23,8 +25,10 @@ from defectcost import (
     run_cross_version,
     write_records_csv,
     write_records_jsonl,
+    write_release,
 )
 from defectcost.analysis import fit_relationship_models
+from defectcost.cli import main
 from defectcost.experiments import BootstrapConfig
 from defectcost.learners import ForestParams
 
@@ -94,3 +98,30 @@ def test_relationship_forest_tuned(kept):
     importances = fit.importances["forest"]
     assert tuned_digest(fit.models["forest"].forest.params, [importances[k] for k in sorted(importances)]) == (
         "25e1c0674d1cda70e28c175cd2d208c9155d010b950358dd88cfd9db7987a691")
+
+
+def test_bootstrap_gnb_files_mode(kept, tmp_path):
+    config = BootstrapConfig(n_samples=2, seed=12, model=GaussianNBModel(), effort_mode="files")
+    result = run_bootstrap(kept, config=config)
+    assert records_digest(result.records, tmp_path) == (
+        24, "73b201c60bf27d5b7f74fb64a8fed936914973ba493307e78f32b56133355965")
+
+
+def test_cross_version_threshold(releases, tmp_path):
+    result = run_cross_version(releases, SMALL_FOREST, 13, config=EvalConfig(threshold=0.3, **FILTER))
+    assert records_digest(result.records, tmp_path) == (
+        4, "2a205df24c8396e93c25e3720339c5cc18f8b1b711c7dabc3f3a6de92ca9c0d2")
+
+
+def test_metrics_command_records(releases, tmp_path):
+    release = releases[0]
+    release_dir = write_release(release, tmp_path / "release")
+    rng = np.random.default_rng(14)
+    pred = tmp_path / "pred.csv"
+    pred.write_text("artifact_id,score\n" + "".join(
+        f"{a},{float(s)!r}\n" for a, s in zip(release.artifact_ids, np.round(rng.random(release.n_artifacts), 2))))
+    out = tmp_path / "out"
+    assert main(["metrics", "--release", str(release_dir), "--pred", str(pred), "--threshold", "0.3",
+                 "--effort-mode", "files", "-o", str(out)]) == 0
+    digest = hashlib.sha256((out / "records.csv").read_bytes() + (out / "records.jsonl").read_bytes())
+    assert digest.hexdigest() == "0ad4b6b2636c2f5b8cea93bea1d6085ca2557b6d1f3e717c986b071425253f20"
