@@ -55,7 +55,7 @@ _NEIGHBOR_OK = {
 
 def records_matrix(records: Sequence[EvaluationRecord]) -> tuple[np.ndarray, np.ndarray]:
     """(X, y): the 30 variables (metrics then confounders) and potential levels."""
-    X = np.array([[rec.variables()[name] for name in VARIABLE_NAMES] for rec in records])
+    X = np.array([[v[name] for name in VARIABLE_NAMES] for v in (rec.variables() for rec in records)])
     y = np.array([int(rec.potential) for rec in records], dtype=np.int64)
     return X, y
 
@@ -546,9 +546,7 @@ def sensitivity_regression(
         keep = [r for r in records if math.isfinite(r.bounds.diff) and r.bounds.diff > 0]
         if not keep:
             raise NoUsableRecords(role)
-        X = np.array([[r.variables()[n] for n in VARIABLE_NAMES] for r in keep])
-        y = np.log10(np.array([r.bounds.diff for r in keep]))
-        return X, y
+        return records_matrix(keep)[0], np.log10(np.array([r.bounds.diff for r in keep]))
 
     X_train, y_train = subset(train_records, "training")
     X_eval, y_eval = subset(eval_records, "evaluation")

@@ -278,9 +278,14 @@ def cmd_metrics(args) -> int:
                 if not row:
                     continue
                 try:
-                    scores[row[0]] = float(row[1])
+                    aid, score = row[0], float(row[1])
                 except (IndexError, ValueError) as exc:
                     raise DataError("malformed prediction row", args.pred, lineno) from exc
+                if not 0.0 <= score <= 1.0:  # also rejects nan
+                    raise DataError(f"score must be a finite number in [0, 1], got {row[1]!r}", args.pred, lineno)
+                if aid in scores:
+                    raise DataError(f"duplicate artifact id {aid!r}", args.pred, lineno)
+                scores[aid] = score
     except OSError as exc:
         raise DataError(f"cannot read predictions: {exc}", args.pred) from exc
     record = evaluate_external_prediction(

@@ -61,8 +61,8 @@ def top_share(sizes: Sequence[int], fraction: float = 0.01) -> float:
 
 
 def compute_confounders(
-    train_labels: Sequence[int],
-    train_prime_labels: Sequence[int],
+    train_labels: Sequence[int] | None,
+    train_prime_labels: Sequence[int] | None,
     test_view: ReleaseView,
 ) -> ConfounderVector:
     """Confounders for one evaluation.
@@ -70,16 +70,18 @@ def compute_confounders(
     ``train_labels`` are the defect labels of the raw training rows,
     ``train_prime_labels`` those after preprocessing (identical when no
     oversampling ran). Ratio variables are undefined when the corresponding
-    training bias is zero.
+    training bias is zero. An evaluation without training data (an external
+    prediction) passes None for both: its biases and ratios are undefined and
+    its training sizes zero.
     """
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    train_prime_labels = np.asarray(train_prime_labels, dtype=np.int64)
-    if train_labels.size == 0 or train_prime_labels.size == 0 or test_view.n == 0:
+    if train_labels is None and train_prime_labels is None:
+        train_labels = train_prime_labels = ()
+    elif len(train_labels) == 0 or len(train_prime_labels) == 0 or test_view.n == 0:
         raise ValueError("confounders need non-empty train, preprocessed-train and test views")
 
-    bias_train = float(train_labels.mean())
-    bias_train_prime = float(train_prime_labels.mean())
-    bias_test = float(test_view.y.mean())
+    bias_train = safe_div(float(np.sum(train_labels)), len(train_labels))
+    bias_train_prime = safe_div(float(np.sum(train_prime_labels)), len(train_prime_labels))
+    bias_test = safe_div(float(test_view.y.sum()), test_view.n)
 
     def_sizes = test_view.sizes[test_view.y == 1]
     clean_sizes = test_view.sizes[test_view.y == 0]
@@ -92,7 +94,7 @@ def compute_confounders(
         ratio_bias_prime=bias_test / bias_train_prime if bias_train_prime > 0 else UNDEFINED,
         prop_def_1pct=top_share(def_sizes),
         prop_clean_1pct=top_share(clean_sizes),
-        n_train=float(train_labels.size),
-        n_train_prime=float(train_prime_labels.size),
+        n_train=float(len(train_labels)),
+        n_train_prime=float(len(train_prime_labels)),
         n_test=float(test_view.n),
     )

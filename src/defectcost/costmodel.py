@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 from .dataset import ReleaseView
 from .extmath import ext_sub, json_extended, safe_div
-from .metrics import Prediction, check_coverage
+from .metrics import Prediction
 
 
 class Potential(IntEnum):
@@ -72,36 +74,28 @@ class CostBounds:
 
 def defect_outcome(view: ReleaseView, pred: Prediction) -> DefectOutcome:
     """Partition the view's defects into predicted and missed sets."""
-    check_coverage(view, pred)
-    predicted = frozenset(d.id for d in view.defects if all(pred.label(a) == 1 for a in d.artifacts))
+    hit = view.per_defect(np.minimum, pred.scores_for(view) > pred.threshold)
+    predicted = frozenset(d.id for d, h in zip(view.defects, hit) if h)
     missed = frozenset(d.id for d in view.defects) - predicted
     return DefectOutcome(predicted=predicted, missed=missed)
 
 
 def cost_bounds(view: ReleaseView, pred: Prediction) -> CostBounds:
     """lower = predicted size / |predicted defects|; upper = remaining size / |missed|."""
-    outcome = defect_outcome(view, pred)
-    size_predicted = float(sum(view.size_by_id[a] for a in view.ids if pred.label(a) == 1))
-    size_clean = float(sum(view.size_by_id[a] for a in view.ids if pred.label(a) == 0))
-    lower = safe_div(size_predicted, len(outcome.predicted))
-    upper = safe_div(size_clean, len(outcome.missed))
+    labels = pred.scores_for(view) > pred.threshold
+    n_predicted = int(np.count_nonzero(view.per_defect(np.minimum, labels)))
+    lower = safe_div(float(view.sizes[labels].sum()), n_predicted)
+    upper = safe_div(float(view.sizes[~labels].sum()), len(view.defects) - n_predicted)
     return CostBounds(lower=lower, upper=upper, diff=ext_sub(upper, lower))
 
 
 def diff_simplified(view: ReleaseView, pred: Prediction) -> float:
     """diff' with tp/fn denominators instead of the defect-set sizes."""
-    check_coverage(view, pred)
-    tp = fn = 0
-    size_predicted = 0.0
-    size_clean = 0.0
-    for aid, truth in zip(view.ids, view.y):
-        if pred.label(aid) == 1:
-            size_predicted += view.size_by_id[aid]
-            tp += int(truth)
-        else:
-            size_clean += view.size_by_id[aid]
-            fn += int(truth)
-    return ext_sub(safe_div(size_clean, fn), safe_div(size_predicted, tp))
+    labels = pred.scores_for(view) > pred.threshold
+    tp = int(view.y[labels].sum())
+    fn = int(view.y[~labels].sum())
+    upper = safe_div(float(view.sizes[~labels].sum()), fn)
+    return ext_sub(upper, safe_div(float(view.sizes[labels].sum()), tp))
 
 
 def classify_potential(diff: float, boundaries: tuple[float, float] = DEFAULT_BOUNDARIES) -> Potential:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -167,6 +168,21 @@ class ReleaseView:
             defective.update(d.artifacts)
         return len(defective)
 
+    @cached_property
+    def defect_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The n-to-m defect map as CSR row indices ``(indptr, rows)`` in the
+        order of ``defects``: defect j touches ``rows[indptr[j]:indptr[j + 1]]``."""
+        row_of = {aid: i for i, aid in enumerate(self.ids)}
+        rows = np.array([row_of[a] for d in self.defects for a in d.artifacts], dtype=np.int64)
+        return np.cumsum([0] + [len(d.artifacts) for d in self.defects]), rows
+
+    def per_defect(self, reduce: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """``reduce`` (e.g. np.minimum) of ``values`` over each defect's rows."""
+        indptr, rows = self.defect_rows
+        if not self.defects:  # reduceat rejects empty input
+            return values[:0]
+        return reduce.reduceat(values[rows], indptr[:-1])
+
 
 @dataclass(frozen=True)
 class SplitSample:
@@ -243,6 +259,8 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
                 feats = tuple(float(v) for v in row[2:])
             except ValueError as exc:
                 raise DataError("malformed feature value", metrics_file, lineno) from exc
+            if not all(math.isfinite(v) for v in feats):
+                raise DataError("non-finite feature value", metrics_file, lineno)
             artifacts.append(Artifact(aid, size, feats))
 
     try:
@@ -302,6 +320,11 @@ def load_corpus(root) -> list[Release]:
     if not dirs:
         raise DataError("no release directories found (missing meta.json)", root)
     releases = [load_release_dir(d) for d in dirs]
+    dir_of: dict[str, Path] = {}
+    for d, release in zip(dirs, releases):
+        if release.key() in dir_of:
+            raise DataError(f"release {release.key()} found in both {dir_of[release.key()]} and {d}", root)
+        dir_of[release.key()] = d
     releases.sort(key=lambda r: (r.project, r.released_at, r.release_id))
     return releases
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confounders import CONFOUNDER_NAMES, ConfounderVector, compute_confounders, top_share
+from .confounders import CONFOUNDER_NAMES, ConfounderVector, compute_confounders
 from .costmodel import (
     DEFAULT_BOUNDARIES,
     CostBounds,
@@ -390,21 +390,27 @@ def _fit_and_record(
         tuned = tune_smote(X, y, seed=tune_seed) if oversample == "smote_tuned" else ()
         X, y = apply_smote(X, y, *tuned, seed=smote_seed)
     scores = config.model.fit(X, y, seed=model_seed).predict_scores(test_X)
-    pred = Prediction.from_arrays(test_view.ids, scores, config.threshold)
-    metrics = evaluate_metrics(test_view, pred, effort_mode=config.effort_mode)
-    confounders = compute_confounders(train_y, y, test_view)
+    return _record(
+        Prediction.from_arrays(test_view.ids, scores, config.threshold), test_view, train_y, y,
+        effort_mode=config.effort_mode, boundaries=config.boundaries,
+        scenario=scenario, project=release.project, release=release.release_id, sample=sample,
+        preprocessing="plain" if oversample == "off" else "oversampled", seed=model_seed,
+    )
+
+
+def _record(pred, test_view, train_labels, train_prime_labels, *, effort_mode, boundaries, **identity):
+    """Evaluate ``pred`` on ``test_view``: metrics, confounders (training
+    labels None when there was no training), cost bounds and potential.
+    ``identity`` holds the record's identity fields."""
+    metrics = evaluate_metrics(test_view, pred, effort_mode=effort_mode)
+    confounders = compute_confounders(train_labels, train_prime_labels, test_view)
     bounds = cost_bounds(test_view, pred)
     return EvaluationRecord(
-        scenario=scenario,
-        project=release.project,
-        release=release.release_id,
-        sample=sample,
-        preprocessing="plain" if oversample == "off" else "oversampled",
-        seed=model_seed,
+        **identity,
         metrics=metrics,
         confounders=confounders,
         bounds=bounds,
-        potential=classify_potential(bounds.diff, config.boundaries),
+        potential=classify_potential(bounds.diff, boundaries),
     )
 
 
@@ -656,32 +662,9 @@ def evaluate_external_prediction(
     No training data exists here, so the training-side confounders carry the
     undefined marker and the training sizes are zero.
     """
-    test_view = release.view()
-    pred = Prediction(dict(scores_by_id), threshold)
-    metrics = evaluate_metrics(test_view, pred, effort_mode=effort_mode)
-    bounds = cost_bounds(test_view, pred)
-    nan = float("nan")
-    confounders = ConfounderVector(
-        bias_train=nan,
-        bias_train_prime=nan,
-        bias_test=float(test_view.y.mean()),
-        ratio_bias=nan,
-        ratio_bias_prime=nan,
-        prop_def_1pct=top_share(test_view.sizes[test_view.y == 1]),
-        prop_clean_1pct=top_share(test_view.sizes[test_view.y == 0]),
-        n_train=0.0,
-        n_train_prime=0.0,
-        n_test=float(test_view.n),
-    )
-    return EvaluationRecord(
-        scenario="external",
-        project=release.project,
-        release=release.release_id,
-        sample=0,
-        preprocessing="plain",
-        seed=seed,
-        metrics=metrics,
-        confounders=confounders,
-        bounds=bounds,
-        potential=classify_potential(bounds.diff, boundaries),
+    return _record(
+        Prediction(dict(scores_by_id), threshold), release.view(), None, None,
+        effort_mode=effort_mode, boundaries=boundaries,
+        scenario="external", project=release.project, release=release.release_id, sample=0,
+        preprocessing="plain", seed=seed,
     )

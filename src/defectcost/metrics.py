@@ -26,17 +26,22 @@ class CoverageError(Exception):
 class Prediction:
     """Per-artifact scores in [0,1] with a decision threshold.
 
-    The derived label is 1 iff score > threshold (strict).
+    An artifact is predicted defective iff its score > threshold (strict).
     """
 
     scores: Mapping[str, float]
     threshold: float = 0.5
 
-    def label(self, artifact_id: str) -> int:
-        return 1 if self.scores[artifact_id] > self.threshold else 0
-
-    def labels(self) -> dict[str, int]:
-        return {a: self.label(a) for a in self.scores}
+    def scores_for(self, view: ReleaseView) -> np.ndarray:
+        """The scores in ``view.ids`` order; raises CoverageError unless the
+        prediction covers exactly the artifacts of ``view``."""
+        expected, given = set(view.ids), set(self.scores)
+        if given != expected:
+            raise CoverageError(
+                f"prediction does not cover the evaluation set of {view.release_key} "
+                f"(missing={sorted(expected - given)[:5]}, extra={sorted(given - expected)[:5]})"
+            )
+        return np.array([self.scores[a] for a in view.ids], dtype=np.float64)
 
     @staticmethod
     def from_arrays(ids: Sequence[str], scores: Sequence[float], threshold: float = 0.5) -> "Prediction":
@@ -111,30 +116,13 @@ class MetricVector:
         return {k: json_number(v) for k, v in self.to_dict().items()}
 
 
-def check_coverage(view: ReleaseView, pred: Prediction) -> None:
-    if set(pred.scores) != set(view.ids):
-        missing = set(view.ids) - set(pred.scores)
-        extra = set(pred.scores) - set(view.ids)
-        raise CoverageError(
-            f"prediction does not cover the evaluation set of {view.release_key} "
-            f"(missing={sorted(missing)[:5]}, extra={sorted(extra)[:5]})"
-        )
-
-
 def confusion_counts(view: ReleaseView, pred: Prediction) -> ConfusionCounts:
-    check_coverage(view, pred)
-    tp = fp = tn = fn = 0
-    for aid, truth in zip(view.ids, view.y):
-        predicted = pred.label(aid)
-        if truth == 1 and predicted == 1:
-            tp += 1
-        elif truth == 1:
-            fn += 1
-        elif predicted == 1:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    labels = pred.scores_for(view) > pred.threshold
+    truth = view.y == 1
+    tp = int(np.count_nonzero(labels & truth))
+    fp = int(np.count_nonzero(labels & ~truth))
+    fn = int(np.count_nonzero(~labels & truth))
+    return ConfusionCounts(tp=tp, fp=fp, tn=view.n - tp - fp - fn, fn=fn)
 
 
 def mcc_from_counts(tp: float, fp: float, tn: float, fn: float) -> float:
@@ -188,65 +176,53 @@ def auc(truth: Sequence[int], scores: Sequence[float]) -> float:
     return u / (n_pos * n_neg)
 
 
+def _tie_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the last element of each run of equal sorted values; NaN
+    never equals anything, so each NaN is a run of its own."""
+    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1], True))
+
+
 def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean rank of their run."""
     order = np.argsort(values, kind="stable")
+    ends = _tie_ends(values[order])
+    starts = np.append(0, ends[:-1] + 1)
     ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
+
+
+def _inspection_order(view: ReleaseView, scores: np.ndarray) -> np.ndarray:
+    """Row indices by descending score, then descending size, then id."""
+    return np.lexsort((np.array(view.ids), -view.sizes, -scores))
 
 
 def ranking_order(view: ReleaseView, pred: Prediction) -> list[str]:
     """Inspection order: descending score, then descending size, then id."""
-    return sorted(
-        view.ids,
-        key=lambda a: (-pred.scores[a], -view.size_by_id[a], a),
-    )
+    return [view.ids[i] for i in _inspection_order(view, pred.scores_for(view))]
 
 
 def auc_alberg(view: ReleaseView, pred: Prediction) -> float:
     """Area under (fraction of modules considered, fraction of defective found)."""
-    check_coverage(view, pred)
-    order = ranking_order(view, pred)
-    total_def = sum(view.truth_by_id[a] for a in order)
+    found = np.cumsum(view.y[_inspection_order(view, pred.scores_for(view))])
+    total_def = int(view.y.sum())
     if total_def == 0:
         return UNDEFINED
-    n = len(order)
-    area = 0.0
-    found = 0
-    prev_y = 0.0
-    for i, aid in enumerate(order, start=1):
-        found += view.truth_by_id[aid]
-        y = found / total_def
-        area += (1.0 / n) * (prev_y + y) / 2.0
-        prev_y = y
-    return area
+    y = found / total_def
+    # one trapezoid per visited artifact, summed in visiting order
+    return float(np.cumsum((1.0 / view.n) * (np.append(0.0, y[:-1]) + y) / 2.0)[-1])
 
 
-def _roc_points(truth: np.ndarray, scores: np.ndarray) -> list[tuple[float, float]]:
-    """ROC polyline vertices (pf, recall), grouping tied scores into one step."""
+def _roc_points(truth: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """ROC polyline vertices (pf, recall) as an (m, 2) array, grouping tied
+    scores into one step."""
     n_pos = int(truth.sum())
     n_neg = len(truth) - n_pos
     order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        group = order[i : j + 1]
-        tp += int(truth[group].sum())
-        fp += len(group) - int(truth[group].sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return points
+    ends = _tie_ends(scores[order])
+    tp = np.cumsum(truth[order])[ends]
+    fp = ends + 1 - tp
+    return np.vstack(([0.0, 0.0], np.column_stack((fp / n_neg, tp / n_pos))))
 
 
 def auc_recall_pf(truth: Sequence[int], scores: Sequence[float]) -> float:
@@ -261,24 +237,16 @@ def auc_recall_pf(truth: Sequence[int], scores: Sequence[float]) -> float:
     if n_pos == 0 or n_pos == len(truth):
         return UNDEFINED
     points = _roc_points(truth, scores)
-    area = 0.0
-    for (x1, y1), (x2, y2) in zip(points, points[1:]):
-        dx = x2 - x1
-        if dx == 0:
-            continue
-        g1 = y1 - x1
-        g2 = y2 - x2
-        if g1 >= 0 and g2 >= 0:
-            area += (g1 + g2) / 2.0 * dx
-        elif g1 <= 0 and g2 <= 0:
-            continue
-        else:
-            t = g1 / (g1 - g2)  # zero crossing within the segment
-            if g1 > 0:
-                area += g1 * (t * dx) / 2.0
-            else:
-                area += g2 * ((1 - t) * dx) / 2.0
-    return area / 0.5
+    (x1, y1), (x2, y2) = points[:-1].T, points[1:].T
+    dx = x2 - x1
+    g1 = y1 - x1
+    g2 = y2 - x2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = g1 / (g1 - g2)  # zero crossing within a segment that crosses the diagonal
+        crossing = np.where(g1 > 0, g1 * (t * dx) / 2.0, g2 * ((1 - t) * dx) / 2.0)
+    above = np.where((g1 <= 0) & (g2 <= 0), 0.0, crossing)
+    terms = np.where((g1 >= 0) & (g2 >= 0), (g1 + g2) / 2.0 * dx, above)
+    return float(np.cumsum(terms)[-1]) / 0.5
 
 
 def effort_metrics(
@@ -294,61 +262,24 @@ def effort_metrics(
 
     ``mode`` selects the counting granularity: "defects" (default) counts a
     defect only when all its artifacts were inspected, "files" counts
-    defective files.
+    defective files. A bug is found at its completion rank: the 1-based
+    inspection position of its last artifact.
     """
     if mode not in ("defects", "files"):
         raise ValueError(f"unknown effort counting mode {mode!r}")
-    check_coverage(view, pred)
-    cost = float(sum(view.size_by_id[a] for a in view.ids if pred.label(a) == 1))
-
-    order = ranking_order(view, pred)
+    scores = pred.scores_for(view)
+    cost = float(view.sizes[scores > pred.threshold].sum())
+    order = _inspection_order(view, scores)
+    rank = np.empty(view.n, dtype=np.int64)
+    rank[order] = np.arange(1, view.n + 1)
     budget = 0.2 * float(view.sizes.sum())
-    inspected: set[str] = set()
-    used = 0.0
-    for aid in order:
-        size = view.size_by_id[aid]
-        if used + size > budget:
-            break
-        inspected.add(aid)
-        used += size
-
-    if mode == "files":
-        nofb20 = float(sum(1 for a in inspected if view.truth_by_id[a] == 1))
-    else:
-        nofb20 = float(sum(1 for d in view.defects if d.artifacts <= inspected))
-
-    if mode == "files":
-        total = int(view.y.sum())
-        need = math.ceil(0.8 * total)
-        if total == 0:
-            return cost, nofb20, UNDEFINED
-        found = 0
-        for i, aid in enumerate(order, start=1):
-            found += view.truth_by_id[aid]
-            if found >= need:
-                return cost, nofb20, float(i)
+    inspected = int(np.searchsorted(np.cumsum(view.sizes[order]), budget, "right"))
+    completion = rank[view.y == 1] if mode == "files" else view.per_defect(np.maximum, rank)
+    nofb20 = float(np.count_nonzero(completion <= inspected))
+    if completion.size == 0:
         return cost, nofb20, UNDEFINED
-
-    total = len(view.defects)
-    if total == 0:
-        return cost, nofb20, UNDEFINED
-    need = math.ceil(0.8 * total)
-    remaining = {d.id: set(d.artifacts) for d in view.defects}
-    by_artifact: dict[str, list[str]] = {}
-    for d in view.defects:
-        for a in d.artifacts:
-            by_artifact.setdefault(a, []).append(d.id)
-    found = 0
-    for i, aid in enumerate(order, start=1):
-        for did in by_artifact.get(aid, ()):
-            rem = remaining[did]
-            rem.discard(aid)
-            if not rem:
-                found += 1
-                del remaining[did]
-        if found >= need:
-            return cost, nofb20, float(i)
-    return cost, nofb20, UNDEFINED
+    need = math.ceil(0.8 * completion.size)
+    return cost, nofb20, float(np.sort(completion)[need - 1])
 
 
 def evaluate_metrics(view: ReleaseView, pred: Prediction, effort_mode: str = "defects") -> MetricVector:
@@ -356,7 +287,7 @@ def evaluate_metrics(view: ReleaseView, pred: Prediction, effort_mode: str = "de
     counts = confusion_counts(view, pred)
     base = confusion_metrics(counts)
     truth = view.y
-    scores = np.array([pred.scores[a] for a in view.ids], dtype=np.float64)
+    scores = pred.scores_for(view)
     cost, nofb20, nofc80 = effort_metrics(view, pred, mode=effort_mode)
     return MetricVector(
         **base,

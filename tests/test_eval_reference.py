@@ -312,5 +312,6 @@ def test_average_ranks_match_reference():
         n = int(rng.integers(0, 40))
         values = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
         values[rng.random(n) < 0.1] = -0.0
+        values[rng.random(n) < 0.05] = np.nan
         assert same(average_ranks(values), ref_average_ranks(values))
 
