@@ -1,11 +1,13 @@
 """Byte-identity pins for configurations that no other test or benchmark digests.
 
 The first five sha256 values were recorded before the scenarios shared one
-oversample -> fit -> record path, the last three (effort mode "files", a 0.3
+oversample -> fit -> record path, the next three (effort mode "files", a 0.3
 threshold, the record files of ``defectcost metrics``) before metrics and cost
-bounds were computed from arrays, so any change to records, RNG streams or
-tuned parameters shows here. Each case runs on a tiny seeded synth corpus with
-few trees and a small DE budget.
+bounds were computed from arrays, and the last two (the output files of
+``defectcost analyze`` and of ``defectcost sensitivity --eval-records``)
+before records became flat rows, so any change to records, record files, RNG
+streams or tuned parameters shows here. Each case runs on a tiny seeded synth
+corpus with few trees and a small DE budget.
 """
 
 import hashlib
@@ -125,3 +127,34 @@ def test_metrics_command_records(releases, tmp_path):
                  "--effort-mode", "files", "-o", str(out)]) == 0
     digest = hashlib.sha256((out / "records.csv").read_bytes() + (out / "records.jsonl").read_bytes())
     assert digest.hexdigest() == "0ad4b6b2636c2f5b8cea93bea1d6085ca2557b6d1f3e717c986b071425253f20"
+
+
+def files_digest(directory):
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def record_files(kept, tmp_path_factory):
+    """A CSV training set and a JSONL evaluation set of bootstrap GNB records."""
+    out = tmp_path_factory.mktemp("records")
+    train = run_bootstrap(kept, config=BootstrapConfig(n_samples=3, seed=21, model=GaussianNBModel())).records
+    held_out = BootstrapConfig(n_samples=2, seed=22, model=GaussianNBModel(), oversample="off")
+    return (write_records_csv(train, out / "train.csv"),
+            write_records_jsonl(run_bootstrap(kept, config=held_out).records, out / "eval.jsonl"))
+
+
+def test_analyze_command_bundle(record_files, tmp_path):
+    train, _ = record_files
+    assert main(["analyze", "--records", str(train), "--trees", "5", "--seed", "1", "-o", str(tmp_path)]) == 0
+    assert files_digest(tmp_path) == "e08dfbf8a3d6486fdc8a38b8191ca03c1796dcbb585164e73969c1bb636352fa"
+
+
+def test_sensitivity_command_eval_records(record_files, tmp_path):
+    train, held_out = record_files
+    assert main(["sensitivity", "--records", str(train), "--eval-records", str(held_out), "--trees", "5",
+                 "--seed", "1", "-o", str(tmp_path)]) == 0
+    assert files_digest(tmp_path) == "2113828123d88a6747e0bccd5ce13568a94f5c67b808e4477dcd3b1518310f9a"
