@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .costmodel import DEFAULT_BOUNDARIES, Potential, classify_potential
-from .experiments import VARIABLE_NAMES, EvaluationRecord, write_records_csv
+from .experiments import VARIABLE_NAMES, VARIABLES, EvaluationRecord, write_records_csv
 from .extmath import UNDEFINED, fmt_float, json_number
 from .learners import (
     ForestParams,
@@ -55,7 +55,7 @@ _NEIGHBOR_OK = {
 
 def records_matrix(records: Sequence[EvaluationRecord]) -> tuple[np.ndarray, np.ndarray]:
     """(X, y): the 30 variables (metrics then confounders) and potential levels."""
-    X = np.array([[v[name] for name in VARIABLE_NAMES] for v in (rec.variables() for rec in records)])
+    X = np.array([rec[VARIABLES] for rec in records])
     y = np.array([int(rec.potential) for rec in records], dtype=np.int64)
     return X, y
 
@@ -365,7 +365,7 @@ def correlation_analysis(records: Sequence[EvaluationRecord], threshold: float =
 
 def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_points: int = 256) -> dict:
     """Histogram and Q-Q data for lg(diff) plus exact corner-case tallies."""
-    diffs = np.array([rec.bounds.diff for rec in records], dtype=np.float64)
+    diffs = np.array([rec.diff for rec in records], dtype=np.float64)
     nan_count = int(np.isnan(diffs).sum())
     pos_inf = int(np.sum(diffs == np.inf))
     neg_inf = int(np.sum(diffs == -np.inf))
@@ -455,7 +455,7 @@ def boundary_density(records: Sequence[EvaluationRecord],
     level_values: dict[Potential, np.ndarray] = {}
     for level in Potential:
         vals = np.array(
-            [r.bounds.diff for r in records if r.potential == level and math.isfinite(r.bounds.diff)]
+            [r.diff for r in records if r.potential == level and math.isfinite(r.diff)]
         )
         level_values[level] = vals
     for b in base:
@@ -488,7 +488,7 @@ def sensitivity_boundaries(
     for shift in shifts:
         boundaries = (shift * base[0], shift * base[1])
         y = np.array(
-            [int(classify_potential(rec.bounds.diff, boundaries)) for rec in records],
+            [int(classify_potential(rec.diff, boundaries)) for rec in records],
             dtype=np.int64,
         )
         if len(set(y.tolist())) < 2:
@@ -543,10 +543,10 @@ def sensitivity_regression(
     """
 
     def subset(records, role):
-        keep = [r for r in records if math.isfinite(r.bounds.diff) and r.bounds.diff > 0]
+        keep = [r for r in records if math.isfinite(r.diff) and r.diff > 0]
         if not keep:
             raise NoUsableRecords(role)
-        return records_matrix(keep)[0], np.log10(np.array([r.bounds.diff for r in keep]))
+        return records_matrix(keep)[0], np.log10(np.array([r.diff for r in keep]))
 
     X_train, y_train = subset(train_records, "training")
     X_eval, y_eval = subset(eval_records, "evaluation")

@@ -92,6 +92,14 @@ def _parse_boundaries(text: str) -> tuple[float, float]:
     return (b1, b2)
 
 
+def probability(text: str) -> float:
+    """``text`` as a number in [0, 1]; ValueError for any other text, nan included."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{text!r} is not in [0, 1]")
+    return value
+
+
 def _parse_range(text: str, kind=float):
     try:
         lo, hi = (kind(v) for v in text.split(","))
@@ -125,7 +133,7 @@ def build_parser() -> _Parser:
         p.add_argument("--de-population", type=int, default=20)
         p.add_argument("--de-generations", type=int, default=30)
         p.add_argument("--oversample", choices=OVERSAMPLE_MODES)
-        p.add_argument("--threshold", type=float, default=0.5)
+        p.add_argument("--threshold", type=probability, default=0.5)
         p.add_argument("--effort-mode", choices=("defects", "files"), default="defects")
         p.set_defaults(oversample=oversample)
         return p
@@ -144,7 +152,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("metrics", help="evaluate an external prediction for one release")
     p.add_argument("--release", type=Path, required=True, help="release directory")
     p.add_argument("--pred", type=Path, required=True, help="CSV with columns artifact_id,score")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=probability, default=0.5)
     add_boundaries(p)
     p.add_argument("--effort-mode", choices=("defects", "files"), default="defects")
     p.add_argument("-o", "--out", type=Path, required=True)
@@ -277,29 +285,27 @@ def cmd_metrics(args) -> int:
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
+                if len(row) != 2:
+                    raise DataError(f"prediction row needs 2 columns, got {len(row)}", args.pred, lineno)
+                aid, text = row
                 try:
-                    aid, score = row[0], float(row[1])
-                except (IndexError, ValueError) as exc:
-                    raise DataError("malformed prediction row", args.pred, lineno) from exc
-                if not 0.0 <= score <= 1.0:  # also rejects nan
-                    raise DataError(f"score must be a finite number in [0, 1], got {row[1]!r}", args.pred, lineno)
+                    score = probability(text)
+                except ValueError as exc:
+                    raise DataError(f"score must be a finite number in [0, 1], got {text!r}", args.pred, lineno) from exc
                 if aid in scores:
                     raise DataError(f"duplicate artifact id {aid!r}", args.pred, lineno)
                 scores[aid] = score
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read predictions: {exc}", args.pred) from exc
-    record = evaluate_external_prediction(
-        release,
-        scores,
-        threshold=args.threshold,
-        boundaries=args.boundaries,
-        effort_mode=args.effort_mode,
-    )
+    try:
+        record = evaluate_external_prediction(release, scores, threshold=args.threshold,
+                                              boundaries=args.boundaries, effort_mode=args.effort_mode)
+    except CoverageError as exc:
+        raise DataError(str(exc), args.pred) from exc
     args.out.mkdir(parents=True, exist_ok=True)
     write_records_csv([record], args.out / "records.csv")
     write_records_jsonl([record], args.out / "records.jsonl")
-    print(f"potential={record.potential.label} lower={record.bounds.lower} "
-          f"upper={record.bounds.upper} diff={record.bounds.diff}")
+    print(f"potential={record.potential.label} lower={record.lower} upper={record.upper} diff={record.diff}")
     return EXIT_OK
 
 
@@ -327,10 +333,7 @@ def cmd_cross_project(args) -> int:
 
 
 def _read_records_checked(path):
-    try:
-        records = read_records(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise DataError(f"malformed records file: {exc}", path) from exc
+    records = read_records(path)
     if not records:
         raise DataError("records file is empty", path)
     return records
@@ -417,7 +420,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CoverageError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, SplitError, OSError) as exc:

@@ -16,19 +16,6 @@ import numpy as np
 from .dataset import ReleaseView
 from .extmath import UNDEFINED, json_number, safe_div
 
-CONFOUNDER_NAMES = (
-    "bias_train",
-    "bias_train_prime",
-    "bias_test",
-    "ratio_bias",
-    "ratio_bias_prime",
-    "prop_def_1pct",
-    "prop_clean_1pct",
-    "n_train",
-    "n_train_prime",
-    "n_test",
-)
-
 
 @dataclass(frozen=True)
 class ConfounderVector:
@@ -48,6 +35,9 @@ class ConfounderVector:
 
     def to_json_dict(self) -> dict:
         return {k: json_number(v) for k, v in self.to_dict().items()}
+
+
+CONFOUNDER_NAMES = tuple(f.name for f in fields(ConfounderVector))
 
 
 def top_share(sizes: Sequence[int], fraction: float = 0.01) -> float:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
@@ -33,7 +34,7 @@ from .costmodel import (
     classify_potential,
     cost_bounds,
 )
-from .dataset import Release, ReleaseView, SplitError, bootstrap_split
+from .dataset import DataError, Release, ReleaseView, SplitError, bootstrap_split
 from .extmath import fmt_float, parse_extended
 from .learners import (
     ForestParams,
@@ -51,71 +52,30 @@ log = logging.getLogger(__name__)
 SCENARIO_CODES = {"bootstrap": 1, "cross_version": 2, "cross_project": 3, "external": 4}
 CROSS_PROJECT_GAP_DAYS = 183  # "six months", fixed in days for determinism
 
-CSV_COLUMNS = (
-    "scenario",
-    "project",
-    "release",
-    "sample",
-    "preprocessing",
-    "seed",
-    *METRIC_NAMES,
-    *CONFOUNDER_NAMES,
-    "lower",
-    "upper",
-    "diff",
-    "potential",
-)
-
+IDENTITY_COLUMNS = ("scenario", "project", "release", "sample", "preprocessing", "seed")
 VARIABLE_NAMES = METRIC_NAMES + CONFOUNDER_NAMES
+BOUND_NAMES = tuple(f.name for f in fields(CostBounds))
+CSV_COLUMNS = (*IDENTITY_COLUMNS, *VARIABLE_NAMES, *BOUND_NAMES, "potential")
+
+# a record's 30 variables (metrics, then confounders), and its 33 numbers
+# (the variables, then the bounds)
+VARIABLES = slice(len(IDENTITY_COLUMNS), len(IDENTITY_COLUMNS) + len(VARIABLE_NAMES))
+NUMBERS = slice(len(IDENTITY_COLUMNS), -1)
 
 
-@dataclass(frozen=True)
-class EvaluationRecord:
-    scenario: str
-    project: str
-    release: str
-    sample: int
-    preprocessing: str
-    seed: int
-    metrics: MetricVector
-    confounders: ConfounderVector
-    bounds: CostBounds
-    potential: Potential
+class EvaluationRecord(namedtuple("EvaluationRecord", CSV_COLUMNS)):
+    """One evaluation, flat: its fields are the columns of records.csv, from
+    the identity over the 20 metrics, the 10 confounders and the cost bounds
+    to the potential (a ``Potential``)."""
 
-    def variables(self) -> dict[str, float]:
-        out = self.metrics.to_dict()
-        out.update(self.confounders.to_dict())
-        return out
+    __slots__ = ()
 
-    def to_csv_row(self) -> list[str]:
-        vars_ = self.variables()
-        return [
-            self.scenario,
-            self.project,
-            self.release,
-            str(self.sample),
-            self.preprocessing,
-            str(self.seed),
-            *[fmt_float(vars_[name]) for name in VARIABLE_NAMES],
-            fmt_float(self.bounds.lower),
-            fmt_float(self.bounds.upper),
-            fmt_float(self.bounds.diff),
-            self.potential.label,
-        ]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "project": self.project,
-            "release": self.release,
-            "sample": self.sample,
-            "preprocessing": self.preprocessing,
-            "seed": self.seed,
-            "metrics": self.metrics.to_json_dict(),
-            "confounders": self.confounders.to_json_dict(),
-            "bounds": self.bounds.to_json_dict(),
-            "potential": self.potential.label,
-        }
+# the JSONL layout: identity and potential at the top, the numbers in three
+# groups, each written by the to_json_dict of its class
+_JSON_GROUPS = {"metrics": MetricVector, "confounders": ConfounderVector, "bounds": CostBounds}
+# how _parse_record reads each column of CSV_COLUMNS
+_PARSERS = (str, str, str, int, str, int, *[parse_extended] * len(CSV_COLUMNS[NUMBERS]), Potential.from_label)
 
 
 def write_records_csv(records: Sequence[EvaluationRecord], path) -> Path:
@@ -125,7 +85,7 @@ def write_records_csv(records: Sequence[EvaluationRecord], path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow(rec.to_csv_row())
+            writer.writerow([*map(str, rec[: NUMBERS.start]), *map(fmt_float, rec[NUMBERS]), rec.potential.label])
     return path
 
 
@@ -134,75 +94,80 @@ def write_records_jsonl(records: Sequence[EvaluationRecord], path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(), allow_nan=False) + "\n")
+            obj = {name: getattr(rec, name) for name in IDENTITY_COLUMNS}
+            for group, cls in _JSON_GROUPS.items():
+                obj[group] = cls(**{f.name: getattr(rec, f.name) for f in fields(cls)}).to_json_dict()
+            obj["potential"] = rec.potential.label
+            fh.write(json.dumps(obj, allow_nan=False) + "\n")
     return path
 
 
-def _record_from_parts(identity: dict, variables: dict[str, float], lower, upper, diff, potential) -> EvaluationRecord:
-    metrics = MetricVector(**{k: variables[k] for k in METRIC_NAMES})
-    confounders = ConfounderVector(**{k: variables[k] for k in CONFOUNDER_NAMES})
-    return EvaluationRecord(
-        scenario=identity["scenario"],
-        project=identity["project"],
-        release=identity["release"],
-        sample=int(identity["sample"]),
-        preprocessing=identity["preprocessing"],
-        seed=int(identity["seed"]),
-        metrics=metrics,
-        confounders=confounders,
-        bounds=CostBounds(lower=lower, upper=upper, diff=diff),
-        potential=potential,
-    )
+def _parse_record(columns, path, line) -> EvaluationRecord:
+    """The record in ``columns``, a mapping from column name to the text of a
+    CSV cell or a JSON value; a missing or malformed column is a DataError
+    naming ``path`` and ``line``."""
+    values = []
+    for name, parse in zip(CSV_COLUMNS, _PARSERS):
+        if name not in columns:
+            raise DataError(f"record lacks {name!r}", path, line)
+        try:
+            values.append(parse(columns[name]))
+        except (TypeError, ValueError):
+            raise DataError(f"malformed {name!r} value {columns[name]!r}", path, line) from None
+    return EvaluationRecord._make(values)
 
 
 def read_records_csv(path) -> list[EvaluationRecord]:
+    """Records of a CSV file whose header holds every column of records.csv,
+    in any order; other columns are ignored."""
     path = Path(path)
     records = []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"records file {path} lacks columns {sorted(missing)}")
-        for row in reader:
-            records.append(
-                _record_from_parts(
-                    row,
-                    {name: float(row[name]) for name in VARIABLE_NAMES},
-                    float(row["lower"]),
-                    float(row["upper"]),
-                    float(row["diff"]),
-                    Potential.from_label(row["potential"]),
-                )
-            )
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            missing = set(CSV_COLUMNS) - set(header)
+            if missing:
+                raise DataError(f"records file lacks columns {sorted(missing)}", path, 1)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"row has {len(row)} fields, the header {len(header)}", path, reader.line_num)
+                records.append(_parse_record(dict(zip(header, row)), path, reader.line_num))
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV: {exc}", path, reader.line_num) from None
     return records
 
 
 def read_records_jsonl(path) -> list[EvaluationRecord]:
+    """Records of a JSONL file in the layout of ``write_records_jsonl``."""
     records = []
     with Path(path).open() as fh:
-        for line in fh:
-            if not line.strip():
+        for lineno, text in enumerate(fh, start=1):
+            if not text.strip():
                 continue
-            obj = json.loads(line)
-            variables = {k: parse_extended(v) for k, v in {**obj["metrics"], **obj["confounders"]}.items()}
-            records.append(
-                _record_from_parts(
-                    obj,
-                    variables,
-                    parse_extended(obj["bounds"]["lower"]),
-                    parse_extended(obj["bounds"]["upper"]),
-                    parse_extended(obj["bounds"]["diff"]),
-                    Potential.from_label(obj["potential"]),
-                )
-            )
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"malformed JSON: {exc.msg}", path, lineno) from None
+            if not isinstance(obj, dict) or not all(isinstance(obj.get(group), dict) for group in _JSON_GROUPS):
+                raise DataError("a record must be a JSON object with objects "
+                                "'metrics', 'confounders' and 'bounds'", path, lineno)
+            columns = dict(obj)
+            for group in _JSON_GROUPS:
+                columns.update(obj[group])
+            records.append(_parse_record(columns, path, lineno))
     return records
 
 
 def read_records(path) -> list[EvaluationRecord]:
+    """Records of a records.csv or, by its suffix, a records.jsonl file."""
     path = Path(path)
-    if path.suffix == ".jsonl":
-        return read_records_jsonl(path)
-    return read_records_csv(path)
+    try:
+        return read_records_jsonl(path) if path.suffix == ".jsonl" else read_records_csv(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"records file is not UTF-8 text: {exc.reason}", path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +371,7 @@ def _record(pred, test_view, train_labels, train_prime_labels, *, effort_mode, b
     confounders = compute_confounders(train_labels, train_prime_labels, test_view)
     bounds = cost_bounds(test_view, pred)
     return EvaluationRecord(
-        **identity,
-        metrics=metrics,
-        confounders=confounders,
-        bounds=bounds,
+        **identity, **asdict(metrics), **asdict(confounders), **asdict(bounds),
         potential=classify_potential(bounds.diff, boundaries),
     )
 

@@ -62,30 +62,6 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-METRIC_NAMES = (
-    "recall",
-    "precision",
-    "fpr",
-    "f_measure",
-    "g_measure",
-    "balance",
-    "accuracy",
-    "error",
-    "error_type1",
-    "error_type2",
-    "mcc",
-    "consistency",
-    "auc",
-    "auc_alberg",
-    "auc_recall_pf",
-    "necm10",
-    "necm25",
-    "cost",
-    "nofb20",
-    "nofc80",
-)
-
-
 @dataclass(frozen=True)
 class MetricVector:
     recall: float
@@ -114,6 +90,9 @@ class MetricVector:
 
     def to_json_dict(self) -> dict:
         return {k: json_number(v) for k, v in self.to_dict().items()}
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricVector))
 
 
 def confusion_counts(view: ReleaseView, pred: Prediction) -> ConfusionCounts:

@@ -3,11 +3,10 @@ from datetime import datetime, timezone
 
 import pytest
 
-from defectcost.confounders import ConfounderVector
-from defectcost.costmodel import CostBounds, classify_potential
+from defectcost.costmodel import classify_potential
 from defectcost.dataset import Artifact, Defect, Release
 from defectcost.experiments import EvaluationRecord
-from defectcost.metrics import METRIC_NAMES, MetricVector, Prediction
+from defectcost.metrics import METRIC_NAMES, Prediction
 
 T1_SIZES = {"a1": 100, "a2": 50, "a3": 200, "a4": 10, "a5": 40, "a6": 600}
 T1_DEFECTS = {"d1": {"a1"}, "d2": {"a3", "a5"}}
@@ -62,8 +61,6 @@ def make_record(diff=500.0, lower=100.0, upper=600.0, potential=None,
     )
     vars_.update(confounder_defaults)
     vars_.update(variables)
-    metrics = MetricVector(**{k: vars_[k] for k in METRIC_NAMES})
-    confounders = ConfounderVector(**{k: vars_[k] for k in confounder_defaults})
     if potential is None:
         potential = classify_potential(diff)
     return EvaluationRecord(
@@ -73,9 +70,10 @@ def make_record(diff=500.0, lower=100.0, upper=600.0, potential=None,
         sample=sample,
         preprocessing=preprocessing,
         seed=seed,
-        metrics=metrics,
-        confounders=confounders,
-        bounds=CostBounds(lower=lower, upper=upper, diff=diff),
+        **vars_,
+        lower=lower,
+        upper=upper,
+        diff=diff,
         potential=potential,
     )
 

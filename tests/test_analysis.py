@@ -64,8 +64,8 @@ def test_root_split_on_recall():
     root = fit.models["tree"].tree
     assert VARIABLE_NAMES[root.feature] == "recall"
     # the cut separates the <=0.01 group from the >=0.02 group
-    none_recalls = [r.metrics.recall for r in records if r.potential == Potential.NONE]
-    saving_recalls = [r.metrics.recall for r in records if r.potential != Potential.NONE]
+    none_recalls = [r.recall for r in records if r.potential == Potential.NONE]
+    saving_recalls = [r.recall for r in records if r.potential != Potential.NONE]
     assert max(none_recalls) < root.threshold < min(saving_recalls)
 
 
@@ -347,7 +347,7 @@ def test_default_rebinning_reproduces_labels():
     rng = np.random.default_rng(10)
     records = noisy_records(rng, n=60)
     for rec in records:
-        assert classify_potential(rec.bounds.diff) == rec.potential
+        assert classify_potential(rec.diff) == rec.potential
 
 
 def test_boundary_shift_cases():

@@ -37,7 +37,7 @@ def test_metrics_on_release_without_defects_writes_infinite_error(corpus_dir, tm
     assert main(["metrics", "--release", str(release_dir), "--pred", str(pred), "-o", str(out)]) == 0
     for name in ("records.csv", "records.jsonl"):
         (record,) = read_records(out / name)
-        assert record.metrics.error_type1 == math.inf
+        assert record.error_type1 == math.inf
 
 
 def test_config_value_of_wrong_type_is_usage_error(corpus_dir, tmp_path, capsys):

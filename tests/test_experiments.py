@@ -74,7 +74,7 @@ def test_bootstrap_record_arithmetic(small_corpus):
     over = [r for r in result.records if r.preprocessing == "oversampled"]
     assert len(plain) == len(over)
     for rec in over:
-        assert abs(rec.confounders.bias_train_prime - 0.5) < 0.02
+        assert abs(rec.bias_train_prime - 0.5) < 0.02
 
 
 def test_bootstrap_oversample_off(small_corpus):
@@ -149,7 +149,7 @@ def test_cross_version_picks_first_eligible_prior():
     targets = {(r.project, r.release): r for r in result.records}
     assert set(targets) == {("p", "r3")}
     # trained on r2, the closest eligible prior release
-    assert targets[("p", "r3")].confounders.n_train == 120
+    assert targets[("p", "r3")].n_train == 120
     assert any("p/r1" in n for n in result.notices)
     assert any("p/r2" in n for n in result.notices)
 
@@ -227,7 +227,7 @@ def test_cross_project_records_and_pool_size():
     result = run_cross_project(releases, model=GaussianNBModel(), seed=2)
     by_target = {(r.project, r.release): r for r in result.records}
     # A/r1 trains on B/r0 + C/r0 (120 artifacts each)
-    assert by_target[("A", "r1")].confounders.n_train == 240
+    assert by_target[("A", "r1")].n_train == 240
     # the earliest release of each project has an empty pool
     assert any("A/r0" in n for n in result.notices)
 
@@ -287,7 +287,7 @@ def test_transfer_unknown_kind():
 def test_external_record(t1_release):
     record = evaluate_external_prediction(t1_release, dict(T1_SCORES))
     assert record.scenario == "external"
-    assert record.bounds.diff == 620.0
+    assert record.diff == 620.0
     assert record.potential.label == "medium"
-    assert record.confounders.n_train == 0
-    assert np.isnan(record.confounders.bias_train)
+    assert record.n_train == 0
+    assert np.isnan(record.bias_train)

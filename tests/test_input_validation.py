@@ -1,13 +1,17 @@
-"""Rejection of malformed prediction CSVs and corpora, with file and line."""
+"""Rejection of malformed prediction CSVs, corpora and record files, with file
+and line, and of out-of-range thresholds."""
 
+import json
+import re
 import shutil
 
 import pytest
 
-from defectcost.cli import EXIT_DATA, main
+from defectcost.cli import EXIT_DATA, EXIT_USAGE, main
 from defectcost.dataset import DataError, load_corpus, load_release_dir, write_release
+from defectcost.experiments import read_records, write_records_csv, write_records_jsonl
 
-from conftest import make_release
+from conftest import make_record, make_release
 
 
 @pytest.fixture
@@ -73,3 +77,113 @@ def test_validate_command_reports_duplicate_release(release_dir, capsys):
     shutil.copytree(release_dir, root / "again")
     assert main(["validate", "--data", str(root)]) == EXIT_DATA
     assert "found in both" in capsys.readouterr().err
+
+
+def test_metrics_rejects_rows_without_two_columns(release_dir, tmp_path, capsys):
+    for bad_row, count in ((("a3", "0.4", "junk"), 3), (("a3",), 1)):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("artifact_id,score\na1,0.9\n" + ",".join(bad_row) + "\n")
+        assert main(["metrics", "--release", str(release_dir), "--pred", str(pred), "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"needs 2 columns, got {count}" in err and f"[{pred}:3]" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content", [b"artifact_id,score\na1,0.9\xff\n", b"artifact_id,score\na1," + b"9" * 200_000],
+                         ids=["not_utf8", "huge_field"])
+def test_metrics_unreadable_prediction_is_data_error(release_dir, tmp_path, capsys, content):
+    pred = tmp_path / "pred.csv"
+    pred.write_bytes(content)
+    assert main(["metrics", "--release", str(release_dir), "--pred", str(pred), "-o", str(tmp_path / "o")]) == 2
+    assert "cannot read predictions" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("ids, expected", [(["a1", "a2", "a3", "a4", "a5"], "missing=['a6']"),
+                                           (["a1", "a2", "a3", "a4", "a5", "a6", "a7"], "extra=['a7']")])
+def test_metrics_coverage_error_names_prediction_file(release_dir, tmp_path, capsys, ids, expected):
+    pred = write_pred(tmp_path / "pred.csv", [(a, "0.5") for a in ids])
+    assert main(["metrics", "--release", str(release_dir), "--pred", str(pred), "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert expected in err and f"[{pred}]" in err
+
+
+THRESHOLD_COMMANDS = ("metrics", "bootstrap", "cross-version", "cross-project")
+
+
+@pytest.mark.parametrize("command", THRESHOLD_COMMANDS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "7", "-0.1", "1.5", "x"])
+def test_threshold_outside_unit_interval_is_usage_error(tmp_path, capsys, command, value):
+    assert main([command, f"--threshold={value}", "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "--threshold" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"threshold": value if value == "x" else float(value)}, allow_nan=True))
+    assert main(["--config", str(config), command, "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "--threshold" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_threshold_bounds_accepted(release_dir, tmp_path, value):
+    pred = write_pred(tmp_path / "pred.csv", [(a, "0.5") for a in ("a1", "a2", "a3", "a4", "a5", "a6")])
+    assert main(["metrics", "--release", str(release_dir), "--pred", str(pred), "--threshold", value,
+                 "-o", str(tmp_path / "o")]) == 0
+
+
+def _edit_line(path, line, edit):
+    lines = path.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _json_edit(edit):
+    """A line edit that applies ``edit`` to the JSON object of the line."""
+    def apply(text):
+        obj = json.loads(text)
+        edit(obj)
+        return json.dumps(obj)
+    return apply
+
+
+# (suffix, line, edit of that line, message); line 1 of records.csv is the header
+BAD_RECORD_LINES = {
+    "csv_truncated": (".csv", 3, lambda t: t.rsplit(",", 5)[0], "row has 35 fields, the header 40"),
+    "csv_extra_field": (".csv", 2, lambda t: t + ",1", "row has 41 fields, the header 40"),
+    "csv_bad_number": (".csv", 3, lambda t: t.replace(",0.5,", ",zero,", 1), "malformed 'recall' value 'zero'"),
+    "csv_empty_number": (".csv", 2, lambda t: t.replace(",0.5,", ",,", 1), "malformed 'recall' value ''"),
+    "csv_bad_sample": (".csv", 2, lambda t: t.replace(",p,r,0,", ",p,r,x,", 1), "malformed 'sample' value 'x'"),
+    "csv_huge_field": (".csv", 2, lambda t: t.replace("bootstrap", "x" * 200_000), "field larger than field limit"),
+    "csv_unknown_label": (".csv", 3, lambda t: t.replace(",medium", ",huge"), "malformed 'potential' value 'huge'"),
+    "jsonl_array": (".jsonl", 2, lambda t: "[1, 2]", "must be a JSON object"),
+    "jsonl_metrics_number": (".jsonl", 2, _json_edit(lambda o: o.update(metrics=5)), "must be a JSON object"),
+    "jsonl_not_json": (".jsonl", 1, lambda t: t[:-5], "malformed JSON"),
+    "jsonl_missing_metric": (".jsonl", 2, _json_edit(lambda o: o["metrics"].pop("recall")),
+                             "record lacks 'recall'"),
+    "jsonl_bad_number": (".jsonl", 1, _json_edit(lambda o: o["bounds"].update(upper="lots")),
+                         "malformed 'upper' value 'lots'"),
+    "jsonl_list_number": (".jsonl", 1, _json_edit(lambda o: o["bounds"].update(upper=[600])),
+                          "malformed 'upper' value [600]"),
+    "jsonl_unknown_label": (".jsonl", 2, lambda t: t.replace('"medium"', '"huge"'), "malformed 'potential' value 'huge'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORD_LINES))
+def test_malformed_record_line_names_file_and_line(tmp_path, capsys, case):
+    suffix, line, edit, message = BAD_RECORD_LINES[case]
+    records = [make_record(sample=i, diff=500.0) for i in range(3)]
+    path = tmp_path / f"records{suffix}"
+    (write_records_csv if suffix == ".csv" else write_records_jsonl)(records, path)
+    _edit_line(path, line, edit)
+    with pytest.raises(DataError, match=re.escape(message)) as info:
+        read_records(path)
+    assert (info.value.path, info.value.line) == (path, line)
+    assert main(["analyze", "--records", str(path), "-o", str(tmp_path / "r")]) == EXIT_DATA
+    assert f"[{path}:{line}]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_records_file_not_utf8_is_data_error(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"scenario,project\n\xff\xfe,p\n")
+    assert main(["analyze", "--records", str(path), "-o", str(tmp_path / "r")]) == EXIT_DATA
+    assert f"not UTF-8 text: invalid start byte [{path}]" in capsys.readouterr().err
