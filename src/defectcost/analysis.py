@@ -29,7 +29,7 @@ from .extmath import UNDEFINED, fmt_float, json_number
 from .learners import (
     ForestParams,
     LogitModel,
-    TreeNode,
+    Tree,
     fit_multinomial_logit_elastic_net,
     forest_importance,
     gini_importance,
@@ -100,7 +100,7 @@ class RelationshipModel:
     name: str
     imputer: Imputer
     logit: LogitModel | None = None
-    tree: TreeNode | None = None
+    tree: Tree | None = None
     forest: object = None
 
     def predict_levels(self, X: np.ndarray) -> np.ndarray:

@@ -239,29 +239,33 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
     artifacts = []
     with metrics_file.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["artifact_id", "size"]:
-            raise DataError("header must start with 'artifact_id,size'", metrics_file, 1)
-        width = len(header) - 2
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"expected {len(header)} columns, got {len(row)}", metrics_file, lineno)
-            aid = row[0]
-            try:
-                size = int(row[1])
-            except ValueError as exc:
-                raise DataError(f"size must be an integer, got {row[1]!r}", metrics_file, lineno) from exc
-            if size < 0:
-                raise DataError(f"negative size {size}", metrics_file, lineno)
-            try:
-                feats = tuple(float(v) for v in row[2:])
-            except ValueError as exc:
-                raise DataError("malformed feature value", metrics_file, lineno) from exc
-            if not all(math.isfinite(v) for v in feats):
-                raise DataError("non-finite feature value", metrics_file, lineno)
-            artifacts.append(Artifact(aid, size, feats))
+        try:
+            header = next(reader, None)
+            if not header or header[:2] != ["artifact_id", "size"]:
+                raise DataError("header must start with 'artifact_id,size'", metrics_file, 1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"expected {len(header)} columns, got {len(row)}", metrics_file, lineno)
+                aid = row[0]
+                try:
+                    size = int(row[1])
+                except ValueError as exc:
+                    raise DataError(f"size must be an integer, got {row[1]!r}", metrics_file, lineno) from exc
+                if size < 0:
+                    raise DataError(f"negative size {size}", metrics_file, lineno)
+                try:
+                    feats = tuple(float(v) for v in row[2:])
+                except ValueError as exc:
+                    raise DataError("malformed feature value", metrics_file, lineno) from exc
+                if not all(math.isfinite(v) for v in feats):
+                    raise DataError("non-finite feature value", metrics_file, lineno)
+                artifacts.append(Artifact(aid, size, feats))
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV: {exc}", metrics_file, reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"not UTF-8 text: {exc.reason}", metrics_file) from None
 
     try:
         raw_defects = json.loads(defects_file.read_text())

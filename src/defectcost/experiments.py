@@ -299,6 +299,8 @@ class RecordConfig:
     def __post_init__(self):
         if self.oversample not in OVERSAMPLE_MODES:
             raise ValueError(f"unknown oversample mode {self.oversample!r}")
+        if not 0.0 <= self.threshold <= 1.0:  # also rejects nan
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -26,7 +26,7 @@ from .nb import GaussianNB, train_gaussian_nb
 from .smote import SmoteTuning, apply_smote, smote_oversample, tune_smote
 from .stats import spearman, spearman_matrix
 from .tree import (
-    TreeNode,
+    Tree,
     apply_tree,
     count_leaves,
     gini_importance,
@@ -43,7 +43,7 @@ __all__ = [
     "GoodnessOfFit",
     "LogitModel",
     "SmoteTuning",
-    "TreeNode",
+    "Tree",
     "apply_smote",
     "apply_tree",
     "count_leaves",

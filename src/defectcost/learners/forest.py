@@ -17,7 +17,8 @@ from ..extmath import UNDEFINED
 from ..metrics import mcc_from_counts
 from .de import differential_evolution
 from .tree import (
-    TreeNode,
+    Tree,
+    gini_importance,
     predict_proba_tree,
     predict_tree_regression,
     train_cart,
@@ -55,7 +56,7 @@ class ForestParams:
 class Forest:
     task: str
     params: ForestParams
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     in_bag: tuple[np.ndarray, ...]  # in-bag row indices per tree
     n_train: int
     n_classes: int = 2
@@ -149,8 +150,6 @@ def train_random_forest(
 
 def forest_importance(forest: Forest, n_features: int) -> np.ndarray:
     """Mean of the per-tree normalized Gini importances."""
-    from .tree import gini_importance
-
     acc = np.zeros(n_features)
     for tree in forest.trees:
         acc += gini_importance(tree, n_features)

@@ -43,7 +43,6 @@ from defectcost.learners import (
     train_random_forest,
 )
 from defectcost.learners.logit import one_hot
-from defectcost.learners.tree import _walk
 from defectcost.metrics import ConfusionCounts, Prediction, auc, confusion_metrics
 from defectcost.synth import SynthSpec, generate_synthetic
 
@@ -244,14 +243,14 @@ def test_c05_learner_numerics():
         y = r.integers(0, 3, size=80)
         tree = train_cart(X, y)
         internal = 0
-        for node in _walk(tree):
-            if not node.is_leaf:
-                internal += 1
-                weighted = (
-                    node.left.n_samples * node.left.impurity
-                    + node.right.n_samples * node.right.impurity
-                ) / node.n_samples
-                assert node.impurity - weighted > 0
+        for node in np.flatnonzero(tree.feature >= 0):
+            internal += 1
+            left, right = tree.left[node], tree.right[node]
+            weighted = (
+                tree.n[left] * tree.impurity[left]
+                + tree.n[right] * tree.impurity[right]
+            ) / tree.n[node]
+            assert tree.impurity[node] - weighted > 0
         assert internal > 0
 
     # elastic-net L1 norm non-increasing along the lambda grid

@@ -61,12 +61,12 @@ def test_root_split_on_recall():
     records = noisy_records(rng, n=240)
     fit = fit_relationship_models(records, seed=1, forest_params=ForestParams(n_trees=10),
                                   lambda_grid=(1.0, 1000.0), alpha_grid=(0.0, 1.0))
-    root = fit.models["tree"].tree
-    assert VARIABLE_NAMES[root.feature] == "recall"
+    tree = fit.models["tree"].tree
+    assert VARIABLE_NAMES[tree.feature[0]] == "recall"
     # the cut separates the <=0.01 group from the >=0.02 group
     none_recalls = [r.recall for r in records if r.potential == Potential.NONE]
     saving_recalls = [r.recall for r in records if r.potential != Potential.NONE]
-    assert max(none_recalls) < root.threshold < min(saving_recalls)
+    assert max(none_recalls) < tree.threshold[0] < min(saving_recalls)
 
 
 def test_model_accuracy_weak_ordering():

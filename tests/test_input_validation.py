@@ -9,7 +9,13 @@ import pytest
 
 from defectcost.cli import EXIT_DATA, EXIT_USAGE, main
 from defectcost.dataset import DataError, load_corpus, load_release_dir, write_release
-from defectcost.experiments import read_records, write_records_csv, write_records_jsonl
+from defectcost.experiments import (
+    BootstrapConfig,
+    EvalConfig,
+    read_records,
+    write_records_csv,
+    write_records_jsonl,
+)
 
 from conftest import make_record, make_release
 
@@ -61,6 +67,22 @@ def test_loader_rejects_non_finite_feature(release_dir, value):
     with pytest.raises(DataError, match="non-finite feature value") as info:
         load_release_dir(release_dir)
     assert (info.value.path, info.value.line) == (metrics, 3)
+
+
+@pytest.mark.parametrize("replace, message, line", [
+    (lambda row: row.replace(row.split(",")[2], "9" * 200_000), "malformed CSV: field larger than field limit", 3),
+    (lambda row: row.replace(row.split(",")[0], "\udcff"), "not UTF-8 text: invalid start byte", None),
+], ids=["huge_field", "not_utf8"])
+def test_unreadable_metrics_csv_is_data_error(release_dir, capsys, replace, message, line):
+    metrics = release_dir / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    lines[2] = replace(lines[2])
+    metrics.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    with pytest.raises(DataError, match=message) as info:
+        load_release_dir(release_dir)
+    assert (info.value.path, info.value.line) == (metrics, line)
+    assert main(["validate", "--data", str(release_dir)]) == EXIT_DATA
+    assert f"[{metrics}" in capsys.readouterr().err
 
 
 def test_corpus_rejects_duplicate_release(release_dir):
@@ -121,6 +143,15 @@ def test_threshold_outside_unit_interval_is_usage_error(tmp_path, capsys, comman
     assert main(["--config", str(config), command, "-o", str(tmp_path / "o")]) == EXIT_USAGE
     assert "--threshold" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 7, -0.1, 1.5])
+def test_config_threshold_outside_unit_interval_is_rejected(value):
+    with pytest.raises(ValueError, match="threshold must be in \\[0, 1\\]"):
+        EvalConfig(threshold=value)
+    with pytest.raises(ValueError, match="threshold must be in \\[0, 1\\]"):
+        BootstrapConfig(n_samples=1, seed=0, threshold=value)
+    assert EvalConfig(threshold=0).threshold == 0 and EvalConfig(threshold=1.0).threshold == 1.0
 
 
 @pytest.mark.parametrize("value", ["0", "1"])

@@ -29,7 +29,6 @@ from defectcost.learners import (
     tune_smote,
 )
 from defectcost.learners.logit import one_hot
-from defectcost.learners.tree import _walk
 
 from conftest import assert_close
 
@@ -39,8 +38,8 @@ from conftest import assert_close
 
 def test_single_class_is_leaf():
     tree = train_cart(np.array([[1.0], [2.0], [3.0]]), np.array([1, 1, 1]))
-    assert tree.is_leaf
-    assert tree.impurity == 0.0
+    assert tree.feature[0] < 0
+    assert tree.impurity[0] == 0.0
 
 
 def test_perfect_1d_split_matches_exhaustive_scan():
@@ -54,7 +53,7 @@ def test_perfect_1d_split_matches_exhaustive_scan():
     # exhaustive threshold scan oracle: best split lies between the classes
     lo = x[y == 0].max()
     hi = x[y == 1].min()
-    assert lo < tree.threshold <= (lo + hi) / 2
+    assert lo < tree.threshold[0] <= (lo + hi) / 2
 
 
 def test_splits_strictly_decrease_gini():
@@ -63,18 +62,18 @@ def test_splits_strictly_decrease_gini():
         X = rng.normal(size=(60, 4))
         y = rng.integers(0, 3, size=60)
         tree = train_cart(X, y)
-        for node in _walk(tree):
-            if not node.is_leaf:
-                nl, nr = node.left.n_samples, node.right.n_samples
-                weighted = (nl * node.left.impurity + nr * node.right.impurity) / node.n_samples
-                assert node.impurity - weighted > 0
-                assert node.decrease > 0
+        for node in np.flatnonzero(tree.feature >= 0):
+            left, right = tree.left[node], tree.right[node]
+            nl, nr = tree.n[left], tree.n[right]
+            weighted = (nl * tree.impurity[left] + nr * tree.impurity[right]) / tree.n[node]
+            assert tree.impurity[node] - weighted > 0
+            assert tree.decrease[node] > 0
 
 
 def test_pure_node_gini_zero():
     tree = train_cart(np.array([[0.0], [1.0]]), np.array([0, 1]))
-    assert tree.left.impurity == 0.0
-    assert tree.right.impurity == 0.0
+    assert tree.impurity[tree.left[0]] == 0.0
+    assert tree.impurity[tree.right[0]] == 0.0
 
 
 def test_depth_limit_bounds_leaves():
@@ -91,9 +90,8 @@ def test_min_leaf_respected():
     X = rng.normal(size=(80, 3))
     y = rng.integers(0, 2, size=80)
     tree = train_cart(X, y, min_leaf=5)
-    for node in _walk(tree):
-        if node.is_leaf:
-            assert node.n_samples >= 5
+    for node in np.flatnonzero(tree.feature < 0):
+        assert tree.n[node] >= 5
 
 
 def test_cart_input_validation():

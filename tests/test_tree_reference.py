@@ -2,9 +2,9 @@
 
 The reference below grows a tree of node objects, sorting each candidate
 feature of each node on its own, and predicts by walking one row at a time.
-On seeded fixtures (two and four classes, regression, integer features with
-many ties, bootstrap duplicates, raised ``min_leaf``/``min_split``, a depth
-limit, feature subsampling with the same RNG stream) the package must give
+On seeded fixtures (two, three and four classes, regression, integer features
+with many ties, bootstrap duplicates, raised ``min_leaf``/``min_split``, a
+depth limit, feature subsampling with the same RNG stream) the package must give
 the same nodes in preorder (feature, threshold, sample count, impurity, value,
 decrease) and bitwise-equal predictions and Gini importances, for single trees
 and for forests (predict, predict_proba, out-of-bag votes).
@@ -236,7 +236,10 @@ def ref_nodes(root):
 
 def package_nodes(tree):
     """The same node table read from a tree of the package."""
-    return ref_nodes(tree)
+    internal = tree.feature >= 0
+    return {"feature": tree.feature, "threshold": tree.threshold[internal], "left": tree.left,
+            "right": tree.right, "n": tree.n, "impurity": tree.impurity, "value": tree.value,
+            "decrease": tree.decrease}
 
 
 def assert_same(a, b):
