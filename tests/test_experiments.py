@@ -84,6 +84,19 @@ def test_bootstrap_oversample_off(small_corpus):
     assert {r.preprocessing for r in result.records} == {"plain"}
 
 
+def test_one_class_training_scores_every_artifact_with_its_class(tmp_path):
+    """Training labels of one class fit no model: both models score every test
+    artifact with that class, so an all-defective release gives recall 1."""
+    release = dated_release("p", "r1", "2020-01-01", n_artifacts=30, n_defective=30)
+    written = []
+    for i, model in enumerate((ForestModel(params=ForestParams(n_trees=5)), GaussianNBModel())):
+        cfg = BootstrapConfig(n_samples=3, seed=1, model=model, oversample="off")
+        records = run_bootstrap([release], config=cfg).records
+        assert len(records) == 3 and all(r.recall == 1.0 for r in records)
+        written.append(write_records_csv(records, tmp_path / f"{i}.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_bootstrap_bit_identical_reruns(small_corpus, tmp_path):
     cfg = BootstrapConfig(n_samples=2, seed=9, model=GaussianNBModel())
     a = run_bootstrap(small_corpus, 2, 9, config=cfg)

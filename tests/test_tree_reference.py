@@ -20,6 +20,7 @@ import pytest
 
 from defectcost.learners import (
     ForestParams,
+    forest_importance,
     gini_importance,
     predict_proba_tree,
     predict_tree_regression,
@@ -371,3 +372,24 @@ def test_forest_matches_reference(params):
     for ref in trees:
         acc += ref_predict_regression(ref, probe)
     assert_same(regressor.predict(probe), acc / len(trees))
+
+
+def test_one_tree_unbagged_forest_matches_depth_limited_cart():
+    """The depth-5 relationship tree: a CART grown on all rows is the only tree
+    of an unbagged one-tree forest that draws every feature at each split, with
+    the same predictions and importances, on inputs with many ties."""
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n, k = int(rng.integers(20, 200)), int(rng.integers(1, 31))
+        X = np.round(rng.normal(size=(n, k)), int(rng.integers(0, 2)))
+        y = ((X[:, 0] > 0).astype(int) + (X[:, -1] > 0.5) + rng.integers(0, 2, n)) % 4
+        seed = int(rng.integers(2**31))
+        tree = train_cart(X, y, n_classes=4, depth_limit=5, rng=np.random.default_rng(seed))
+        forest = train_random_forest(X, y, ForestParams(n_trees=1, depth_limit=5, bootstrap=False),
+                                     seed=seed, n_classes=4)
+        want, got = package_nodes(tree), package_nodes(forest.trees[0])
+        for field in want:
+            assert_same(got[field], want[field])
+        probe = np.vstack([X, rng.normal(size=(30, k))])
+        assert_same(forest.predict(probe), np.argmax(predict_proba_tree(tree, probe, 4), axis=1))
+        assert_same(forest_importance(forest, k), gini_importance(tree, k))
