@@ -28,14 +28,9 @@ from .experiments import VARIABLE_NAMES, VARIABLES, EvaluationRecord, write_reco
 from .extmath import UNDEFINED, fmt_float, json_number
 from .learners import (
     ForestParams,
-    LogitModel,
-    Tree,
     fit_multinomial_logit_elastic_net,
     forest_importance,
-    gini_importance,
     oob_accuracy,
-    predict_proba_tree,
-    train_cart,
     train_random_forest,
     tune_forest_params,
 )
@@ -66,12 +61,8 @@ class Imputer:
     imputed_counts: dict[str, int]
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.array(X, dtype=np.float64, copy=True)
-        for j in range(X.shape[1]):
-            mask = np.isnan(X[:, j])
-            if mask.any():
-                X[mask, j] = self.medians[j]
-        return X
+        X = np.asarray(X, dtype=np.float64)
+        return np.where(np.isnan(X), self.medians, X)
 
     def report(self) -> dict:
         return {
@@ -88,8 +79,6 @@ def fit_imputer(X: np.ndarray) -> Imputer:
         n_nan = int(np.isnan(col).sum())
         if n_nan < len(col):
             medians[j] = float(np.nanmedian(col))
-        else:
-            medians[j] = 0.0
         if n_nan:
             counts[name] = n_nan
     return Imputer(medians=medians, imputed_counts=counts)
@@ -97,20 +86,14 @@ def fit_imputer(X: np.ndarray) -> Imputer:
 
 @dataclass(frozen=True, eq=False)
 class RelationshipModel:
-    name: str
+    """A fitted relationship model: ``predictor.predict`` maps the imputed
+    variables to potential levels."""
+
     imputer: Imputer
-    logit: LogitModel | None = None
-    tree: Tree | None = None
-    forest: object = None
+    predictor: object
 
     def predict_levels(self, X: np.ndarray) -> np.ndarray:
-        Xi = self.imputer.transform(X)
-        if self.logit is not None:
-            idx = self.logit.predict_index(Xi)
-            return np.array([int(self.logit.classes[i]) for i in idx], dtype=np.int64)
-        if self.tree is not None:
-            return np.argmax(predict_proba_tree(self.tree, Xi, len(Potential)), axis=1)
-        return self.forest.predict(Xi)
+        return np.asarray(self.predictor.predict(self.imputer.transform(X)), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +130,9 @@ def fit_relationship_models(
         logit_kwargs["alpha_grid"] = alpha_grid
     logit = fit_multinomial_logit_elastic_net(Xi, y.tolist(), **logit_kwargs)
 
-    tree = train_cart(Xi, y, n_classes=len(Potential), depth_limit=depth,
-                      rng=np.random.default_rng(seed))
+    # the depth-limited tree is a one-tree forest on all rows and all features
+    tree = train_random_forest(Xi, y, ForestParams(n_trees=1, depth_limit=depth, bootstrap=False),
+                               seed=seed, n_classes=len(Potential))
 
     params = forest_params
     if tune_forest:
@@ -158,17 +142,14 @@ def fit_relationship_models(
 
     k = len(VARIABLE_NAMES)
     importances = {
-        "tree": dict(zip(VARIABLE_NAMES, map(float, gini_importance(tree, k)))),
+        "tree": dict(zip(VARIABLE_NAMES, map(float, forest_importance(tree, k)))),
         "forest": dict(zip(VARIABLE_NAMES, map(float, forest_importance(forest, k)))),
     }
     coefficients = {
         VARIABLE_NAMES[f]: [float(v) for v in vec] for f, vec in logit.coefficients().items()
     }
-    models = {
-        "logit": RelationshipModel(name="logit", imputer=imputer, logit=logit),
-        "tree": RelationshipModel(name="tree", imputer=imputer, tree=tree),
-        "forest": RelationshipModel(name="forest", imputer=imputer, forest=forest),
-    }
+    models = {name: RelationshipModel(imputer, predictor)
+              for name, predictor in (("logit", logit), ("tree", tree), ("forest", forest))}
     return RelationshipFit(
         models=models,
         importances=importances,
@@ -618,11 +599,11 @@ def write_report_bundle(
             outdir / f"confusion_{name}.json",
             {"model": name, "confusion": conf.to_json_dict(), "summary": summary},
         )
+    logit = fit.models["logit"].predictor
     paths["importances_logit"] = _write_json(
         outdir / "importances_logit.json",
         {"model": "logit", "coefficients": fit.logit_coefficients,
-         "lambda": fit.models["logit"].logit.lam, "alpha": fit.models["logit"].logit.alpha,
-         "r2_adjusted": json_number(fit.models["logit"].logit.goodness.r2_adjusted)},
+         "lambda": logit.lam, "alpha": logit.alpha, "r2_adjusted": json_number(logit.goodness.r2_adjusted)},
     )
     for name in ("tree", "forest"):
         paths[f"importances_{name}"] = _write_json(

@@ -22,8 +22,9 @@ from pathlib import Path
 from . import analysis
 from .costmodel import DEFAULT_BOUNDARIES
 from .learners import ForestParams
-from .metrics import CoverageError
+from .metrics import EFFORT_MODES, CoverageError
 from .dataset import (
+    COUNT_MODES,
     DataError,
     SplitError,
     filter_releases,
@@ -100,6 +101,14 @@ def probability(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """``text`` as an integer >= 1; ValueError for any other text."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not >= 1")
+    return value
+
+
 def _parse_range(text: str, kind=float):
     try:
         lo, hi = (kind(v) for v in text.split(","))
@@ -126,15 +135,15 @@ def build_parser() -> _Parser:
         add_boundaries(p)
         p.add_argument("--min-instances", type=int, default=100)
         p.add_argument("--min-defects", type=int, default=5)
-        p.add_argument("--count-mode", choices=("defective_files", "defects"), default="defective_files")
+        p.add_argument("--count-mode", choices=COUNT_MODES, default="defective_files")
         p.add_argument("--model", choices=("forest", "gnb"), default="forest")
-        p.add_argument("--trees", type=int, default=100)
+        p.add_argument("--trees", type=positive_int, default=100)
         p.add_argument("--tune", action="store_true", help="tune the forest with differential evolution")
         p.add_argument("--de-population", type=int, default=20)
         p.add_argument("--de-generations", type=int, default=30)
         p.add_argument("--oversample", choices=OVERSAMPLE_MODES)
         p.add_argument("--threshold", type=probability, default=0.5)
-        p.add_argument("--effort-mode", choices=("defects", "files"), default="defects")
+        p.add_argument("--effort-mode", choices=EFFORT_MODES, default="defects")
         p.set_defaults(oversample=oversample)
         return p
 
@@ -147,19 +156,19 @@ def build_parser() -> _Parser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--min-instances", type=int, default=100)
     p.add_argument("--min-defects", type=int, default=5)
-    p.add_argument("--count-mode", choices=("defective_files", "defects"), default="defective_files")
+    p.add_argument("--count-mode", choices=COUNT_MODES, default="defective_files")
 
     p = sub.add_parser("metrics", help="evaluate an external prediction for one release")
     p.add_argument("--release", type=Path, required=True, help="release directory")
     p.add_argument("--pred", type=Path, required=True, help="CSV with columns artifact_id,score")
     p.add_argument("--threshold", type=probability, default=0.5)
     add_boundaries(p)
-    p.add_argument("--effort-mode", choices=("defects", "files"), default="defects")
+    p.add_argument("--effort-mode", choices=EFFORT_MODES, default="defects")
     p.add_argument("-o", "--out", type=Path, required=True)
 
     p = add_experiment("bootstrap", "bootstrap experiment over a corpus", "smote")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--samples", type=positive_int, default=100)
+    p.add_argument("--jobs", type=positive_int, default=1)
 
     add_cross("cross-version", "train on the prior release of each project")
     p = add_cross("cross-project", "train on other projects with temporal filtering")
@@ -168,7 +177,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="relationship models and report bundle from records")
     p.add_argument("--records", type=Path, required=True, help="records.csv or records.jsonl")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=positive_int, default=100)
     p.add_argument("--tune", action="store_true")
     p.add_argument("--corr-threshold", type=float, default=0.8)
     add_boundaries(p)
@@ -178,7 +187,7 @@ def build_parser() -> _Parser:
     p.add_argument("--records", type=Path, required=True)
     p.add_argument("--eval-records", type=Path, help="records from another experiment for the regression")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=positive_int, default=100)
     add_boundaries(p)
     p.add_argument("-o", "--out", type=Path, required=True)
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import ReleaseView
-from .extmath import UNDEFINED, json_number, safe_div
+from .extmath import UNDEFINED, safe_div
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,6 @@ class ConfounderVector:
     n_train: float
     n_train_prime: float
     n_test: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json_dict(self) -> dict:
-        return {k: json_number(v) for k, v in self.to_dict().items()}
 
 
 CONFOUNDER_NAMES = tuple(f.name for f in fields(ConfounderVector))

@@ -17,7 +17,7 @@ from enum import IntEnum
 import numpy as np
 
 from .dataset import ReleaseView
-from .extmath import ext_sub, json_extended, safe_div
+from .extmath import ext_sub, safe_div
 from .metrics import Prediction
 
 
@@ -63,13 +63,6 @@ class CostBounds:
     lower: float
     upper: float
     diff: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lower": json_extended(self.lower),
-            "upper": json_extended(self.upper),
-            "diff": json_extended(self.diff),
-        }
 
 
 def defect_outcome(view: ReleaseView, pred: Prediction) -> DefectOutcome:

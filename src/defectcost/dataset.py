@@ -221,6 +221,15 @@ def validate_release(release: Release) -> None:
                 raise DataError(f"unknown artifact id {aid!r} in defect {d.id!r} of {release.key()}")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON: {exc}", path) from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 text: {exc.reason}", path) from None
+
+
 def load_release(metrics_file, defects_file, meta_file) -> Release:
     """Load and fully validate one release from its three files."""
     metrics_file, defects_file, meta_file = Path(metrics_file), Path(defects_file), Path(meta_file)
@@ -228,10 +237,7 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
         if not p.is_file():
             raise DataError("file not found", p)
 
-    try:
-        meta = json.loads(meta_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}", meta_file) from exc
+    meta = _read_json(meta_file)
     for key in ("project", "release", "released_at"):
         if key not in meta:
             raise DataError(f"missing meta field {key!r}", meta_file)
@@ -267,10 +273,7 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
         except UnicodeDecodeError as exc:
             raise DataError(f"not UTF-8 text: {exc.reason}", metrics_file) from None
 
-    try:
-        raw_defects = json.loads(defects_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}", defects_file) from exc
+    raw_defects = _read_json(defects_file)
     if not isinstance(raw_defects, list):
         raise DataError("defects file must contain a JSON array", defects_file)
     known = {a.id for a in artifacts}
@@ -361,7 +364,10 @@ def write_release(release: Release, directory) -> Path:
     return directory
 
 
-def count_defects(release: Release, mode: str = "defective_files") -> int:
+COUNT_MODES = ("defective_files", "defects")
+
+
+def count_defects(release: Release | ReleaseView, mode: str = "defective_files") -> int:
     if mode == "defective_files":
         return release.n_defective
     if mode == "defects":

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confounders import CONFOUNDER_NAMES, ConfounderVector, compute_confounders
+from .confounders import CONFOUNDER_NAMES, compute_confounders
 from .costmodel import (
     DEFAULT_BOUNDARIES,
     CostBounds,
@@ -34,10 +34,12 @@ from .costmodel import (
     classify_potential,
     cost_bounds,
 )
-from .dataset import DataError, Release, ReleaseView, SplitError, bootstrap_split
-from .extmath import fmt_float, parse_extended
+from .dataset import COUNT_MODES, DataError, Release, ReleaseView, SplitError, bootstrap_split, count_defects
+from .extmath import fmt_float, json_extended, json_number, parse_extended
 from .learners import (
+    Forest,
     ForestParams,
+    GaussianNB,
     apply_smote,
     oob_mcc,
     train_gaussian_nb,
@@ -45,7 +47,7 @@ from .learners import (
     tune_forest_params,
     tune_smote,
 )
-from .metrics import METRIC_NAMES, MetricVector, Prediction, evaluate_metrics
+from .metrics import EFFORT_MODES, METRIC_NAMES, Prediction, evaluate_metrics
 
 log = logging.getLogger(__name__)
 
@@ -72,8 +74,12 @@ class EvaluationRecord(namedtuple("EvaluationRecord", CSV_COLUMNS)):
 
 
 # the JSONL layout: identity and potential at the top, the numbers in three
-# groups, each written by the to_json_dict of its class
-_JSON_GROUPS = {"metrics": MetricVector, "confounders": ConfounderVector, "bounds": CostBounds}
+# groups, each a group's field names and the codec of its values
+_JSON_GROUPS = {
+    "metrics": (METRIC_NAMES, json_number),
+    "confounders": (CONFOUNDER_NAMES, json_number),
+    "bounds": (BOUND_NAMES, json_extended),
+}
 # how _parse_record reads each column of CSV_COLUMNS
 _PARSERS = (str, str, str, int, str, int, *[parse_extended] * len(CSV_COLUMNS[NUMBERS]), Potential.from_label)
 
@@ -95,8 +101,8 @@ def write_records_jsonl(records: Sequence[EvaluationRecord], path) -> Path:
     with path.open("w") as fh:
         for rec in records:
             obj = {name: getattr(rec, name) for name in IDENTITY_COLUMNS}
-            for group, cls in _JSON_GROUPS.items():
-                obj[group] = cls(**{f.name: getattr(rec, f.name) for f in fields(cls)}).to_json_dict()
+            for group, (names, codec) in _JSON_GROUPS.items():
+                obj[group] = {name: codec(getattr(rec, name)) for name in names}
             obj["potential"] = rec.potential.label
             fh.write(json.dumps(obj, allow_nan=False) + "\n")
     return path
@@ -171,7 +177,8 @@ def read_records(path) -> list[EvaluationRecord]:
 
 
 # ---------------------------------------------------------------------------
-# pluggable defect prediction models
+# defect prediction models: ``fit`` on labels of both classes returns a
+# predictor whose ``predict_proba(X)[:, 1]`` scores class 1
 
 
 @dataclass(frozen=True)
@@ -183,50 +190,20 @@ class ForestModel:
     tune_population: int = 20
     tune_generations: int = 30
 
-    name = "forest"
-
-    def fit(self, X, y, seed: int) -> "FittedScorer":
-        y = np.asarray(y, dtype=np.int64)
-        if len(np.unique(y)) < 2:
-            return FittedScorer(constant=float(y[0]) if len(y) else 0.0)
+    def fit(self, X, y, seed: int) -> Forest:
         params = self.params
         if self.tune:
             params = tune_forest_params(X, y, seed, oob_mcc, 2, base=params,
                                         population=self.tune_population, generations=self.tune_generations)
-        forest = train_random_forest(X, y, params, seed=seed, n_classes=2)
-        return FittedScorer(forest=forest)
+        return train_random_forest(X, y, params, seed=seed, n_classes=2)
 
 
 @dataclass(frozen=True)
 class GaussianNBModel:
     """Gaussian naive-bayes-style scorer (used by the transfer pipelines)."""
 
-    name = "gnb"
-
-    def fit(self, X, y, seed: int) -> "FittedScorer":
-        y = np.asarray(y, dtype=np.int64)
-        if len(np.unique(y)) < 2:
-            return FittedScorer(constant=float(y[0]) if len(y) else 0.0)
-        return FittedScorer(nb=train_gaussian_nb(X, y))
-
-
-@dataclass(frozen=True, eq=False)
-class FittedScorer:
-    forest: object = None
-    nb: object = None
-    constant: float | None = None
-
-    def predict_scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if self.constant is not None:
-            return np.full(X.shape[0], self.constant)
-        if self.forest is not None:
-            return self.forest.predict_proba(X)[:, 1]
-        probs = self.nb.predict_proba(X)
-        col = int(np.argmax(self.nb.classes == 1)) if 1 in self.nb.classes else None
-        if col is None:
-            return np.zeros(X.shape[0])
-        return probs[:, col]
+    def fit(self, X, y, seed: int) -> GaussianNB:
+        return train_gaussian_nb(X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +278,8 @@ class RecordConfig:
             raise ValueError(f"unknown oversample mode {self.oversample!r}")
         if not 0.0 <= self.threshold <= 1.0:  # also rejects nan
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
+        if self.effort_mode not in EFFORT_MODES:
+            raise ValueError(f"unknown effort counting mode {self.effort_mode!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -313,6 +292,15 @@ class EvalConfig(RecordConfig):
     min_instances: int = 100
     min_defects: int = 5
     count_mode: str = "defective_files"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.transfer not in TRANSFER_KINDS:
+            raise ValueError(f"unknown transfer kind {self.transfer!r}")
+        if self.count_mode not in COUNT_MODES:
+            raise ValueError(f"unknown defect counting mode {self.count_mode!r}")
+        if self.min_instances < 1 or self.min_defects < 1:
+            raise ValueError("min_instances and min_defects must be >= 1")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -356,7 +344,10 @@ def _fit_and_record(
     if oversample != "off":
         tuned = tune_smote(X, y, seed=tune_seed) if oversample == "smote_tuned" else ()
         X, y = apply_smote(X, y, *tuned, seed=smote_seed)
-    scores = config.model.fit(X, y, seed=model_seed).predict_scores(test_X)
+    if len(np.unique(y)) < 2:
+        scores = np.full(len(test_X), float(y[0]))
+    else:
+        scores = config.model.fit(X, y, seed=model_seed).predict_proba(test_X)[:, 1]
     return _record(
         Prediction.from_arrays(test_view.ids, scores, config.threshold), test_view, train_y, y,
         effort_mode=config.effort_mode, boundaries=config.boundaries,
@@ -464,13 +455,7 @@ def _eligible_train_view(
 ) -> ReleaseView | None:
     """View with leakage-cleaned labels if it passes the size/defect filter."""
     view = release.view(as_of=as_of)
-    if view.n < min_instances:
-        return None
-    if mode == "defects":
-        n_def = len(view.defects)
-    else:
-        n_def = view.n_defective
-    if n_def < min_defects:
+    if view.n < min_instances or count_defects(view, mode) < min_defects:
         return None
     return view
 

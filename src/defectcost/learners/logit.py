@@ -179,11 +179,8 @@ class LogitModel:
             logits = np.tile(self.stage2_b, (X.shape[0], 1))
         return softmax(logits)
 
-    def predict_index(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
-    def predict(self, X) -> list:
-        return [self.classes[i] for i in self.predict_index(X)]
+    def predict(self, X) -> np.ndarray:
+        return np.asarray(self.classes)[np.argmax(self.predict_proba(X), axis=1)]
 
     def coefficients(self) -> dict[int, np.ndarray]:
         """Stage-2 coefficient vector per selected feature index."""

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import ReleaseView
-from .extmath import UNDEFINED, json_number, safe_div
+from .extmath import UNDEFINED, safe_div
 
 
 class CoverageError(Exception):
@@ -85,14 +85,9 @@ class MetricVector:
     nofb20: float
     nofc80: float
 
-    def to_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json_dict(self) -> dict:
-        return {k: json_number(v) for k, v in self.to_dict().items()}
-
 
 METRIC_NAMES = tuple(f.name for f in fields(MetricVector))
+EFFORT_MODES = ("defects", "files")
 
 
 def confusion_counts(view: ReleaseView, pred: Prediction) -> ConfusionCounts:
@@ -244,7 +239,7 @@ def effort_metrics(
     defective files. A bug is found at its completion rank: the 1-based
     inspection position of its last artifact.
     """
-    if mode not in ("defects", "files"):
+    if mode not in EFFORT_MODES:
         raise ValueError(f"unknown effort counting mode {mode!r}")
     scores = pred.scores_for(view)
     cost = float(view.sizes[scores > pred.threshold].sum())

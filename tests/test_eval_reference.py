@@ -8,6 +8,7 @@ views without defects and views where every artifact is defective.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_cost_model_matches_reference():
 def test_evaluate_metrics_matches_reference():
     for view, pred in CASES[::3]:
         for mode in ("defects", "files"):
-            got = evaluate_metrics(view, pred, effort_mode=mode).to_dict()
+            got = asdict(evaluate_metrics(view, pred, effort_mode=mode))
             scores = np.array([pred.scores[a] for a in view.ids], dtype=np.float64)
             assert same(got["auc"], auc(view.y, scores))
             assert same(got["auc_alberg"], ref_auc_alberg(view, pred))

@@ -69,12 +69,15 @@ def test_loader_rejects_non_finite_feature(release_dir, value):
     assert (info.value.path, info.value.line) == (metrics, 3)
 
 
-@pytest.mark.parametrize("replace, message, line", [
-    (lambda row: row.replace(row.split(",")[2], "9" * 200_000), "malformed CSV: field larger than field limit", 3),
-    (lambda row: row.replace(row.split(",")[0], "\udcff"), "not UTF-8 text: invalid start byte", None),
-], ids=["huge_field", "not_utf8"])
-def test_unreadable_metrics_csv_is_data_error(release_dir, capsys, replace, message, line):
-    metrics = release_dir / "metrics.csv"
+@pytest.mark.parametrize("name, replace, message, line", [
+    ("metrics.csv", lambda row: row.replace(row.split(",")[2], "9" * 200_000),
+     "malformed CSV: field larger than field limit", 3),
+    ("metrics.csv", lambda row: row.replace(row.split(",")[0], "\udcff"), "not UTF-8 text: invalid start byte", None),
+    ("meta.json", lambda row: row.replace('"', '"\udcff', 1), "not UTF-8 text: invalid start byte", None),
+    ("defects.json", lambda row: row.replace('"', '"\udcff', 1), "not UTF-8 text: invalid start byte", None),
+], ids=["huge_field", "not_utf8", "meta_not_utf8", "defects_not_utf8"])
+def test_unreadable_metrics_csv_is_data_error(release_dir, capsys, name, replace, message, line):
+    metrics = release_dir / name
     lines = metrics.read_text().splitlines()
     lines[2] = replace(lines[2])
     metrics.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
@@ -152,6 +155,37 @@ def test_config_threshold_outside_unit_interval_is_rejected(value):
     with pytest.raises(ValueError, match="threshold must be in \\[0, 1\\]"):
         BootstrapConfig(n_samples=1, seed=0, threshold=value)
     assert EvalConfig(threshold=0).threshold == 0 and EvalConfig(threshold=1.0).threshold == 1.0
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("count_mode", "bogus", "unknown defect counting mode 'bogus'"),
+    ("transfer", "bogus", "unknown transfer kind 'bogus'"),
+    ("effort_mode", "bogus", "unknown effort counting mode 'bogus'"),
+    ("min_instances", 0, "min_instances and min_defects must be >= 1"),
+    ("min_defects", -1, "min_instances and min_defects must be >= 1"),
+], ids=["count_mode", "transfer", "effort_mode", "min_instances", "min_defects"])
+def test_config_value_outside_its_domain_is_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        EvalConfig(**{field: value})
+    if field == "effort_mode":
+        with pytest.raises(ValueError, match=message):
+            BootstrapConfig(n_samples=1, seed=0, effort_mode=value)
+
+
+COUNT_OPTIONS = [("bootstrap", "trees"), ("bootstrap", "samples"), ("bootstrap", "jobs"),
+                 ("cross-version", "trees"), ("analyze", "trees"), ("sensitivity", "trees")]
+
+
+@pytest.mark.parametrize("command, option", COUNT_OPTIONS)
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_count_option_below_one_is_usage_error(tmp_path, capsys, command, option, value):
+    assert main([command, f"--{option}={value}", "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({option: value if value == "x" else int(value)}))
+    assert main(["--config", str(config), command, "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "1"])

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ def test_nofc80_undefined_when_unreachable():
 
 def test_evaluate_metrics_serialization(t1_view, t1_prediction):
     vec = evaluate_metrics(t1_view, t1_prediction)
-    d = vec.to_json_dict()
+    d = asdict(vec)
     assert set(d) == {
         "recall", "precision", "fpr", "f_measure", "g_measure", "balance",
         "accuracy", "error", "error_type1", "error_type2", "mcc", "consistency",
@@ -290,4 +291,4 @@ def test_evaluate_metrics_serialization(t1_view, t1_prediction):
     }
     assert d["cost"] == 190.0
     all_clean = evaluate_metrics(t1_view, Prediction({a: 0.0 for a in t1_view.ids}, 0.5))
-    assert all_clean.to_json_dict()["precision"] is None
+    assert is_undefined(all_clean.precision)

@@ -87,7 +87,7 @@ def test_forest_model_tuned(kept):
     view = kept[0].view()
     model = ForestModel(params=ForestParams(n_trees=5), tune=True, tune_population=4, tune_generations=2)
     fitted = model.fit(view.X, view.y, seed=8)
-    assert tuned_digest(fitted.forest.params, fitted.predict_scores(kept[1].view().X)) == (
+    assert tuned_digest(fitted.params, fitted.predict_proba(kept[1].view().X)[:, 1]) == (
         "c40e7f4edf1c13726431d054bdff3138d0d496db3e2992b744edb9fbdbe3c99a")
 
 
@@ -98,7 +98,7 @@ def test_relationship_forest_tuned(kept):
                                   tune_population=4, tune_generations=2,
                                   lambda_grid=(1.0, 10.0), alpha_grid=(0.5,))
     importances = fit.importances["forest"]
-    assert tuned_digest(fit.models["forest"].forest.params, [importances[k] for k in sorted(importances)]) == (
+    assert tuned_digest(fit.models["forest"].predictor.params, [importances[k] for k in sorted(importances)]) == (
         "25e1c0674d1cda70e28c175cd2d208c9155d010b950358dd88cfd9db7987a691")
 
 
