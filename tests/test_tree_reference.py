@@ -393,3 +393,66 @@ def test_one_tree_unbagged_forest_matches_depth_limited_cart():
         probe = np.vstack([X, rng.normal(size=(30, k))])
         assert_same(forest.predict(probe), np.argmax(predict_proba_tree(tree, probe, 4), axis=1))
         assert_same(forest_importance(forest, k), gini_importance(tree, k))
+
+
+def _forest_sweep():
+    """(X, y, task, n_classes, params, seed) of seeded forests: 1-200 rows, 1-30
+    rounded features (ties), 2-5 classes or regression, subsampled features,
+    raised minimums and depth limits; the first cases are tiny or nearly pure, so
+    some of their bags hold a single class."""
+    rng = np.random.default_rng(808)
+    sizes = [(1, 1), (2, 3), (5, 1), (7, 30), (200, 30)]
+    cases = []
+    for i in range(30):
+        n, k = sizes[i] if i < len(sizes) else (int(rng.integers(1, 201)), int(rng.integers(1, 31)))
+        X = np.round(rng.normal(size=(n, k)), int(rng.integers(0, 3)))
+        if i % 6 == 5:
+            task, n_classes = "regress", None
+            y = np.round(X[:, 0] * 2 + X[:, -1] + rng.normal(0, 0.5, n), int(rng.integers(0, 2)))
+        else:
+            task, n_classes = "classify", int(rng.integers(2, 6))
+            if i < len(sizes) or i % 6 == 1:
+                y = (np.arange(n) == 0).astype(int)
+            else:
+                signal = X[:, 0] + 0.5 * X[:, -1] + rng.normal(0, 0.8, n)
+                y = np.clip(np.floor(signal * n_classes / 3 + n_classes / 2), 0, n_classes - 1).astype(int)
+        params = ForestParams(
+            n_trees=int(rng.integers(2, 5)),
+            feature_ratio=float(rng.choice([1.0, 0.5, rng.uniform(0.05, 1.0)])),
+            min_split=int(rng.integers(2, 13)),
+            min_leaf=int(rng.integers(1, 7)),
+            depth_limit=None if i % 3 else int(rng.integers(1, 9)),
+        )
+        cases.append((X, y, task, n_classes, params, int(rng.integers(2**31))))
+    return cases
+
+
+def _assert_forest_matches_reference(case):
+    X, y, task, n_classes, params, seed = case
+    forest = train_random_forest(X, y, params, seed=seed, task=task, n_classes=n_classes)
+    trees, bags = ref_forest_trees(X, y, params, seed, task, n_classes)
+    assert len(forest.trees) == len(trees)
+    for got, ref, bag, in_bag in zip(forest.trees, trees, bags, forest.in_bag):
+        assert_same(in_bag, bag)
+        want, have = ref_nodes(ref), package_nodes(got)
+        for field in want:
+            assert_same(have[field], want[field])
+
+
+def test_forest_sweep_matches_reference():
+    cases = _forest_sweep()
+    assert {c[2] for c in cases} == {"classify", "regress"}
+    assert {c[3] for c in cases} >= {2, 3, 4, 5}
+    assert any(c[4].feature_ratio < 1 for c in cases) and any(c[4].depth_limit for c in cases)
+    for case in cases:
+        _assert_forest_matches_reference(case)
+
+
+def test_forest_sweep_with_one_segment_per_chunk(monkeypatch):
+    """The grower scores and partitions its segments in chunks of bounded size;
+    the smallest budget makes every segment its own chunk and grows the same trees."""
+    from defectcost.learners import tree as tree_module
+
+    monkeypatch.setattr(tree_module, "_CHUNK_ELEMENTS", 1, raising=False)
+    for case in _forest_sweep()[::3]:
+        _assert_forest_matches_reference(case)
