@@ -101,12 +101,16 @@ def probability(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
-    """``text`` as an integer >= 1; ValueError for any other text."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{text!r} is not >= 1")
-    return value
+def int_at_least(low: int):
+    """An option type: the text as an integer >= ``low``; ValueError for any other text."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise ValueError(f"{text!r} is not >= {low}")
+        return int(text)
+    return integer
+
+
+positive_int = int_at_least(1)
 
 
 def _parse_range(text: str, kind=float):
@@ -133,14 +137,14 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--out", type=Path, required=True, help="output directory")
         add_boundaries(p)
-        p.add_argument("--min-instances", type=int, default=100)
-        p.add_argument("--min-defects", type=int, default=5)
+        p.add_argument("--min-instances", type=positive_int, default=100)
+        p.add_argument("--min-defects", type=positive_int, default=5)
         p.add_argument("--count-mode", choices=COUNT_MODES, default="defective_files")
         p.add_argument("--model", choices=("forest", "gnb"), default="forest")
         p.add_argument("--trees", type=positive_int, default=100)
         p.add_argument("--tune", action="store_true", help="tune the forest with differential evolution")
-        p.add_argument("--de-population", type=int, default=20)
-        p.add_argument("--de-generations", type=int, default=30)
+        p.add_argument("--de-population", type=int_at_least(4), default=20, help="DE/rand/1 needs at least 4")
+        p.add_argument("--de-generations", type=int_at_least(0), default=30)
         p.add_argument("--oversample", choices=OVERSAMPLE_MODES)
         p.add_argument("--threshold", type=probability, default=0.5)
         p.add_argument("--effort-mode", choices=EFFORT_MODES, default="defects")
@@ -154,8 +158,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="load and validate a corpus")
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--min-instances", type=int, default=100)
-    p.add_argument("--min-defects", type=int, default=5)
+    p.add_argument("--min-instances", type=positive_int, default=100)
+    p.add_argument("--min-defects", type=positive_int, default=5)
     p.add_argument("--count-mode", choices=COUNT_MODES, default="defective_files")
 
     p = sub.add_parser("metrics", help="evaluate an external prediction for one release")

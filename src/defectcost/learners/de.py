@@ -38,6 +38,8 @@ def differential_evolution(
         raise ValueError("bounds must be finite with lo <= hi")
     if population < 4:
         raise ValueError("DE/rand/1 needs a population of at least 4")
+    if generations < 0:
+        raise ValueError("generations must be >= 0")
 
     rng = np.random.default_rng(seed)
     dim = len(bounds)

@@ -19,9 +19,9 @@ from .de import differential_evolution
 from .tree import (
     Tree,
     gini_importance,
+    grow_trees,
     predict_proba_tree,
     predict_tree_regression,
-    train_cart,
 )
 
 FEATURE_RATIO_BOUNDS = (0.0, 1.0)
@@ -116,28 +116,12 @@ def train_random_forest(
     else:
         n_classes = 0
     n = len(X)
-    max_features = params.max_features(X.shape[1])
-    trees = []
-    bags = []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        if params.bootstrap:
-            bag = rng.integers(0, n, size=n)
-        else:
-            bag = np.arange(n)
-        tree = train_cart(
-            X[bag],
-            y[bag],
-            task=task,
-            n_classes=n_classes if task == "classify" else None,
-            min_split=params.min_split,
-            min_leaf=params.min_leaf,
-            depth_limit=params.depth_limit,
-            max_features=max_features,
-            rng=rng,
-        )
-        trees.append(tree)
-        bags.append(bag)
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, t])) for t in range(params.n_trees)]
+    # each tree's generator draws its bag first, then its per-split candidate features
+    bags = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
+    trees = grow_trees(X, y, bags, rngs, task=task, n_classes=n_classes, min_split=params.min_split,
+                       min_leaf=params.min_leaf, depth_limit=params.depth_limit,
+                       max_features=params.max_features(X.shape[1]))
     return Forest(
         task=task,
         params=params,

@@ -188,6 +188,29 @@ def test_count_option_below_one_is_usage_error(tmp_path, capsys, command, option
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "bootstrap", "cross-version", "cross-project"])
+@pytest.mark.parametrize("option", ["min-instances", "min-defects"])
+def test_filter_minimum_below_one_is_usage_error(tmp_path, capsys, command, option):
+    args = ["--data", str(tmp_path)] + ([] if command == "validate" else ["-o", str(tmp_path / "o")])
+    assert main([command, f"--{option}=0", *args]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({option: 0}))
+    assert main(["--config", str(config), command, *args]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["bootstrap", "cross-version", "cross-project"])
+@pytest.mark.parametrize("option, value", [("de-population", "3"), ("de-population", "x"),
+                                           ("de-generations", "-1")])
+def test_de_budget_out_of_range_is_usage_error(tmp_path, capsys, command, option, value):
+    out = tmp_path / "o"
+    assert main([command, "--tune", f"--{option}={value}", "--data", str(tmp_path), "-o", str(out)]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "1"])
 def test_threshold_bounds_accepted(release_dir, tmp_path, value):
     pred = write_pred(tmp_path / "pred.csv", [(a, "0.5") for a in ("a1", "a2", "a3", "a4", "a5", "a6")])

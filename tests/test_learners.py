@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,23 @@ def test_forest_separable_accuracy():
     assert hits == 10
 
 
+def test_record_sized_forest_fit_memory():
+    """A fit the size of an evaluation record's (368 rows, 8 features, 100 trees)
+    peaks near 3 MB of traced allocations, the forest included; the bound is
+    twice that, so a working set that grows with the forest instead of with the
+    chunk and group budgets fails here."""
+    rng = np.random.default_rng(368)
+    X = np.round(rng.lognormal(size=(368, 8)), 1)
+    y = (X[:, 0] + X[:, 1] + rng.normal(0, 1.5, 368) > 3.5).astype(int)
+    tracemalloc.start()
+    try:
+        train_random_forest(X, y, ForestParams(), seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_degenerate_forest_equals_cart():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(100, 5))
@@ -223,6 +241,13 @@ def test_de_sphere():
 def test_de_population_too_small():
     with pytest.raises(ValueError, match="population"):
         differential_evolution(lambda x: 0.0, [(-1, 1)], population=1)
+
+
+def test_de_negative_generations():
+    with pytest.raises(ValueError, match="generations"):
+        differential_evolution(lambda x: 0.0, [(-1, 1)], generations=-1)
+    best, value = differential_evolution(lambda x: float(x[0] ** 2), [(-1, 1)], generations=0)
+    assert value == best[0] ** 2  # the best of the initial population
 
 
 def test_de_empty_bounds():
