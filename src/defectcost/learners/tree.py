@@ -96,15 +96,15 @@ def _classify_cuts(xs, labels, lengths, n_classes, min_leaf):
 def _regress_cuts(xs, ys, lengths, min_leaf):
     """The same for variance, through a zero-padded (segments, longest) block:
     a cumsum along a row adds the segment's targets in order, as on the segment alone."""
-    rows, width = np.arange(len(lengths)), int(lengths.max())
-    at = (np.repeat(rows, lengths), np.arange(len(xs)) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+    segs, width = np.arange(len(lengths)), int(lengths.max())
+    at = (np.repeat(segs, lengths), np.arange(len(xs)) - np.repeat(np.cumsum(lengths) - lengths, lengths))
     xb, yb = np.zeros((len(lengths), width)), np.zeros((len(lengths), width))
     xb[at], yb[at] = xs, ys
     s1, s2 = yb.cumsum(axis=1), (yb * yb).cumsum(axis=1)
     m, nl = lengths[:, None].astype(np.float64), np.arange(1.0, width)
     nr = m - nl
     sl1, sl2 = s1[:, :-1], s2[:, :-1]
-    sr1, sr2 = s1[rows, lengths - 1][:, None] - sl1, s2[rows, lengths - 1][:, None] - sl2
+    sr1, sr2 = s1[:, -1:] - sl1, s2[:, -1:] - sl2  # the padding adds zeros to each total
     with np.errstate(divide="ignore", invalid="ignore"):  # nr is 0 or less in the padding
         var_l = np.maximum(sl2 / nl - (sl1 / nl) ** 2, 0.0)
         var_r = np.maximum(sr2 / nr - (sr1 / nr) ** 2, 0.0)
@@ -112,7 +112,7 @@ def _regress_cuts(xs, ys, lengths, min_leaf):
     valid = (xb[:, :-1] < xb[:, 1:]) & (np.minimum(nl, nr) >= min_leaf)
     scores = np.where(valid, weighted, np.inf)
     cut = scores.argmin(axis=1)
-    return scores[rows, cut], cut
+    return scores[segs, cut], cut
 
 
 def _grow_group(X, XT, y, bags, rngs, task, n_classes, min_split, min_leaf, depth_limit, max_features):
