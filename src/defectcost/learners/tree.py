@@ -23,7 +23,8 @@ import numpy as np
 
 _MIN_DECREASE = 1e-12
 _CHUNK_ELEMENTS = 8192  # row ids per flat pass: bounds the working set of a step
-_GROUP_ELEMENTS = 1 << 18  # presorted row ids held at once: larger forests grow in groups of trees
+_GROUP_ELEMENTS = 1 << 20  # presorted row ids held at once (4 MB): larger forests grow in groups of trees
+_GROUP_TREES = 50  # trees per group: beyond it a step's fixed cost is small, and more trees only add memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +249,7 @@ def grow_trees(X: np.ndarray, y: np.ndarray, bags, rngs, *, task: str = "classif
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
     XT, bags = X.T.ravel(), np.asarray(bags, dtype=np.int32)
-    groups = -(-bags.size * (k + 1) // _GROUP_ELEMENTS)  # as few as fit the budget, of equal size
+    groups = max(-(-bags.size * (k + 1) // _GROUP_ELEMENTS), -(-len(bags) // _GROUP_TREES))  # fewest equal groups
     group = -(-len(bags) // groups)
     return [tree for g in range(0, len(bags), group)
             for tree in _grow_group(X, XT, y, bags[g:g + group], rngs[g:g + group], task,

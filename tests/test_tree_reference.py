@@ -449,10 +449,12 @@ def test_forest_sweep_matches_reference():
 
 
 def test_forest_sweep_with_one_segment_per_chunk(monkeypatch):
-    """The grower scores and partitions its segments in chunks of bounded size;
-    the smallest budget makes every segment its own chunk and grows the same trees."""
+    """The grower scores and partitions its segments in chunks of bounded size,
+    and grows large forests in groups of trees; the smallest budgets make every
+    segment its own chunk and every tree its own group, and grow the same trees."""
     from defectcost.learners import tree as tree_module
 
     monkeypatch.setattr(tree_module, "_CHUNK_ELEMENTS", 1, raising=False)
+    monkeypatch.setattr(tree_module, "_GROUP_TREES", 1, raising=False)
     for case in _forest_sweep()[::3]:
         _assert_forest_matches_reference(case)
