@@ -180,10 +180,9 @@ class PotentialConfusion:
 
 
 def confusion_from_predictions(predicted: Sequence[int], true: Sequence[int]) -> PotentialConfusion:
-    matrix = np.zeros((len(Potential), len(Potential)), dtype=np.int64)
-    for p, t in zip(predicted, true):
-        matrix[int(p), int(t)] += 1
-    return PotentialConfusion(matrix=matrix)
+    k = len(Potential)
+    cell = k * np.asarray(predicted, dtype=np.int64) + np.asarray(true, dtype=np.int64)
+    return PotentialConfusion(matrix=np.bincount(cell, minlength=k * k).reshape(k, k))
 
 
 def evaluate_confusion(model: RelationshipModel, records: Sequence[EvaluationRecord]):
@@ -272,12 +271,7 @@ def classify_strength(conf: PotentialConfusion) -> StrengthVerdict:
     ]
     strong_pct = min(level_accuracies) if level_accuracies else UNDEFINED
 
-    classification_pct = none_correct
-    for pct in (saving_as_saving,):
-        if math.isnan(classification_pct):
-            classification_pct = pct
-        elif not math.isnan(pct):
-            classification_pct = min(classification_pct, pct)
+    classification_pct = float(np.fmin(none_correct, saving_as_saving))  # nan only when both are
 
     is_classification = _ok(none_correct) and _ok(saving_as_saving)
     is_weak = is_classification and _ok(neighbor_pct)

@@ -134,7 +134,7 @@ def build_parser() -> _Parser:
     def add_experiment(name, help_text, oversample):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", type=Path, help="corpus directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int_at_least(0), default=0)
         p.add_argument("-o", "--out", type=Path, required=True, help="output directory")
         add_boundaries(p)
         p.add_argument("--min-instances", type=positive_int, default=100)
@@ -176,11 +176,11 @@ def build_parser() -> _Parser:
 
     add_cross("cross-version", "train on the prior release of each project")
     p = add_cross("cross-project", "train on other projects with temporal filtering")
-    p.add_argument("--gap-days", type=int, default=CROSS_PROJECT_GAP_DAYS)
+    p.add_argument("--gap-days", type=int_at_least(0), default=CROSS_PROJECT_GAP_DAYS)
 
     p = sub.add_parser("analyze", help="relationship models and report bundle from records")
     p.add_argument("--records", type=Path, required=True, help="records.csv or records.jsonl")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--trees", type=positive_int, default=100)
     p.add_argument("--tune", action="store_true")
     p.add_argument("--corr-threshold", type=float, default=0.8)
@@ -190,13 +190,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sensitivity", help="boundary-shift and diff-regression analysis")
     p.add_argument("--records", type=Path, required=True)
     p.add_argument("--eval-records", type=Path, help="records from another experiment for the regression")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--trees", type=positive_int, default=100)
     add_boundaries(p)
     p.add_argument("-o", "--out", type=Path, required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--projects", type=int, default=10)
     p.add_argument("--releases", type=int, default=5)
     p.add_argument("--artifacts", default="150,250", help="artifact count range 'lo,hi'")

@@ -30,8 +30,6 @@ from .tree import (
     apply_tree,
     count_leaves,
     gini_importance,
-    predict_proba_tree,
-    predict_tree_regression,
     train_cart,
     tree_depth,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "oob_accuracy",
     "oob_mcc",
     "params_from_vector",
-    "predict_proba_tree",
-    "predict_tree_regression",
     "smote_oversample",
     "softmax",
     "softmax_nll_grad",

@@ -16,13 +16,8 @@ import numpy as np
 from ..extmath import UNDEFINED
 from ..metrics import mcc_from_counts
 from .de import differential_evolution
-from .tree import (
-    Tree,
-    gini_importance,
-    grow_trees,
-    predict_proba_tree,
-    predict_tree_regression,
-)
+from . import tree as tree_module
+from .tree import Tree, apply_tree, gini_importance, grow_trees
 
 FEATURE_RATIO_BOUNDS = (0.0, 1.0)
 MIN_SPLIT_BOUNDS = (2, 20)
@@ -56,46 +51,45 @@ class ForestParams:
 class Forest:
     task: str
     params: ForestParams
-    trees: tuple[Tree, ...]
-    in_bag: tuple[np.ndarray, ...]  # in-bag row indices per tree
-    n_train: int
+    trees: Tree  # every tree in one node table
+    in_bag: np.ndarray  # (trees, n) bag of training row indices per tree
     n_classes: int = 2
+
+    def _vote(self, X, voters=None) -> tuple[np.ndarray, np.ndarray]:
+        """(number of voting trees, mean of their leaf values) per row of X.
+
+        A leaf's value is its class frequencies or its mean target, added in
+        tree order. The optional (trees, rows) mask ``voters`` picks the voting
+        pairs. Rows go in blocks of at most ``_GROUP_ELEMENTS`` (tree, row) pairs.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        trees, n = self.trees, X.shape[0]
+        leaf = trees.value / trees.n[:, None] if self.task == "classify" else trees.value  # counts sum to n exactly
+        leaf = np.concatenate([leaf, np.zeros((1,) + leaf.shape[1:])])  # id -1: a pair that does not vote
+        total = np.zeros((n,) + leaf.shape[1:])
+        rows = max(1, tree_module._GROUP_ELEMENTS // len(trees.roots))
+        for r in range(0, n, rows):
+            ids = apply_tree(trees, X[r:r + rows], None if voters is None else voters[:, r:r + rows])
+            total[r:r + rows] += np.cumsum(leaf[ids], axis=0)[-1]  # a sum may add pairwise; a cumsum adds in order
+        votes = np.full(n, len(trees.roots)) if voters is None else voters.sum(axis=0)
+        per_row = votes.reshape((n,) + (1,) * (total.ndim - 1))
+        return votes, np.divide(total, per_row, out=np.zeros_like(total), where=per_row > 0)
 
     def predict_proba(self, X) -> np.ndarray:
         if self.task != "classify":
             raise ValueError("predict_proba is only defined for classifiers")
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros((X.shape[0], self.n_classes))
-        for tree in self.trees:
-            acc += predict_proba_tree(tree, X, self.n_classes)
-        return acc / len(self.trees)
+        return self._vote(X)[1]
 
     def predict(self, X) -> np.ndarray:
-        if self.task == "classify":
-            return np.argmax(self.predict_proba(X), axis=1)
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += predict_tree_regression(tree, X)
-        return acc / len(self.trees)
+        mean = self._vote(X)[1]
+        return np.argmax(mean, axis=1) if self.task == "classify" else mean
 
     def oob_proba(self, X) -> tuple[np.ndarray, np.ndarray]:
         """(mask of rows with any out-of-bag vote, averaged probabilities)."""
-        X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        acc = np.zeros((n, self.n_classes))
-        votes = np.zeros(n)
-        for tree, bag in zip(self.trees, self.in_bag):
-            oob = np.ones(n, dtype=bool)
-            oob[bag] = False
-            if not oob.any():
-                continue
-            acc[oob] += predict_proba_tree(tree, X[oob], self.n_classes)
-            votes[oob] += 1
-        mask = votes > 0
-        probs = np.zeros_like(acc)
-        probs[mask] = acc[mask] / votes[mask, None]
-        return mask, probs
+        voters = np.ones((len(self.in_bag), len(X)), dtype=bool)
+        voters[np.arange(len(self.in_bag))[:, None], self.in_bag] = False
+        votes, probs = self._vote(X, voters)
+        return votes > 0, probs
 
 
 def train_random_forest(
@@ -118,26 +112,16 @@ def train_random_forest(
     n = len(X)
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, t])) for t in range(params.n_trees)]
     # each tree's generator draws its bag first, then its per-split candidate features
-    bags = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs]
+    bags = np.array([rng.integers(0, n, size=n) if params.bootstrap else np.arange(n) for rng in rngs])
     trees = grow_trees(X, y, bags, rngs, task=task, n_classes=n_classes, min_split=params.min_split,
                        min_leaf=params.min_leaf, depth_limit=params.depth_limit,
                        max_features=params.max_features(X.shape[1]))
-    return Forest(
-        task=task,
-        params=params,
-        trees=tuple(trees),
-        in_bag=tuple(bags),
-        n_train=n,
-        n_classes=n_classes,
-    )
+    return Forest(task=task, params=params, trees=trees, in_bag=bags, n_classes=n_classes)
 
 
 def forest_importance(forest: Forest, n_features: int) -> np.ndarray:
     """Mean of the per-tree normalized Gini importances."""
-    acc = np.zeros(n_features)
-    for tree in forest.trees:
-        acc += gini_importance(tree, n_features)
-    return acc / len(forest.trees)
+    return np.cumsum(gini_importance(forest.trees, n_features), axis=0)[-1] / len(forest.trees.roots)
 
 
 def _oob_labels(forest: Forest, X, y, scored=None) -> tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,14 @@ the input order and the RNG stream, so a fixed seed gives a fixed tree.
 
 Each feature is sorted once per tree. A node owns a segment of that sorted
 index array, and a split partitions the segment stably in place, so every node
-sees its rows in the order a stable sort of the node alone would give. A tree
-is a set of flat arrays indexed by node id, in depth-first preorder.
+sees its rows in the order a stable sort of the node alone would give.
 
-The trees of a forest grow in lockstep, each with its own preorder stack and
-RNG stream: a step pops the top node of every stack and handles them all in
-flat numpy passes over chunks of segments. ``train_cart`` is the one-tree case.
+A forest is one node table: flat arrays indexed by node id, tree after tree,
+each tree in depth-first preorder from its root. The trees grow in lockstep,
+each with its own preorder stack and RNG stream: a step pops the top node of
+every stack and handles them all in flat numpy passes over chunks of segments.
+``train_cart`` is the one-tree case. Prediction walks every (tree, row) pair
+down one level per step.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ _GROUP_TREES = 50  # trees per group: beyond it a step's fixed cost is small, an
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Nodes in preorder; node 0 is the root, and a leaf has feature -1 and
-    children -1. ``value`` holds class counts (classification, shape (nodes,
-    classes)) or the mean target (regression); ``decrease`` is the n-weighted
-    impurity decrease of a split, 0 at a leaf."""
+    """The nodes of one or more trees; tree t's nodes follow in preorder from
+    node ``roots[t]``. A leaf has feature -1 and children -1, and ``left`` and
+    ``right`` are node ids of the whole table. ``value`` holds class counts
+    (classification, shape (nodes, classes)) or the mean target (regression);
+    ``decrease`` is the n-weighted impurity decrease of a split, 0 at a leaf."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -42,6 +45,7 @@ class Tree:
     n: np.ndarray
     impurity: np.ndarray
     decrease: np.ndarray
+    roots: np.ndarray
 
 
 def _ragged(base, lengths):
@@ -203,27 +207,18 @@ def _grow_group(X, XT, y, bags, rngs, task, n_classes, min_split, min_leaf, dept
                                         depth[split].tolist(), node[split].tolist(), n_left.tolist()):
                 stacks[t].append((s + c, e, d + 1, i))
                 stacks[t].append((s, s + c, d + 1, -1))
-        steps.append((tree, node, parent, feature, threshold, value, m, impurity, decrease))
+        steps.append((tree, parent, feature, threshold, value, m, impurity, decrease))
 
     # each tree's nodes in preorder: its steps in order
     by_tree = np.argsort(np.concatenate([s[0] for s in steps]), kind="stable")
-    tree, node, parent, feature, threshold, value, m, impurity, decrease = (
-        np.concatenate(column)[by_tree] for column in zip(*steps))
-    right = np.full(len(node), -1, dtype=np.intp)
-    offset = np.cumsum(count) - count
-    has = parent >= 0
-    right[offset[tree[has]] + parent[has]] = node[has]
-    left = np.where(feature >= 0, node + 1, -1)
-    columns = (feature, threshold, left, right, value, m, impurity, decrease)
-    bounds = np.cumsum(count)[:-1]
-    return [Tree(*parts) for parts in zip(*(np.split(c, bounds) for c in columns))]
+    return (count,) + tuple(np.concatenate(column)[by_tree] for column in list(zip(*steps))[1:])
 
 
 def grow_trees(X: np.ndarray, y: np.ndarray, bags, rngs, *, task: str = "classify", n_classes: int | None = None,
                min_split: int = 2, min_leaf: int = 1, depth_limit: int | None = None,
-               max_features: int | None = None) -> list[Tree]:
-    """Grow one CART tree per bag of row indices (repeats allowed), in lockstep;
-    tree t draws its candidate features from ``rngs[t]``. ``max_features``
+               max_features: int | None = None) -> Tree:
+    """Grow one CART tree per bag of row indices (repeats allowed), in lockstep,
+    into one node table; tree t draws its candidate features from ``rngs[t]``. ``max_features``
     activates per-split feature subsampling; ``n_classes`` is ignored for regression."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -251,9 +246,16 @@ def grow_trees(X: np.ndarray, y: np.ndarray, bags, rngs, *, task: str = "classif
     XT, bags = X.T.ravel(), np.asarray(bags, dtype=np.int32)
     groups = max(-(-bags.size * (k + 1) // _GROUP_ELEMENTS), -(-len(bags) // _GROUP_TREES))  # fewest equal groups
     group = -(-len(bags) // groups)
-    return [tree for g in range(0, len(bags), group)
-            for tree in _grow_group(X, XT, y, bags[g:g + group], rngs[g:g + group], task,
-                                    n_classes, min_split, min_leaf, depth_limit, max_features)]
+    groups = [_grow_group(X, XT, y, bags[g:g + group], rngs[g:g + group], task, n_classes, min_split, min_leaf,
+                          depth_limit, max_features) for g in range(0, len(bags), group)]
+    count, parent, feature, threshold, value, m, impurity, decrease = map(np.concatenate, zip(*groups))
+    roots = np.cumsum(count) - count
+    at = np.arange(len(feature))
+    left = np.where(feature >= 0, at + 1, -1)
+    right = np.full(len(feature), -1, dtype=np.intp)
+    has = parent >= 0
+    right[np.repeat(roots, count)[has] + parent[has]] = at[has]  # a parent id counts from its tree's root
+    return Tree(feature, threshold, left, right, value, m, impurity, decrease, roots)
 
 
 def train_cart(
@@ -272,11 +274,12 @@ def train_cart(
     if rng is None:
         rng = np.random.default_rng(0)
     return grow_trees(X, y, [np.arange(len(X))], [rng], task=task, n_classes=n_classes, min_split=min_split,
-                      min_leaf=min_leaf, depth_limit=depth_limit, max_features=max_features)[0]
+                      min_leaf=min_leaf, depth_limit=depth_limit, max_features=max_features)
 
 
 def tree_depth(tree: Tree) -> int:
-    depth, level = 0, np.zeros(1, dtype=np.intp)
+    """Depth of the deepest tree."""
+    depth, level = 0, tree.roots
     while True:
         level = level[tree.feature[level] >= 0]
         if not level.size:
@@ -289,36 +292,32 @@ def count_leaves(tree: Tree) -> int:
     return int(np.sum(tree.feature < 0))
 
 
-def apply_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf id of every row: all rows still at an internal node move down one level per step."""
+def apply_tree(tree: Tree, X: np.ndarray, voters: np.ndarray | None = None) -> np.ndarray:
+    """(trees, rows) leaf ids: every (tree, row) pair still at an internal node
+    moves down one level per step. A pair outside the optional (trees, rows)
+    mask ``voters`` is never walked and gets -1."""
     X = np.asarray(X, dtype=np.float64)
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    active = np.flatnonzero(tree.feature[node] >= 0)
+    (n, k), flat = X.shape, X.ravel()
+    node = np.repeat(tree.roots, n)
+    if voters is not None:
+        node[~voters.ravel()] = -1
+    active = np.flatnonzero((node >= 0) & (tree.feature[node] >= 0))
     while active.size:
         at = node[active]
-        goes_left = X[active, tree.feature[at]] <= tree.threshold[at]
+        goes_left = flat[active % n * k + tree.feature[at]] <= tree.threshold[at]
         at = np.where(goes_left, tree.left[at], tree.right[at])
         node[active] = at
         active = active[tree.feature[at] >= 0]
-    return node
-
-
-def predict_proba_tree(tree: Tree, X: np.ndarray, n_classes: int) -> np.ndarray:
-    leaves = apply_tree(tree, X)
-    counts = tree.value[leaves]
-    out = np.zeros((len(leaves), n_classes))
-    out[:, : counts.shape[1]] = counts / tree.n[leaves, None]  # counts sum to n exactly
-    return out
-
-
-def predict_tree_regression(tree: Tree, X: np.ndarray) -> np.ndarray:
-    return tree.value[apply_tree(tree, X)]
+    return node.reshape(len(tree.roots), n)
 
 
 def gini_importance(tree: Tree, n_features: int) -> np.ndarray:
-    """Sample-weighted impurity decrease per feature, normalized to sum 1."""
-    split = tree.feature >= 0
+    """(trees, features): each tree's sample-weighted impurity decrease per
+    feature, normalized to sum 1."""
+    split = np.flatnonzero(tree.feature >= 0)
+    owner = np.searchsorted(tree.roots, split, side="right") - 1
     # bincount adds the decreases one by one in preorder
-    raw = np.bincount(tree.feature[split], weights=tree.decrease[split], minlength=n_features)
-    total = raw.sum()
-    return raw / total if total > 0 else raw
+    raw = np.bincount(owner * n_features + tree.feature[split], weights=tree.decrease[split],
+                      minlength=len(tree.roots) * n_features).reshape(-1, n_features)
+    total = raw.sum(axis=1, keepdims=True)
+    return raw / np.where(total > 0, total, 1.0)

@@ -61,7 +61,7 @@ def test_root_split_on_recall():
     records = noisy_records(rng, n=240)
     fit = fit_relationship_models(records, seed=1, forest_params=ForestParams(n_trees=10),
                                   lambda_grid=(1.0, 1000.0), alpha_grid=(0.0, 1.0))
-    tree = fit.models["tree"].predictor.trees[0]
+    tree = fit.models["tree"].predictor.trees
     assert VARIABLE_NAMES[tree.feature[0]] == "recall"
     # the cut separates the <=0.01 group from the >=0.02 group
     none_recalls = [r.recall for r in records if r.potential == Potential.NONE]

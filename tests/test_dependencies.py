@@ -24,3 +24,11 @@ def test_package_imports_only_stdlib_and_numpy():
     imports = {(path, line, name) for path in modules for line, name in absolute_imports(path)}
     assert {name for _, _, name in imports} >= {"numpy", "__future__"}
     assert sorted(f"{path}:{line}: {name}" for path, line, name in imports if name not in ALLOWED) == []
+
+
+def test_every_export_resolves():
+    """A deleted helper cannot linger in ``__all__`` as a stale export."""
+    from defectcost import learners
+
+    for package in (defectcost, learners):
+        assert [name for name in package.__all__ if not hasattr(package, name)] == []

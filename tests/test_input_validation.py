@@ -190,6 +190,22 @@ def test_count_option_below_one_is_usage_error(tmp_path, capsys, command, option
     assert not (tmp_path / "o").exists()
 
 
+NON_NEGATIVE_OPTIONS = [(command, "seed") for command in (
+    "bootstrap", "cross-version", "cross-project", "analyze", "sensitivity", "synth")] + [("cross-project", "gap-days")]
+
+
+@pytest.mark.parametrize("command, option", NON_NEGATIVE_OPTIONS)
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_non_negative_option_below_zero_is_usage_error(tmp_path, capsys, command, option, value):
+    assert main([command, f"--{option}={value}", "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({option: value if value == "x" else int(value)}))
+    assert main(["--config", str(config), command, "-o", str(tmp_path / "o")]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["bootstrap", "cross-version", "cross-project"])
 @pytest.mark.parametrize("option, value", [("de-population", "3"), ("de-population", "x"),
                                            ("de-generations", "-1")])

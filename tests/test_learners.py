@@ -8,6 +8,7 @@ from defectcost.extmath import is_undefined
 from defectcost.learners import (
     ForestParams,
     apply_smote,
+    apply_tree,
     count_leaves,
     differential_evolution,
     fit_multinomial_logit_elastic_net,
@@ -18,7 +19,6 @@ from defectcost.learners import (
     oob_accuracy,
     oob_mcc,
     params_from_vector,
-    predict_proba_tree,
     smote_oversample,
     softmax,
     softmax_nll_grad,
@@ -155,9 +155,7 @@ def test_degenerate_forest_equals_cart():
         X, y, ForestParams(feature_ratio=1.0, n_trees=1, bootstrap=False), seed=0
     )
     tree = train_cart(X, y)
-    assert np.array_equal(
-        forest.predict(X), np.argmax(predict_proba_tree(tree, X, 2), axis=1)
-    )
+    assert np.array_equal(forest.predict(X), np.argmax(tree.value[apply_tree(tree, X)[0]], axis=1))
 
 
 def test_noise_oob_accuracy_near_prior():
@@ -202,7 +200,7 @@ def test_importance_depth_one():
     X = np.array([[0.0, 5.0], [1.0, 5.0], [0.2, 5.0], [0.9, 5.0]])
     y = np.array([0, 1, 0, 1])
     tree = train_cart(X, y)
-    imp = gini_importance(tree, 2)
+    imp = gini_importance(tree, 2)[0]
     assert imp[0] == 1.0 and imp[1] == 0.0
 
 

@@ -7,7 +7,7 @@ with many ties, bootstrap duplicates, raised ``min_leaf``/``min_split``, a
 depth limit, feature subsampling with the same RNG stream) the package must give
 the same nodes in preorder (feature, threshold, sample count, impurity, value,
 decrease) and bitwise-equal predictions and Gini importances, for single trees
-and for forests (predict, predict_proba, out-of-bag votes).
+and for forests (predict, predict_proba, out-of-bag votes, importances).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from defectcost.learners import (
+    Forest,
     ForestParams,
     forest_importance,
     gini_importance,
-    predict_proba_tree,
-    predict_tree_regression,
     train_cart,
     train_random_forest,
 )
@@ -235,12 +234,22 @@ def ref_nodes(root):
     }
 
 
-def package_nodes(tree):
-    """The same node table read from a tree of the package."""
-    internal = tree.feature >= 0
-    return {"feature": tree.feature, "threshold": tree.threshold[internal], "left": tree.left,
-            "right": tree.right, "n": tree.n, "impurity": tree.impurity, "value": tree.value,
-            "decrease": tree.decrease}
+def package_nodes(tree, t=0):
+    """The same node table read from tree t of a node table of the package,
+    with child ids counted from the tree's root."""
+    root, end = np.append(tree.roots, len(tree.feature))[[t, t + 1]]
+    nodes = slice(root, end)
+    internal = tree.feature[nodes] >= 0
+    return {"feature": tree.feature[nodes], "threshold": tree.threshold[nodes][internal],
+            "left": np.where(internal, tree.left[nodes] - root, -1),
+            "right": np.where(internal, tree.right[nodes] - root, -1), "n": tree.n[nodes],
+            "impurity": tree.impurity[nodes], "value": tree.value[nodes], "decrease": tree.decrease[nodes]}
+
+
+def one_tree_forest(tree, task, n_classes):
+    """A tree of the package as the only, unbagged tree of a forest, to predict with."""
+    return Forest(task=task, params=ForestParams(n_trees=1, bootstrap=False), trees=tree,
+                  in_bag=np.arange(tree.n[0])[None], n_classes=n_classes)
 
 
 def assert_same(a, b):
@@ -310,11 +319,12 @@ def test_tree_matches_reference(case):
 
     probe = np.vstack([X, np.random.default_rng(seed + 1).normal(size=(40, X.shape[1])) * 3])
     if task == "classify":
-        for n_classes in {want["value"].shape[1], want["value"].shape[1] + 2}:
-            assert_same(predict_proba_tree(tree, probe, n_classes), ref_predict_proba(ref, probe, n_classes))
+        n_classes = want["value"].shape[1]
+        got = one_tree_forest(tree, task, n_classes).predict_proba(probe)
+        assert_same(got, ref_predict_proba(ref, probe, n_classes))
     else:
-        assert_same(predict_tree_regression(tree, probe), ref_predict_regression(ref, probe))
-    assert_same(gini_importance(tree, X.shape[1]), ref_importance(ref, X.shape[1]))
+        assert_same(one_tree_forest(tree, task, 0).predict(probe), ref_predict_regression(ref, probe))
+    assert_same(gini_importance(tree, X.shape[1]), ref_importance(ref, X.shape[1])[None])
 
 
 def ref_forest_trees(X, y, params, seed, task, n_classes):
@@ -331,6 +341,25 @@ def ref_forest_trees(X, y, params, seed, task, n_classes):
     return trees, bags
 
 
+def ref_forest_votes(trees, bags, X, task, n_classes, oob=False):
+    """(mask of rows with a vote, mean of the votes) of reference trees, added
+    tree by tree; with ``oob`` only the trees whose bag misses a row vote on it."""
+    acc = np.zeros((len(X), n_classes) if task == "classify" else len(X))
+    votes = np.zeros(len(X))
+    for ref, bag in zip(trees, bags):
+        rows = np.ones(len(X), dtype=bool)
+        if oob:
+            rows[bag] = False
+        if rows.any():
+            acc[rows] += (ref_predict_proba(ref, X[rows], n_classes) if task == "classify"
+                          else ref_predict_regression(ref, X[rows]))
+            votes[rows] += 1
+    has = votes > 0
+    mean = np.zeros_like(acc)
+    mean[has] = acc[has] / (votes[has, None] if task == "classify" else votes[has])
+    return has, mean
+
+
 @pytest.mark.parametrize("params", [
     ForestParams(n_trees=12),
     ForestParams(n_trees=9, feature_ratio=0.4, min_split=6, min_leaf=3),
@@ -338,40 +367,8 @@ def ref_forest_trees(X, y, params, seed, task, n_classes):
 def test_forest_matches_reference(params):
     rng = np.random.default_rng(33)
     X, y = _classify(rng, 130, 6, 3)
-    probe = rng.normal(size=(70, 6))
-    forest = train_random_forest(X, y, params, seed=5)
-    trees, bags = ref_forest_trees(X, y, params, 5, "classify", 3)
-    for got, ref in zip(forest.trees, trees):
-        want, have = ref_nodes(ref), package_nodes(got)
-        for field in want:
-            assert_same(have[field], want[field])
-
-    acc = np.zeros((len(probe), 3))
-    for ref in trees:
-        acc += ref_predict_proba(ref, probe, 3)
-    assert_same(forest.predict_proba(probe), acc / len(trees))
-    assert_same(forest.predict(probe), np.argmax(acc / len(trees), axis=1))
-
-    acc = np.zeros((len(X), 3))
-    votes = np.zeros(len(X))
-    for ref, bag in zip(trees, bags):
-        oob = np.ones(len(X), dtype=bool)
-        oob[bag] = False
-        acc[oob] += ref_predict_proba(ref, X[oob], 3)
-        votes[oob] += 1
-    mask, probs = forest.oob_proba(X)
-    want = np.zeros_like(acc)
-    want[votes > 0] = acc[votes > 0] / votes[votes > 0, None]
-    assert_same(mask, votes > 0)
-    assert_same(probs, want)
-
-    yr = X[:, 0] * 3 + rng.normal(0, 0.5, len(X))
-    regressor = train_random_forest(X, yr, params, seed=6, task="regress")
-    trees, _ = ref_forest_trees(X, yr, params, 6, "regress", None)
-    acc = np.zeros(len(probe))
-    for ref in trees:
-        acc += ref_predict_regression(ref, probe)
-    assert_same(regressor.predict(probe), acc / len(trees))
+    _assert_forest_matches_reference((X, y, "classify", 3, params, 5))
+    _assert_forest_matches_reference((X, X[:, 0] * 3 + rng.normal(0, 0.5, len(X)), "regress", None, params, 6))
 
 
 def test_one_tree_unbagged_forest_matches_depth_limited_cart():
@@ -387,12 +384,12 @@ def test_one_tree_unbagged_forest_matches_depth_limited_cart():
         tree = train_cart(X, y, n_classes=4, depth_limit=5, rng=np.random.default_rng(seed))
         forest = train_random_forest(X, y, ForestParams(n_trees=1, depth_limit=5, bootstrap=False),
                                      seed=seed, n_classes=4)
-        want, got = package_nodes(tree), package_nodes(forest.trees[0])
+        want, got = package_nodes(tree), package_nodes(forest.trees)
         for field in want:
             assert_same(got[field], want[field])
         probe = np.vstack([X, rng.normal(size=(30, k))])
-        assert_same(forest.predict(probe), np.argmax(predict_proba_tree(tree, probe, 4), axis=1))
-        assert_same(forest_importance(forest, k), gini_importance(tree, k))
+        assert_same(forest.predict(probe), one_tree_forest(tree, "classify", 4).predict(probe))
+        assert_same(forest_importance(forest, k), gini_importance(tree, k)[0])
 
 
 def _forest_sweep():
@@ -431,12 +428,26 @@ def _assert_forest_matches_reference(case):
     X, y, task, n_classes, params, seed = case
     forest = train_random_forest(X, y, params, seed=seed, task=task, n_classes=n_classes)
     trees, bags = ref_forest_trees(X, y, params, seed, task, n_classes)
-    assert len(forest.trees) == len(trees)
-    for got, ref, bag, in_bag in zip(forest.trees, trees, bags, forest.in_bag):
-        assert_same(in_bag, bag)
-        want, have = ref_nodes(ref), package_nodes(got)
+    assert len(forest.trees.roots) == len(trees)
+    assert_same(forest.in_bag, np.array(bags))
+    for t, ref in enumerate(trees):
+        want, have = ref_nodes(ref), package_nodes(forest.trees, t)
         for field in want:
             assert_same(have[field], want[field])
+
+    probe = np.vstack([X, np.random.default_rng(seed).normal(size=(20, X.shape[1])) * 2])
+    _, want = ref_forest_votes(trees, bags, probe, task, n_classes)
+    if task == "classify":
+        assert_same(forest.predict_proba(probe), want)
+        assert_same(forest.predict(probe), np.argmax(want, axis=1))
+        for got, expected in zip(forest.oob_proba(X), ref_forest_votes(trees, bags, X, task, n_classes, oob=True)):
+            assert_same(got, expected)
+    else:
+        assert_same(forest.predict(probe), want)
+    importance = np.zeros(X.shape[1])
+    for ref in trees:
+        importance += ref_importance(ref, X.shape[1])
+    assert_same(forest_importance(forest, X.shape[1]), importance / len(trees))
 
 
 def test_forest_sweep_matches_reference():
@@ -450,11 +461,17 @@ def test_forest_sweep_matches_reference():
 
 def test_forest_sweep_with_one_segment_per_chunk(monkeypatch):
     """The grower scores and partitions its segments in chunks of bounded size,
-    and grows large forests in groups of trees; the smallest budgets make every
-    segment its own chunk and every tree its own group, and grow the same trees."""
+    and grows large forests in groups of trees; a forest predicts in blocks of
+    rows. The smallest budgets make every segment its own chunk, every tree its
+    own group and every row its own block, and give the same trees and votes."""
     from defectcost.learners import tree as tree_module
 
     monkeypatch.setattr(tree_module, "_CHUNK_ELEMENTS", 1, raising=False)
     monkeypatch.setattr(tree_module, "_GROUP_TREES", 1, raising=False)
+    monkeypatch.setattr(tree_module, "_GROUP_ELEMENTS", 1, raising=False)
     for case in _forest_sweep()[::3]:
         _assert_forest_matches_reference(case)
+    # a one-row block of a regressor holds one vote per tree, which numpy sums
+    # pairwise from 8 terms on
+    X = np.round(np.random.default_rng(34).normal(size=(60, 4)), 1)
+    _assert_forest_matches_reference((X, X[:, 0] - X[:, 3], "regress", None, ForestParams(n_trees=12), 7))
