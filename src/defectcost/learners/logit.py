@@ -3,10 +3,11 @@
 Two-stage fit: stage 1 z-scores the features and runs proximal gradient
 descent with the penalty lam * (alpha * ||W||_1 + (1 - alpha) / 2 * ||W||^2)
 for every cell of a (lambda, alpha) grid, selecting the cell with the best
-McFadden adjusted R^2. Stage 2 refits without penalty and without
-normalization on the features that survived stage 1 (any non-zero
-coefficient), so stage-2 coefficients are interpretable on the raw scales.
-Intercepts are never penalized.
+McFadden adjusted R^2. Each alpha is one lambda path with warm starts, and
+all paths step in lockstep on stacked coefficients. Stage 2 refits without
+penalty and without normalization on the features that survived stage 1 (any
+non-zero coefficient), so stage-2 coefficients are interpretable on the raw
+scales. Intercepts are never penalized.
 """
 
 from __future__ import annotations
@@ -26,9 +27,26 @@ def one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _probs_nll(X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray):
+    """Probabilities and summed NLL of coefficients W (..., k, C), b (..., C)."""
+    probs = softmax(X @ W + b[..., None, :])
+    return probs, -_sum(Y * np.log(np.clip(probs, PROB_FLOOR, 1.0)))
+
+
+def _grad(X: np.ndarray, Y: np.ndarray, probs: np.ndarray):
+    """NLL gradients w.r.t. W and b at the given probabilities."""
+    diff = probs - Y
+    return X.T @ diff, diff.sum(axis=-2)
+
+
+def _sum(A: np.ndarray) -> np.ndarray:
+    """Sum over the trailing (k, C) axes of stacked coefficients."""
+    return A.sum(axis=(-2, -1))
 
 
 def softmax_nll_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray):
@@ -36,15 +54,66 @@ def softmax_nll_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray)
 
     Y is one-hot (n, C); W is (k, C); b is (C,).
     """
-    probs = softmax(X @ W + b)
-    ll_terms = np.log(np.clip(probs, PROB_FLOOR, 1.0))
-    nll = -float(np.sum(Y * ll_terms))
-    diff = probs - Y
-    return nll, X.T @ diff, diff.sum(axis=0)
+    probs, nll = _probs_nll(X, Y, W, b)
+    return float(nll), *_grad(X, Y, probs)
 
 
-def _soft_threshold(W: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(W) * np.maximum(np.abs(W) - t, 0.0)
+def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
+    """Proximal gradient descent with backtracking line search along one
+    warm-started lambda path per alpha; returns cells[a][l] = (W, b,
+    objective, probs) for alpha a and lambda l.
+
+    Every path starts from (W0, b0), by default zero coefficients and
+    class-frequency intercepts, and each later lambda from the previous
+    solution with step 1. A round makes one line-search trial for every open
+    path on stacked (paths, k, C) coefficients; the accepted trial's
+    probabilities give the next gradient.
+    """
+    lams = np.asarray(lambda_grid, dtype=np.float64)
+    alphas = np.asarray(alpha_grid, dtype=np.float64)
+    W0 = np.zeros((X.shape[1], Y.shape[1])) if W0 is None else W0
+    b0 = np.log(np.clip(Y.mean(axis=0), PROB_FLOOR, 1.0)) if b0 is None else b0
+    W = np.repeat(W0[None], len(alphas), axis=0)
+    b = np.repeat(b0[None], len(alphas), axis=0)
+    probs, nll = _probs_nll(X, Y, W, b)
+    path = np.arange(len(alphas))  # alpha index of each stacked row
+    lam_i = iters = np.zeros(len(alphas), dtype=np.int64)
+    step = np.ones(len(alphas))
+    cells = [[None] * len(lams) for _ in alphas]
+    while len(path):
+        lam = lams[lam_i]
+        ridge, l1 = lam * (1.0 - alphas[path]), lam * alphas[path]
+        g = nll + 0.5 * ridge * _sum(W * W)
+        obj = g + l1 * _sum(np.abs(W))
+        done = iters >= max_iter
+        while not done.any():
+            gW, gb = _grad(X, Y, probs)
+            gW = gW + ridge[:, None, None] * W
+            V = W - step[:, None, None] * gW  # the proximal step soft-thresholds V
+            W_new = np.sign(V) * np.maximum(np.abs(V) - (step * l1)[:, None, None], 0.0)
+            b_new = b - step[:, None] * gb
+            dW = W_new - W
+            db = b_new - b
+            probs_new, nll_new = _probs_nll(X, Y, W_new, b_new)
+            g_new = nll_new + 0.5 * ridge * _sum(W_new * W_new)
+            quad = g + _sum(gW * dW) + (gb * db).sum(axis=-1) + (
+                _sum(dW * dW) + (db * db).sum(axis=-1)) / (2.0 * step)
+            ok = (g_new <= quad + 1e-12) | (step < 1e-12)
+            obj_new = g_new + l1 * _sum(np.abs(W_new))
+            iters = iters + ok
+            done = ok & ((np.abs(obj - obj_new) <= tol * np.fmax(1.0, np.abs(obj))) | (iters >= max_iter))
+            step = np.where(ok, step, step * 0.5)
+            W, probs = np.where(ok[:, None, None], W_new, W), np.where(ok[:, None, None], probs_new, probs)
+            b = np.where(ok[:, None], b_new, b)
+            nll, g, obj = np.where(ok, nll_new, nll), np.where(ok, g_new, g), np.where(ok, obj_new, obj)
+        # store the finished cells; their paths go on to the next lambda with step 1
+        for r in np.flatnonzero(done):
+            cells[path[r]][lam_i[r]] = (W[r], b[r], float(obj[r]), probs[r])
+        lam_i, step, iters = lam_i + done, np.where(done, 1.0, step), np.where(done, 0, iters)
+        keep = lam_i < len(lams)
+        path, lam_i, W, b, probs, nll, step, iters = (
+            a[keep] for a in (path, lam_i, W, b, probs, nll, step, iters))
+    return cells
 
 
 def fit_penalized_softmax(
@@ -63,53 +132,12 @@ def fit_penalized_softmax(
 
     Returns (W, b, objective). The L1 part of the penalty is handled by the
     proximal (soft-threshold) step, the ridge part by the smooth gradient.
+    This is the one-path, one-lambda case of the grid's path runner.
     """
     X = np.asarray(X, dtype=np.float64)
-    n, k = X.shape
     Y = one_hot(y_idx, n_classes)
-    W = np.zeros((k, n_classes)) if W0 is None else W0.copy()
-    if b0 is None:
-        freq = np.clip(Y.mean(axis=0), PROB_FLOOR, 1.0)
-        b = np.log(freq)
-    else:
-        b = b0.copy()
-
-    ridge = lam * (1.0 - alpha)
-    l1 = lam * alpha
-
-    def smooth(Wc, bc):
-        probs = softmax(X @ Wc + bc)
-        nll = -float(np.sum(Y * np.log(np.clip(probs, PROB_FLOOR, 1.0))))
-        return nll + 0.5 * ridge * float(np.sum(Wc * Wc))
-
-    step = 1.0
-    obj_prev = smooth(W, b) + l1 * float(np.abs(W).sum())
-    for _ in range(max_iter):
-        nll, gW, gb = softmax_nll_grad(W, b, X, Y)
-        gW = gW + ridge * W
-        g_here = nll + 0.5 * ridge * float(np.sum(W * W))
-        while True:
-            W_new = _soft_threshold(W - step * gW, step * l1)
-            b_new = b - step * gb
-            dW = W_new - W
-            db = b_new - b
-            g_new = smooth(W_new, b_new)
-            quad = (
-                g_here
-                + float(np.sum(gW * dW))
-                + float(np.sum(gb * db))
-                + (float(np.sum(dW * dW)) + float(np.sum(db * db))) / (2.0 * step)
-            )
-            if g_new <= quad + 1e-12 or step < 1e-12:
-                break
-            step *= 0.5
-        W, b = W_new, b_new
-        obj = g_new + l1 * float(np.abs(W).sum())
-        if abs(obj_prev - obj) <= tol * max(1.0, abs(obj_prev)):
-            obj_prev = obj
-            break
-        obj_prev = obj
-    return W, b, obj_prev
+    W, b, obj, _ = _fit_paths(X, Y, (lam,), (alpha,), tol, max_iter, W0, b0)[0][0]
+    return W, b, obj
 
 
 def log_likelihood(probs: np.ndarray, y_idx: np.ndarray) -> float:
@@ -215,27 +243,16 @@ def fit_multinomial_logit_elastic_net(
     sigma = np.where(sigma == 0, 1.0, sigma)
     Xn = (X - mu) / sigma
 
+    Y = one_hot(y_idx, n_classes)
+    paths = _fit_paths(Xn, Y, lambda_grid, alpha_grid, tol, max_iter)
     best = None
     cells = []
-    for alpha in alpha_grid:
-        W_warm, b_warm = None, None
-        for lam in lambda_grid:
-            W, b, _ = fit_penalized_softmax(
-                Xn, y_idx, n_classes, lam, alpha, W0=W_warm, b0=b_warm, tol=tol, max_iter=max_iter
-            )
-            W_warm, b_warm = W, b
+    for alpha, path in zip(alpha_grid, paths):
+        for lam, (W, _, _, probs) in zip(lambda_grid, path):
             selected = np.flatnonzero(np.any(W != 0.0, axis=1))
-            probs = softmax(Xn @ W + b)
             r2 = mcfadden_adjusted_r2(probs, y_idx, k=len(selected))
-            cells.append(
-                GridCell(
-                    lam=float(lam),
-                    alpha=float(alpha),
-                    r2_adjusted=r2,
-                    l1_norm=float(np.abs(W).sum()),
-                    n_selected=len(selected),
-                )
-            )
+            cells.append(GridCell(lam=float(lam), alpha=float(alpha), r2_adjusted=r2,
+                                  l1_norm=float(np.abs(W).sum()), n_selected=len(selected)))
             if best is None or r2 > best[0]:
                 best = (r2, float(lam), float(alpha), tuple(int(i) for i in selected))
 

@@ -29,6 +29,7 @@ from defectcost.learners import (
     tree_depth,
     tune_smote,
 )
+from defectcost.learners import logit
 from defectcost.learners.logit import one_hot
 
 from conftest import assert_close
@@ -429,6 +430,32 @@ def test_logit_grid_contains_path():
     model = fit_multinomial_logit_elastic_net(X, y, lambda_grid=(1.0, 10.0), alpha_grid=(0.0, 1.0))
     assert len(model.grid) == 4
     assert {(c.lam, c.alpha) for c in model.grid} == {(1.0, 0.0), (1.0, 1.0), (10.0, 0.0), (10.0, 1.0)}
+
+
+def test_logit_alpha_paths_step_in_lockstep(monkeypatch):
+    """One softmax per round serves every open alpha path: a grid costs the
+    longest path's line-search trials plus the setup, not their sum."""
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(60, 4)) + np.repeat(np.eye(3, 4), 20, axis=0)
+    Y = one_hot(np.repeat(np.arange(3), 20), 3)
+    calls = []
+    real_softmax = logit.softmax
+
+    def counting_softmax(logits):
+        calls.append(logits.shape)
+        return real_softmax(logits)
+
+    monkeypatch.setattr(logit, "softmax", counting_softmax)
+
+    def softmax_calls(alphas):
+        calls.clear()
+        logit._fit_paths(X, Y, (0.1, 1.0, 10.0), alphas, 1e-6, 5000)
+        return len(calls)
+
+    alphas = (0.0, 0.5, 1.0)
+    trials = [softmax_calls((alpha,)) - 1 for alpha in alphas]
+    assert len(set(trials)) == len(alphas)  # the paths end in different rounds
+    assert softmax_calls(alphas) == 1 + max(trials)
 
 
 # --- spearman ----------------------------------------------------------------
