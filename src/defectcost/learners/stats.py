@@ -8,6 +8,18 @@ from ..extmath import UNDEFINED
 from ..metrics import average_ranks
 
 
+def _centred_ranks(x: np.ndarray):
+    """Mid-ranks less their mean, and their sum of squares."""
+    r = average_ranks(x)
+    r = r - r.mean()
+    return r, np.sum(r * r)
+
+
+def _rho(rx, sxx, ry, syy) -> float:
+    den = np.sqrt(sxx * syy)
+    return UNDEFINED if den == 0 else float(np.sum(rx * ry) / den)
+
+
 def spearman(x, y) -> float:
     """Pearson correlation of mid-ranks; undefined-marker entries are dropped
     pairwise and fewer than two surviving pairs yield the undefined marker."""
@@ -19,25 +31,25 @@ def spearman(x, y) -> float:
     x, y = x[keep], y[keep]
     if len(x) < 2:
         return UNDEFINED
-    rx = average_ranks(x)
-    ry = average_ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    den = np.sqrt(np.sum(rx * rx) * np.sum(ry * ry))
-    if den == 0:
-        return UNDEFINED
-    return float(np.sum(rx * ry) / den)
+    return _rho(*_centred_ranks(x), *_centred_ranks(y))
 
 
 def spearman_matrix(columns: np.ndarray) -> np.ndarray:
-    """Pairwise Spearman matrix over the columns of a (n, k) array."""
+    """Pairwise Spearman matrix over the columns of a (n, k) array.
+
+    A column without NaN is ranked once for all its pairs; a pair with a NaN
+    column goes through ``spearman``, which drops that pair's NaN rows."""
     columns = np.asarray(columns, dtype=np.float64)
-    k = columns.shape[1]
+    n, k = columns.shape
+    clean = ~np.isnan(columns).any(axis=0) & (n >= 2)
+    ranked = [_centred_ranks(columns[:, j]) if clean[j] else None for j in range(k)]
     out = np.full((k, k), UNDEFINED)
     for i in range(k):
         out[i, i] = 1.0
         for j in range(i + 1, k):
-            rho = spearman(columns[:, i], columns[:, j])
-            out[i, j] = rho
-            out[j, i] = rho
+            if ranked[i] and ranked[j]:
+                rho = _rho(*ranked[i], *ranked[j])
+            else:
+                rho = spearman(columns[:, i], columns[:, j])
+            out[i, j] = out[j, i] = rho
     return out

@@ -501,3 +501,19 @@ def test_spearman_matrix_shape():
     assert m.shape == (4, 4)
     assert np.all(np.diag(m) == 1.0)
     assert np.allclose(m, m.T, equal_nan=True)
+
+
+def test_spearman_matrix_matches_pairwise_spearman():
+    rng = np.random.default_rng(17)
+    cols = np.round(rng.normal(size=(25, 6)), 1)  # rounded: tied ranks
+    cols[:, 2] = 4.0  # zero rank variance: rho undefined
+    cols[[3, 8], 4] = np.nan
+    cols[1:, 5] = np.nan  # one row left: fewer than two surviving pairs
+    for block in (cols, cols[:1], cols[:0]):
+        m = spearman_matrix(block)
+        for i in range(6):
+            for j in range(6):
+                expected = 1.0 if i == j else spearman(block[:, i], block[:, j])
+                assert np.float64(m[i, j]).tobytes() == np.float64(expected).tobytes()
+    m = spearman_matrix(cols)
+    assert is_undefined(m[0, 2]) and is_undefined(m[0, 5]) and not is_undefined(m[0, 4])
