@@ -93,12 +93,18 @@ def _parse_boundaries(text: str) -> tuple[float, float]:
     return (b1, b2)
 
 
-def probability(text: str) -> float:
-    """``text`` as a number in [0, 1]; ValueError for any other text, nan included."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{text!r} is not in [0, 1]")
-    return value
+def float_in(low: float, high: float):
+    """An option type: the text as a number in [``low``, ``high``]; ValueError
+    for any other text, nan included."""
+    def number(text: str) -> float:
+        if not low <= float(text) <= high:
+            raise ValueError(f"{text!r} is not in [{low}, {high}]")
+        return float(text)
+    return number
+
+
+probability = float_in(0.0, 1.0)
+finite_float = float_in(-sys.float_info.max, sys.float_info.max)
 
 
 def int_at_least(low: int):
@@ -202,9 +208,9 @@ def build_parser() -> _Parser:
     p.add_argument("--artifacts", default="150,250", help="artifact count range 'lo,hi'")
     p.add_argument("--defect-ratio", default="0.05,0.15", help="defect ratio range 'lo,hi'")
     p.add_argument("--features", type=int, default=8)
-    p.add_argument("--signal", type=float, default=1.0)
-    p.add_argument("--size-mu", type=float, default=4.0)
-    p.add_argument("--size-sigma", type=float, default=1.0)
+    p.add_argument("--signal", type=finite_float, default=1.0)
+    p.add_argument("--size-mu", type=finite_float, default=4.0)
+    p.add_argument("--size-sigma", type=float_in(0.0, sys.float_info.max), default=1.0)
     p.add_argument("-o", "--out", type=Path, required=True)
 
     return parser
@@ -396,11 +402,10 @@ def cmd_synth(args) -> int:
         size_log_mean=args.size_mu,
         size_log_sigma=args.size_sigma,
     )
-    try:
-        spec.validate()
+    try:  # validates the spec and every size draw before a file is written
+        releases = generate_synthetic(spec, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    releases = generate_synthetic(spec, args.seed)
     for release in releases:
         write_release(release, Path(args.out) / release.project / release.release_id)
     log.info("wrote %d releases to %s", len(releases), args.out)

@@ -35,18 +35,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _probs_nll(X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray):
     """Probabilities and summed NLL of coefficients W (..., k, C), b (..., C)."""
     probs = softmax(X @ W + b[..., None, :])
-    return probs, -_sum(Y * np.log(np.clip(probs, PROB_FLOOR, 1.0)))
+    return probs, -(Y * np.log(np.clip(probs, PROB_FLOOR, 1.0))).sum(axis=(-2, -1))
 
 
 def _grad(X: np.ndarray, Y: np.ndarray, probs: np.ndarray):
     """NLL gradients w.r.t. W and b at the given probabilities."""
     diff = probs - Y
     return X.T @ diff, diff.sum(axis=-2)
-
-
-def _sum(A: np.ndarray) -> np.ndarray:
-    """Sum over the trailing (k, C) axes of stacked coefficients."""
-    return A.sum(axis=(-2, -1))
 
 
 def softmax_nll_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray):
@@ -60,14 +55,11 @@ def softmax_nll_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray)
 
 def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
     """Proximal gradient descent with backtracking line search along one
-    warm-started lambda path per alpha; returns cells[a][l] = (W, b,
-    objective, probs) for alpha a and lambda l.
-
-    Every path starts from (W0, b0), by default zero coefficients and
-    class-frequency intercepts, and each later lambda from the previous
-    solution with step 1. A round makes one line-search trial for every open
-    path on stacked (paths, k, C) coefficients; the accepted trial's
-    probabilities give the next gradient.
+    warm-started lambda path per alpha; returns cells[a][l] = (W, b, objective,
+    probs). Paths start from (W0, b0), by default zero coefficients and class
+    frequencies, and each later lambda from the previous solution with step 1.
+    A round makes one trial for every open path on stacked (paths, k, C)
+    coefficients; the accepted trial's probabilities give the next gradient.
     """
     lams = np.asarray(lambda_grid, dtype=np.float64)
     alphas = np.asarray(alpha_grid, dtype=np.float64)
@@ -81,10 +73,9 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
     step = np.ones(len(alphas))
     cells = [[None] * len(lams) for _ in alphas]
     while len(path):
-        lam = lams[lam_i]
-        ridge, l1 = lam * (1.0 - alphas[path]), lam * alphas[path]
-        g = nll + 0.5 * ridge * _sum(W * W)
-        obj = g + l1 * _sum(np.abs(W))
+        ridge, l1 = lams[lam_i] * (1.0 - alphas[path]), lams[lam_i] * alphas[path]
+        g = nll + 0.5 * ridge * (W * W).sum(axis=(1, 2))
+        obj = g + l1 * np.abs(W).sum(axis=(1, 2))
         done = iters >= max_iter
         while not done.any():
             gW, gb = _grad(X, Y, probs)
@@ -92,14 +83,13 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
             V = W - step[:, None, None] * gW  # the proximal step soft-thresholds V
             W_new = np.sign(V) * np.maximum(np.abs(V) - (step * l1)[:, None, None], 0.0)
             b_new = b - step[:, None] * gb
-            dW = W_new - W
-            db = b_new - b
+            dW, db = W_new - W, b_new - b
             probs_new, nll_new = _probs_nll(X, Y, W_new, b_new)
-            g_new = nll_new + 0.5 * ridge * _sum(W_new * W_new)
-            quad = g + _sum(gW * dW) + (gb * db).sum(axis=-1) + (
-                _sum(dW * dW) + (db * db).sum(axis=-1)) / (2.0 * step)
+            g_new = nll_new + 0.5 * ridge * (W_new * W_new).sum(axis=(1, 2))
+            quad = g + (gW * dW).sum(axis=(1, 2)) + (gb * db).sum(axis=1) + (
+                (dW * dW).sum(axis=(1, 2)) + (db * db).sum(axis=1)) / (2.0 * step)
             ok = (g_new <= quad + 1e-12) | (step < 1e-12)
-            obj_new = g_new + l1 * _sum(np.abs(W_new))
+            obj_new = g_new + l1 * np.abs(W_new).sum(axis=(1, 2))
             iters = iters + ok
             done = ok & ((np.abs(obj - obj_new) <= tol * np.fmax(1.0, np.abs(obj))) | (iters >= max_iter))
             step = np.where(ok, step, step * 0.5)
@@ -135,8 +125,7 @@ def fit_penalized_softmax(
     This is the one-path, one-lambda case of the grid's path runner.
     """
     X = np.asarray(X, dtype=np.float64)
-    Y = one_hot(y_idx, n_classes)
-    W, b, obj, _ = _fit_paths(X, Y, (lam,), (alpha,), tol, max_iter, W0, b0)[0][0]
+    W, b, obj, _ = _fit_paths(X, one_hot(y_idx, n_classes), (lam,), (alpha,), tol, max_iter, W0, b0)[0][0]
     return W, b, obj
 
 
@@ -243,8 +232,7 @@ def fit_multinomial_logit_elastic_net(
     sigma = np.where(sigma == 0, 1.0, sigma)
     Xn = (X - mu) / sigma
 
-    Y = one_hot(y_idx, n_classes)
-    paths = _fit_paths(Xn, Y, lambda_grid, alpha_grid, tol, max_iter)
+    paths = _fit_paths(Xn, one_hot(y_idx, n_classes), lambda_grid, alpha_grid, tol, max_iter)
     best = None
     cells = []
     for alpha, path in zip(alpha_grid, paths):

@@ -40,16 +40,11 @@ def spearman_matrix(columns: np.ndarray) -> np.ndarray:
     A column without NaN is ranked once for all its pairs; a pair with a NaN
     column goes through ``spearman``, which drops that pair's NaN rows."""
     columns = np.asarray(columns, dtype=np.float64)
-    n, k = columns.shape
-    clean = ~np.isnan(columns).any(axis=0) & (n >= 2)
-    ranked = [_centred_ranks(columns[:, j]) if clean[j] else None for j in range(k)]
-    out = np.full((k, k), UNDEFINED)
-    for i in range(k):
-        out[i, i] = 1.0
-        for j in range(i + 1, k):
-            if ranked[i] and ranked[j]:
-                rho = _rho(*ranked[i], *ranked[j])
-            else:
-                rho = spearman(columns[:, i], columns[:, j])
+    ranked = [_centred_ranks(c) if len(c) >= 2 and not np.isnan(c).any() else None for c in columns.T]
+    out = np.full((len(ranked), len(ranked)), UNDEFINED)
+    np.fill_diagonal(out, 1.0)
+    for i in range(len(ranked)):
+        for j in range(i + 1, len(ranked)):
+            rho = _rho(*ranked[i], *ranked[j]) if ranked[i] and ranked[j] else spearman(columns[:, i], columns[:, j])
             out[i, j] = out[j, i] = rho
     return out

@@ -46,6 +46,8 @@ class SynthSpec:
         rlo, rhi = self.defect_ratio_range
         if not (0.0 < rlo <= rhi < 1.0):
             raise ValueError(f"invalid defect_ratio_range {self.defect_ratio_range}")
+        if not np.all(np.isfinite([self.size_log_mean, self.size_log_sigma, self.signal, self.feature_base])):
+            raise ValueError("size_log_mean, size_log_sigma, signal and feature_base must be finite")
         if self.size_log_sigma < 0 or self.n_features < 1:
             raise ValueError("size_log_sigma must be >= 0 and n_features >= 1")
         if self.max_defect_footprint < 1:
@@ -60,8 +62,11 @@ def _generate_release(spec: SynthSpec, project: str, release_id: str,
                       released_at: datetime, rng: np.random.Generator) -> Release:
     lo, hi = spec.artifacts_range
     n = int(rng.integers(lo, hi + 1))
-    sizes = np.rint(np.exp(rng.normal(spec.size_log_mean, spec.size_log_sigma, size=n))).astype(np.int64)
-    sizes = np.maximum(sizes, 1)
+    with np.errstate(over="ignore"):
+        sizes = np.rint(np.exp(rng.normal(spec.size_log_mean, spec.size_log_sigma, size=n)))
+    if not np.all(sizes < 2.0**63):
+        raise ValueError("an artifact size draw overflows int64; lower size_log_mean or size_log_sigma")
+    sizes = np.maximum(sizes.astype(np.int64), 1)
 
     ratio = float(rng.uniform(*spec.defect_ratio_range))
     target_defective = max(1, int(round(ratio * n)))

@@ -16,6 +16,7 @@ from defectcost.experiments import (
     write_records_csv,
     write_records_jsonl,
 )
+from defectcost.synth import SynthSpec, generate_synthetic
 
 from conftest import make_record, make_release
 
@@ -204,6 +205,35 @@ def test_non_negative_option_below_zero_is_usage_error(tmp_path, capsys, command
     assert main(["--config", str(config), command, "-o", str(tmp_path / "o")]) == EXIT_USAGE
     assert f"--{option}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("signal", "nan"), ("signal", "inf"), ("signal", "-inf"), ("signal", "x"), ("size-mu", "nan"),
+    ("size-mu", "inf"), ("size-mu", "-inf"), ("size-sigma", "nan"), ("size-sigma", "inf"), ("size-sigma", "-1")])
+def test_synth_option_not_finite_is_usage_error(tmp_path, capsys, option, value):
+    out = tmp_path / "o"
+    assert main(["synth", f"--{option}={value}", "--projects", "2", "--releases", "2", "-o", str(out)]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({option: value, "projects": 2, "releases": 2}))
+    assert main(["--config", str(config), "synth", "-o", str(out)]) == EXIT_USAGE
+    assert f"--{option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["size_log_mean", "size_log_sigma", "signal", "feature_base"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_synth_spec_value_not_finite_is_rejected(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        generate_synthetic(SynthSpec(n_projects=1, releases_per_project=1, **{field: value}), seed=0)
+
+
+@pytest.mark.parametrize("value", ["1e6", "50"])
+def test_synth_size_draw_overflow_is_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    assert main(["synth", "--size-mu", value, "--projects", "2", "--releases", "2", "-o", str(out)]) == EXIT_USAGE
+    assert "overflows int64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["bootstrap", "cross-version", "cross-project"])
