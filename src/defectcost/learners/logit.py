@@ -27,9 +27,9 @@ def one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = np.subtract(logits, logits.max(axis=-1, keepdims=True), dtype=np.float64)
+    np.exp(z, out=z)  # in place: the grid's stacked arrays are (paths, n, C)
+    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
 
 
 def _probs_nll(X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray):
@@ -55,11 +55,12 @@ def softmax_nll_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray)
 
 def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
     """Proximal gradient descent with backtracking line search along one
-    warm-started lambda path per alpha; returns cells[a][l] = (W, b, objective,
-    probs). Paths start from (W0, b0), by default zero coefficients and class
-    frequencies, and each later lambda from the previous solution with step 1.
-    A round makes one trial for every open path on stacked (paths, k, C)
-    coefficients; the accepted trial's probabilities give the next gradient.
+    warm-started lambda path per alpha; yields (a, l, (W, b, objective, probs))
+    as the cell of alpha a and lambda l finishes. Paths start from (W0, b0), by
+    default zero coefficients and class frequencies, and each later lambda from
+    the previous solution with step 1. A round makes one trial for every open
+    path on stacked (paths, k, C) coefficients; the accepted trial's
+    probabilities give the next gradient.
     """
     lams = np.asarray(lambda_grid, dtype=np.float64)
     alphas = np.asarray(alpha_grid, dtype=np.float64)
@@ -71,7 +72,6 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
     path = np.arange(len(alphas))  # alpha index of each stacked row
     lam_i = iters = np.zeros(len(alphas), dtype=np.int64)
     step = np.ones(len(alphas))
-    cells = [[None] * len(lams) for _ in alphas]
     while len(path):
         ridge, l1 = lams[lam_i] * (1.0 - alphas[path]), lams[lam_i] * alphas[path]
         g = nll + 0.5 * ridge * (W * W).sum(axis=(1, 2))
@@ -96,14 +96,13 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
             W, probs = np.where(ok[:, None, None], W_new, W), np.where(ok[:, None, None], probs_new, probs)
             b = np.where(ok[:, None], b_new, b)
             nll, g, obj = np.where(ok, nll_new, nll), np.where(ok, g_new, g), np.where(ok, obj_new, obj)
-        # store the finished cells; their paths go on to the next lambda with step 1
+        # hand out the finished cells; their paths go on to the next lambda with step 1
         for r in np.flatnonzero(done):
-            cells[path[r]][lam_i[r]] = (W[r], b[r], float(obj[r]), probs[r])
+            yield int(path[r]), int(lam_i[r]), (W[r], b[r], float(obj[r]), probs[r])
         lam_i, step, iters = lam_i + done, np.where(done, 1.0, step), np.where(done, 0, iters)
         keep = lam_i < len(lams)
         path, lam_i, W, b, probs, nll, step, iters = (
             a[keep] for a in (path, lam_i, W, b, probs, nll, step, iters))
-    return cells
 
 
 def fit_penalized_softmax(
@@ -125,7 +124,7 @@ def fit_penalized_softmax(
     This is the one-path, one-lambda case of the grid's path runner.
     """
     X = np.asarray(X, dtype=np.float64)
-    W, b, obj, _ = _fit_paths(X, one_hot(y_idx, n_classes), (lam,), (alpha,), tol, max_iter, W0, b0)[0][0]
+    W, b, obj, _ = next(_fit_paths(X, one_hot(y_idx, n_classes), (lam,), (alpha,), tol, max_iter, W0, b0))[2]
     return W, b, obj
 
 
@@ -223,6 +222,8 @@ def fit_multinomial_logit_elastic_net(
     classes = tuple(sorted(set(y_levels)))
     if len(classes) < 2:
         raise ValueError("need at least two classes to fit a multinomial logit")
+    if len(lambda_grid) == 0 or len(alpha_grid) == 0:
+        raise ValueError("the lambda and alpha grids must not be empty")
     index = {c: i for i, c in enumerate(classes)}
     y_idx = np.array([index[v] for v in y_levels], dtype=np.int64)
     n_classes = len(classes)
@@ -232,25 +233,24 @@ def fit_multinomial_logit_elastic_net(
     sigma = np.where(sigma == 0, 1.0, sigma)
     Xn = (X - mu) / sigma
 
-    paths = _fit_paths(Xn, one_hot(y_idx, n_classes), lambda_grid, alpha_grid, tol, max_iter)
+    # score each cell as it finishes, so that only open paths hold probabilities
+    scores = {}
+    for a, l, (W, _, _, probs) in _fit_paths(Xn, one_hot(y_idx, n_classes), lambda_grid, alpha_grid, tol, max_iter):
+        selected = np.flatnonzero(np.any(W != 0.0, axis=1))
+        scores[a, l] = (mcfadden_adjusted_r2(probs, y_idx, k=len(selected)), float(np.abs(W).sum()), selected)
     best = None
     cells = []
-    for alpha, path in zip(alpha_grid, paths):
-        for lam, (W, _, _, probs) in zip(lambda_grid, path):
-            selected = np.flatnonzero(np.any(W != 0.0, axis=1))
-            r2 = mcfadden_adjusted_r2(probs, y_idx, k=len(selected))
-            cells.append(GridCell(lam=float(lam), alpha=float(alpha), r2_adjusted=r2,
-                                  l1_norm=float(np.abs(W).sum()), n_selected=len(selected)))
-            if best is None or r2 > best[0]:
-                best = (r2, float(lam), float(alpha), tuple(int(i) for i in selected))
+    for (a, l), (r2, l1_norm, selected) in sorted(scores.items()):
+        lam, alpha = float(lambda_grid[l]), float(alpha_grid[a])
+        cells.append(GridCell(lam=lam, alpha=alpha, r2_adjusted=r2, l1_norm=l1_norm, n_selected=len(selected)))
+        if best is None or r2 > best[0]:
+            best = (r2, lam, alpha, tuple(int(i) for i in selected))
 
     _, lam, alpha, selected = best
 
     # stage 2: unpenalized, unnormalized refit on the surviving features
     X2 = X[:, list(selected)] if selected else np.zeros((len(y_idx), 0))
-    W2, b2, _ = fit_penalized_softmax(
-        X2, y_idx, n_classes, lam=0.0, alpha=0.0, tol=tol, max_iter=max_iter
-    )
+    W2, b2, _ = fit_penalized_softmax(X2, y_idx, n_classes, lam=0.0, alpha=0.0, tol=tol, max_iter=max_iter)
 
     probs2 = softmax(X2 @ W2 + b2)
     ll = log_likelihood(probs2, y_idx)

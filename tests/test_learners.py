@@ -406,6 +406,12 @@ def test_logit_single_class_rejected():
         fit_multinomial_logit_elastic_net(np.zeros((5, 2)), [1, 1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("grid", [dict(lambda_grid=()), dict(alpha_grid=())])
+def test_logit_empty_grid_rejected(grid):
+    with pytest.raises(ValueError, match="grids must not be empty"):
+        fit_multinomial_logit_elastic_net(np.zeros((4, 2)), [0, 1, 0, 1], **grid)
+
+
 def test_mcfadden_null_and_perfect():
     y = np.array([0] * 60 + [1] * 40)
     freqs = np.tile([0.6, 0.4], (100, 1))
@@ -449,7 +455,7 @@ def test_logit_alpha_paths_step_in_lockstep(monkeypatch):
 
     def softmax_calls(alphas):
         calls.clear()
-        logit._fit_paths(X, Y, (0.1, 1.0, 10.0), alphas, 1e-6, 5000)
+        list(logit._fit_paths(X, Y, (0.1, 1.0, 10.0), alphas, 1e-6, 5000))
         return len(calls)
 
     alphas = (0.0, 0.5, 1.0)
