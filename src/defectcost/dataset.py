@@ -81,8 +81,16 @@ class Release:
         return tuple(a.id for a in self.artifacts)
 
     @cached_property
-    def by_id(self) -> dict[str, Artifact]:
-        return {a.id: a for a in self.artifacts}
+    def _arrays(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """id -> row map, read-only ``sizes`` and ``(n, k)`` features, and
+        each defect's rows; built once, since only labels vary by view."""
+        row_of = {aid: i for i, aid in enumerate(self.artifact_ids)}
+        k = len(self.artifacts[0].features) if self.artifacts else 0
+        sizes = np.array([a.size for a in self.artifacts], dtype=np.int64)
+        X = np.array([a.features for a in self.artifacts], dtype=np.float64).reshape(len(sizes), k)
+        sizes.flags.writeable = X.flags.writeable = False
+        defect_rows = tuple(np.array([row_of[a] for a in d.artifacts], dtype=np.int64) for d in self.defects)
+        return row_of, sizes, X, defect_rows
 
     @cached_property
     def defective_ids(self) -> frozenset[str]:
@@ -112,29 +120,24 @@ class Release:
         ``ids`` may contain duplicates (in-bag bootstrap rows). ``as_of``
         restricts the defect map to defects fixed strictly before that time;
         defects without a fix timestamp are dropped, since their availability
-        at that date can not be verified.
+        at that date can not be verified. Without ``ids`` the view's ``sizes``
+        and ``X`` are the release's read-only arrays themselves.
         """
+        row_of, sizes, X, defect_rows = self._arrays
+        kept = [j for j, d in enumerate(self.defects)
+                if as_of is None or (d.fixed_at is not None and d.fixed_at < as_of)]
+        y = np.zeros(len(sizes), dtype=np.int64)
+        if kept:
+            y[np.concatenate([defect_rows[j] for j in kept])] = 1
+        defects = tuple(self.defects[j] for j in kept)
         if ids is None:
-            ids = self.artifact_ids
-        rows = [self.by_id[i] for i in ids]
+            return ReleaseView(self.key(), self.artifact_ids, sizes, X, y, defects)
+        rows = np.array([row_of[i] for i in ids], dtype=np.int64)
         distinct = set(ids)
-        defects = []
-        for d in self.defects:
-            if as_of is not None and (d.fixed_at is None or d.fixed_at >= as_of):
-                continue
-            foot = frozenset(a for a in d.artifacts if a in distinct)
-            if foot:
-                defects.append(Defect(d.id, foot, d.fixed_at))
-        defective = set()
-        for d in defects:
-            defective.update(d.artifacts)
+        feet = ((d, frozenset(a for a in d.artifacts if a in distinct)) for d in defects)
         return ReleaseView(
-            release_key=self.key(),
-            ids=tuple(ids),
-            sizes=np.array([a.size for a in rows], dtype=np.int64),
-            X=np.array([a.features for a in rows], dtype=np.float64),
-            y=np.array([1 if a.id in defective else 0 for a in rows], dtype=np.int64),
-            defects=tuple(defects),
+            self.key(), tuple(ids), sizes[rows], X[rows], y[rows],
+            tuple(Defect(d.id, foot, d.fixed_at) for d, foot in feet if foot),
         )
 
 
@@ -238,6 +241,8 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
             raise DataError("file not found", p)
 
     meta = _read_json(meta_file)
+    if not isinstance(meta, dict):
+        raise DataError("meta file must contain a JSON object", meta_file)
     for key in ("project", "release", "released_at"):
         if key not in meta:
             raise DataError(f"missing meta field {key!r}", meta_file)
@@ -262,10 +267,10 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
                 if size < 0:
                     raise DataError(f"negative size {size}", metrics_file, lineno)
                 try:
-                    feats = tuple(float(v) for v in row[2:])
+                    feats = tuple(map(float, row[2:]))
                 except ValueError as exc:
                     raise DataError("malformed feature value", metrics_file, lineno) from exc
-                if not all(math.isfinite(v) for v in feats):
+                if not all(map(math.isfinite, feats)):
                     raise DataError("non-finite feature value", metrics_file, lineno)
                 artifacts.append(Artifact(aid, size, feats))
         except csv.Error as exc:
@@ -285,6 +290,8 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
         if not isinstance(arts, list) or not arts:
             raise DataError(f"defect {entry['id']!r} needs a non-empty artifact list", defects_file)
         for aid in arts:
+            if not isinstance(aid, str):
+                raise DataError(f"artifact id {aid!r} in defect {entry['id']!r} must be a string", defects_file)
             if aid not in known:
                 raise DataError(f"unknown artifact id {aid!r} in defect {entry['id']!r}", defects_file)
         fixed_at = entry.get("fixed_at")

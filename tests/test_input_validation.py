@@ -89,6 +89,24 @@ def test_unreadable_metrics_csv_is_data_error(release_dir, capsys, name, replace
     assert f"[{metrics}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("meta.json", "5", "meta file must contain a JSON object"),
+    ("meta.json", "null", "meta file must contain a JSON object"),
+    ("meta.json", "true", "meta file must contain a JSON object"),
+    ("meta.json", '["demo", "r1"]', "meta file must contain a JSON object"),
+    ("defects.json", '[{"id": "d1", "artifacts": [["a1"]]}]', "artifact id ['a1'] in defect 'd1' must be a string"),
+    ("defects.json", '[{"id": "d1", "artifacts": [7]}]', "artifact id 7 in defect 'd1' must be a string"),
+], ids=["meta_int", "meta_null", "meta_bool", "meta_list", "artifact_list", "artifact_int"])
+def test_malformed_json_shape_is_data_error(release_dir, capsys, name, content, message):
+    path = release_dir / name
+    path.write_text(content)
+    with pytest.raises(DataError, match=re.escape(message)) as info:
+        load_release_dir(release_dir)
+    assert info.value.path == path
+    assert main(["validate", "--data", str(release_dir)]) == EXIT_DATA
+    assert f"[{path}]" in capsys.readouterr().err
+
+
 def test_corpus_rejects_duplicate_release(release_dir):
     root = release_dir.parent.parent
     copy = root / "demo-copy" / "r1"
