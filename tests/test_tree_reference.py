@@ -1,17 +1,21 @@
 """Recursive reference implementation of the CART learner.
 
-The reference below grows a tree of node objects, sorting each candidate
-feature of each node on its own, and predicts by walking one row at a time.
-On seeded fixtures (two, three and four classes, regression, integer features
-with many ties, bootstrap duplicates, raised ``min_leaf``/``min_split``, a
-depth limit, feature subsampling with the same RNG stream) the package must give
-the same nodes in preorder (feature, threshold, sample count, impurity, value,
-decrease) and bitwise-equal predictions and Gini importances, for single trees
-and for forests (predict, predict_proba, out-of-bag votes, importances).
+The reference below grows a tree of node objects breadth first, from a FIFO
+queue, sorting each candidate feature of each node on its own, and predicts by
+walking one row at a time. With feature subsampling, each splitting node draws
+its candidates as ``rng.random(k).argsort()[:max_features]`` when it leaves the
+queue, so a tree's draws follow breadth-first order: depth by depth, left to
+right. On seeded fixtures (two, three and four classes, regression, integer
+features with many ties, bootstrap duplicates, raised ``min_leaf``/``min_split``,
+a depth limit, feature subsampling with the same RNG stream) the package must
+give the same nodes in preorder (feature, threshold, sample count, impurity,
+value, decrease) and bitwise-equal predictions and Gini importances, for single
+trees and for forests (predict, predict_proba, out-of-bag votes, importances).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,18 +140,23 @@ def ref_train_cart(X, y, *, task="classify", n_classes=None, min_split=2, min_le
         vals = y[idx]
         return float(np.maximum(vals.var(), 0.0)), float(vals.mean())
 
-    def build(idx, depth):
+    def make(idx):
         impurity, value = node_stats(idx)
-        node = RefNode(n_samples=len(idx), impurity=impurity, value=value)
+        return RefNode(n_samples=len(idx), impurity=impurity, value=value)
+
+    root = make(np.arange(X.shape[0]))
+    queue = deque([(root, np.arange(X.shape[0]), 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
         if (
             len(idx) < min_split
             or len(idx) < 2 * min_leaf
-            or impurity <= 0.0
+            or node.impurity <= 0.0
             or (depth_limit is not None and depth >= depth_limit)
         ):
-            return node
+            continue
         if max_features < k:
-            features = rng.choice(k, size=max_features, replace=False)
+            features = rng.random(k).argsort()[:max_features]
         else:
             features = np.arange(k)
         best = None
@@ -163,20 +172,19 @@ def ref_train_cart(X, y, *, task="classify", n_classes=None, min_split=2, min_le
             if best is None or weighted < best[0]:
                 best = (weighted, int(f), thr)
         if best is None:
-            return node
+            continue
         weighted, f, thr = best
-        decrease = impurity - weighted
+        decrease = node.impurity - weighted
         if decrease <= _MIN_DECREASE:
-            return node
+            continue
         mask = X[idx, f] <= thr
         node.feature = f
         node.threshold = thr
         node.decrease = len(idx) * decrease
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
-        return node
-
-    return build(np.arange(X.shape[0]), 0)
+        node.left, node.right = make(idx[mask]), make(idx[~mask])
+        queue.append((node.left, idx[mask], depth + 1))
+        queue.append((node.right, idx[~mask], depth + 1))
+    return root
 
 
 def ref_walk(node):
