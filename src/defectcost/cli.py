@@ -189,7 +189,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int_at_least(0), default=0)
     p.add_argument("--trees", type=positive_int, default=100)
     p.add_argument("--tune", action="store_true")
-    p.add_argument("--corr-threshold", type=float, default=0.8)
+    p.add_argument("--corr-threshold", type=probability, default=0.8)
     add_boundaries(p)
     p.add_argument("-o", "--out", type=Path, required=True)
 

@@ -244,8 +244,8 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
     if not isinstance(meta, dict):
         raise DataError("meta file must contain a JSON object", meta_file)
     for key in ("project", "release", "released_at"):
-        if key not in meta:
-            raise DataError(f"missing meta field {key!r}", meta_file)
+        if not isinstance(meta.get(key), str):
+            raise DataError(f"meta field {key!r} must be a string, got {meta.get(key, 'nothing')!r}", meta_file)
 
     artifacts = []
     with metrics_file.open(newline="") as fh:
@@ -284,8 +284,8 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
     known = {a.id for a in artifacts}
     defects = []
     for i, entry in enumerate(raw_defects):
-        if not isinstance(entry, dict) or "id" not in entry or "artifacts" not in entry:
-            raise DataError(f"defect #{i} must be an object with 'id' and 'artifacts'", defects_file)
+        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) or "artifacts" not in entry:
+            raise DataError(f"defect #{i} must be an object with a string 'id' and 'artifacts'", defects_file)
         arts = entry["artifacts"]
         if not isinstance(arts, list) or not arts:
             raise DataError(f"defect {entry['id']!r} needs a non-empty artifact list", defects_file)
@@ -297,7 +297,7 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
         fixed_at = entry.get("fixed_at")
         defects.append(
             Defect(
-                id=str(entry["id"]),
+                id=entry["id"],
                 artifacts=frozenset(arts),
                 fixed_at=None if fixed_at is None else _parse_timestamp(fixed_at, defects_file),
             )
@@ -305,8 +305,8 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
 
     try:
         return Release(
-            project=str(meta["project"]),
-            release_id=str(meta["release"]),
+            project=meta["project"],
+            release_id=meta["release"],
             released_at=_parse_timestamp(meta["released_at"], meta_file),
             artifacts=tuple(artifacts),
             defects=tuple(defects),

@@ -174,6 +174,8 @@ def read_records(path) -> list[EvaluationRecord]:
         return read_records_jsonl(path) if path.suffix == ".jsonl" else read_records_csv(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"records file is not UTF-8 text: {exc.reason}", path) from None
+    except OSError as exc:
+        raise DataError(f"cannot read records file: {exc.strerror}", path) from None
 
 
 # ---------------------------------------------------------------------------

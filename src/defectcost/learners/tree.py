@@ -10,9 +10,9 @@ index array, and a split partitions the segment stably in place, so every node
 sees its rows in the order a stable sort of the node alone would give.
 
 A forest is one node table: flat arrays indexed by node id, tree after tree,
-each tree in depth-first preorder from its root. The trees grow in lockstep,
-each with its own preorder stack and RNG stream: a step pops the top node of
-every stack and handles them all in flat numpy passes over chunks of segments.
+each tree in depth-first preorder from its root. The trees grow level by level,
+each with its own RNG stream: a step handles one depth of every tree in flat
+numpy passes over chunks of segments, and then each tree is put in preorder.
 ``train_cart`` is the one-tree case. Prediction walks every (tree, row) pair
 down one level per step.
 """
@@ -26,7 +26,6 @@ import numpy as np
 _MIN_DECREASE = 1e-12
 _CHUNK_ELEMENTS = 8192  # row ids per flat pass: bounds the working set of a step
 _GROUP_ELEMENTS = 1 << 20  # presorted row ids held at once (4 MB): larger forests grow in groups of trees
-_GROUP_TREES = 50  # trees per group: beyond it a step's fixed cost is small, and more trees only add memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,27 +121,22 @@ def _regress_cuts(xs, ys, lengths, min_leaf):
 
 def _grow_group(X, XT, y, bags, rngs, task, n_classes, min_split, min_leaf, depth_limit, max_features):
     (n, k), (n_trees, b) = X.shape, bags.shape
-    # Tree t's row f < k lists its bag's rows sorted by feature f (ties in bag
-    # order); row k lists them in bag order. Each node owns the columns
-    # [start, end) of its tree's rows; ``order`` is the flat (tree, row, column) array.
+    # Tree t's row f < k lists its bag's rows sorted by feature f (ties in bag order), row k lists
+    # them in bag order; ``order`` is the flat (tree, row, column) array. A node owns the m columns
+    # from flat position start + f * b of each row f of its tree.
     order = np.empty((n_trees, k + 1, b), dtype=np.int32)
     for t, bag in enumerate(bags):
         order[t, :k] = bag[np.argsort(X[bag], axis=0, kind="stable").T]
         order[t, k] = bag
     order = order.ravel()
-    stacks = [[(0, b, 0, -1)] for _ in range(n_trees)]  # (start, end, depth, parent of a right child or -1)
-    count = np.zeros(n_trees, dtype=np.intp)
-    steps = []
-    while live := [t for t in range(n_trees) if stacks[t]]:
-        tree = np.array(live)
-        start, end, depth, parent = np.array([stacks[t].pop() for t in live]).T
-        m = end - start
-        node = count[tree]
-        count[tree] += 1
+    # The frontier holds the open nodes of one depth, tree by tree and left to right
+    # within a tree; the j-th splitting node's children are entries 2j and 2j + 1 of the next.
+    start, m, levels = np.arange(n_trees) * (k + 1) * b, np.full(n_trees, b), []
+    while m.size:
         # node statistics from each node's rows in bag order
-        value = np.empty((len(live), n_classes) if task == "classify" else len(live))
-        impurity = np.empty(len(live))
-        base = (tree * (k + 1) + k) * b + start
+        value = np.empty((len(m), n_classes) if task == "classify" else len(m))
+        impurity = np.empty(len(m))
+        base = start + k * b
         for s0, s1 in _chunks(m):
             ys = y[order[_ragged(base[s0:s1], m[s0:s1])]]
             if task == "classify":
@@ -154,71 +148,79 @@ def _grow_group(X, XT, y, bags, rngs, task, n_classes, min_split, min_leaf, dept
         if task == "classify":
             p = value / m[:, None]
             impurity = 1.0 - (p * p).sum(axis=1)
-        feature, threshold, decrease = np.full(len(live), -1), np.full(len(live), np.nan), np.zeros(len(live))
+        feature, threshold, decrease = np.full(len(m), -1), np.full(len(m), np.nan), np.zeros(len(m))
         stop = (m < min_split) | (m < 2 * min_leaf) | (impurity <= 0.0)
         if depth_limit is not None:
-            stop |= depth >= depth_limit
+            stop |= len(levels) >= depth_limit
         split = np.flatnonzero(~stop)
-        if split.size:
-            if max_features < k:
-                drawn = np.array([rngs[live[i]].choice(k, size=max_features, replace=False) for i in split])
+        drawn = np.tile(np.arange(k), (split.size, 1))
+        if max_features < k:  # each tree draws for its splitting nodes in one call, a row per node
+            nodes = np.bincount(start[split] // ((k + 1) * b), minlength=n_trees).tolist()
+            drawn = np.concatenate([r.random((c, k)).argsort(axis=1)[:, :max_features] for r, c in zip(rngs, nodes)])
+        # one segment per (node, candidate feature), features in draw order
+        seg_node, seg_feature = np.repeat(split, max_features), drawn.ravel()
+        seg_len = m[seg_node]
+        seg_base = start[seg_node] + seg_feature * b
+        best, cut = np.empty(len(seg_node)), np.empty(len(seg_node), dtype=np.intp)
+        # padded blocks waste least on segments of similar length
+        by_len = np.arange(len(seg_node)) if task == "classify" else np.argsort(seg_len, kind="stable")
+        for s0, s1 in _chunks(seg_len[by_len], padded=task != "classify"):
+            s = by_len[s0:s1]
+            rows = order[_ragged(seg_base[s], seg_len[s])]
+            xs = XT[np.repeat(seg_feature[s] * n, seg_len[s]) + rows]
+            if task == "classify":
+                best[s], cut[s] = _classify_cuts(xs, y[rows], seg_len[s], n_classes, min_leaf)
             else:
-                drawn = np.tile(np.arange(k), (split.size, 1))
-            # one segment per (node, candidate feature), features in draw order
-            seg_node, seg_feature = np.repeat(split, max_features), drawn.ravel()
-            seg_len = m[seg_node]
-            seg_base = (tree[seg_node] * (k + 1) + seg_feature) * b + start[seg_node]
-            best, cut = np.empty(len(seg_node)), np.empty(len(seg_node), dtype=np.intp)
-            # padded blocks waste least on segments of similar length
-            by_len = np.arange(len(seg_node)) if task == "classify" else np.argsort(seg_len, kind="stable")
-            for s0, s1 in _chunks(seg_len[by_len], padded=task != "classify"):
-                s = by_len[s0:s1]
-                rows = order[_ragged(seg_base[s], seg_len[s])]
-                xs = XT[np.repeat(seg_feature[s] * n, seg_len[s]) + rows]
-                if task == "classify":
-                    best[s], cut[s] = _classify_cuts(xs, y[rows], seg_len[s], n_classes, min_leaf)
-                else:
-                    best[s], cut[s] = _regress_cuts(xs, y[rows], seg_len[s], min_leaf)
-            pick = np.arange(split.size) * max_features + best.reshape(split.size, max_features).argmin(axis=1)
-            gain = impurity[split] - best[pick]  # -inf when no feature has a valid cut
-            keep = gain > _MIN_DECREASE
-            split, pick, gain = split[keep], pick[keep], gain[keep]
-            f, at = seg_feature[pick], seg_base[pick] + cut[pick]
-            lo, hi = XT[f * n + order[at]], XT[f * n + order[at + 1]]
-            thr = (lo + hi) / 2.0
-            thr = np.where(thr >= hi, lo, thr)  # adjacent floats: keep the partition exactly at the sorted prefix
-            feature[split], threshold[split], decrease[split] = f, thr, m[split] * gain
-            n_left = cut[pick] + 1
+                best[s], cut[s] = _regress_cuts(xs, y[rows], seg_len[s], min_leaf)
+        pick = np.arange(split.size) * max_features + best.reshape(split.size, max_features).argmin(axis=1)
+        gain = impurity[split] - best[pick]  # -inf when no feature has a valid cut
+        keep = gain > _MIN_DECREASE
+        split, pick, gain = split[keep], pick[keep], gain[keep]
+        f, at = seg_feature[pick], seg_base[pick] + cut[pick]
+        lo, hi = XT[f * n + order[at]], XT[f * n + order[at + 1]]
+        thr = (lo + hi) / 2.0
+        thr = np.where(thr >= hi, lo, thr)  # adjacent floats: keep the partition exactly at the sorted prefix
+        feature[split], threshold[split], decrease[split] = f, thr, m[split] * gain
+        n_left = cut[pick] + 1
 
-            # partition every row of every splitting node: the first n_left rows of
-            # feature f's order go left, in every row; one stable sort by (segment,
-            # side) keeps each side in order
-            part_len = np.repeat(m[split], k + 1)
-            part_base = ((tree[split, None] * (k + 1) + np.arange(k + 1)) * b + start[split, None]).ravel()
-            part_f, part_thr = np.repeat(f * n, k + 1), np.repeat(thr, k + 1)
-            for s0, s1 in _chunks(part_len):
-                lengths = part_len[s0:s1]
-                at = _ragged(part_base[s0:s1], lengths)
-                rows = order[at]
-                goes_left = XT[np.repeat(part_f[s0:s1], lengths) + rows] <= np.repeat(part_thr[s0:s1], lengths)
-                side = np.repeat(np.arange(0, 2 * (s1 - s0), 2), lengths) + ~goes_left
-                order[at] = rows[np.argsort(side, kind="stable")]
-            for t, s, e, d, i, c in zip(tree[split].tolist(), start[split].tolist(), end[split].tolist(),
-                                        depth[split].tolist(), node[split].tolist(), n_left.tolist()):
-                stacks[t].append((s + c, e, d + 1, i))
-                stacks[t].append((s, s + c, d + 1, -1))
-        steps.append((tree, parent, feature, threshold, value, m, impurity, decrease))
+        # partition every row of every splitting node: the first n_left rows of
+        # feature f's order go left, in every row; one stable sort by (segment,
+        # side) keeps each side in order
+        part_len = np.repeat(m[split], k + 1)
+        part_base = (start[split, None] + np.arange(k + 1) * b).ravel()
+        part_f, part_thr = np.repeat(f * n, k + 1), np.repeat(thr, k + 1)
+        for s0, s1 in _chunks(part_len):
+            lengths = part_len[s0:s1]
+            at = _ragged(part_base[s0:s1], lengths)
+            rows = order[at]
+            goes_left = XT[np.repeat(part_f[s0:s1], lengths) + rows] <= np.repeat(part_thr[s0:s1], lengths)
+            side = np.repeat(np.arange(0, 2 * (s1 - s0), 2), lengths) + ~goes_left
+            order[at] = rows[np.argsort(side, kind="stable")]
+        levels.append((split, feature, threshold, value, m, impurity, decrease))
+        start = np.stack([start[split], start[split] + n_left], axis=1).ravel()
+        m = np.stack([n_left, m[split] - n_left], axis=1).ravel()
 
-    # each tree's nodes in preorder: its steps in order
-    by_tree = np.argsort(np.concatenate([s[0] for s in steps]), kind="stable")
-    return (count,) + tuple(np.concatenate(column)[by_tree] for column in list(zip(*steps))[1:])
+    # Renumber each tree into preorder: a left child follows its parent, and a right
+    # child follows the left subtree, whose size is ``skip`` - 1 (subtree sizes go bottom up).
+    skips, size = [], np.zeros(0, dtype=np.intp)  # size: of each subtree at the depth below
+    for split, feature, *_ in reversed(levels):
+        skip, above = np.zeros(len(feature), dtype=np.intp), np.ones(len(feature), dtype=np.intp)
+        skip[split] = 1 + size[0::2]
+        above[split] += size[0::2] + size[1::2]
+        skips.insert(0, skip)
+        size = above
+    at = [np.cumsum(size) - size]  # one root per tree
+    for (split, *_), skip in zip(levels[:-1], skips):
+        at.append(np.stack([at[-1][split] + 1, at[-1][split] + skip[split]], axis=1).ravel())
+    by_pre = np.argsort(np.concatenate(at))
+    return (size,) + tuple(np.concatenate(column)[by_pre] for column in list(zip(*levels))[1:] + [skips])
 
 
 def grow_trees(X: np.ndarray, y: np.ndarray, bags, rngs, *, task: str = "classify", n_classes: int | None = None,
                min_split: int = 2, min_leaf: int = 1, depth_limit: int | None = None,
                max_features: int | None = None) -> Tree:
-    """Grow one CART tree per bag of row indices (repeats allowed), in lockstep,
-    into one node table; tree t draws its candidate features from ``rngs[t]``. ``max_features``
+    """Grow one CART tree per bag of row indices (repeats allowed), level by
+    level, into one node table; tree t draws its candidate features from ``rngs[t]``. ``max_features``
     activates per-split feature subsampling; ``n_classes`` is ignored for regression."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -244,18 +246,14 @@ def grow_trees(X: np.ndarray, y: np.ndarray, bags, rngs, *, task: str = "classif
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
     XT, bags = X.T.ravel(), np.asarray(bags, dtype=np.int32)
-    groups = max(-(-bags.size * (k + 1) // _GROUP_ELEMENTS), -(-len(bags) // _GROUP_TREES))  # fewest equal groups
+    groups = -(-bags.size * (k + 1) // _GROUP_ELEMENTS)  # fewest equal groups
     group = -(-len(bags) // groups)
     groups = [_grow_group(X, XT, y, bags[g:g + group], rngs[g:g + group], task, n_classes, min_split, min_leaf,
                           depth_limit, max_features) for g in range(0, len(bags), group)]
-    count, parent, feature, threshold, value, m, impurity, decrease = map(np.concatenate, zip(*groups))
-    roots = np.cumsum(count) - count
+    count, feature, threshold, value, m, impurity, decrease, skip = map(np.concatenate, zip(*groups))
     at = np.arange(len(feature))
-    left = np.where(feature >= 0, at + 1, -1)
-    right = np.full(len(feature), -1, dtype=np.intp)
-    has = parent >= 0
-    right[np.repeat(roots, count)[has] + parent[has]] = at[has]  # a parent id counts from its tree's root
-    return Tree(feature, threshold, left, right, value, m, impurity, decrease, roots)
+    left, right = np.where(feature >= 0, at + 1, -1), np.where(feature >= 0, at + skip, -1)
+    return Tree(feature, threshold, left, right, value, m, impurity, decrease, np.cumsum(count) - count)
 
 
 def train_cart(

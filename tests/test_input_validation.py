@@ -96,7 +96,19 @@ def test_unreadable_metrics_csv_is_data_error(release_dir, capsys, name, replace
     ("meta.json", '["demo", "r1"]', "meta file must contain a JSON object"),
     ("defects.json", '[{"id": "d1", "artifacts": [["a1"]]}]', "artifact id ['a1'] in defect 'd1' must be a string"),
     ("defects.json", '[{"id": "d1", "artifacts": [7]}]', "artifact id 7 in defect 'd1' must be a string"),
-], ids=["meta_int", "meta_null", "meta_bool", "meta_list", "artifact_list", "artifact_int"])
+    ("meta.json", '{"project": null, "release": "r1", "released_at": "2020-01-01T00:00:00+00:00"}',
+     "meta field 'project' must be a string, got None"),
+    ("meta.json", '{"project": "demo", "release": {"x": 1}, "released_at": "2020-01-01T00:00:00+00:00"}',
+     "meta field 'release' must be a string, got {'x': 1}"),
+    ("meta.json", '{"project": "demo", "release": 3, "released_at": "2020-01-01T00:00:00+00:00"}',
+     "meta field 'release' must be a string, got 3"),
+    ("meta.json", '{"release": "r1", "released_at": "2020-01-01T00:00:00+00:00"}',
+     "meta field 'project' must be a string, got 'nothing'"),
+    ("defects.json", '[{"id": ["d", 1], "artifacts": ["a1"]}]', "defect #0 must be an object with a string 'id'"),
+    ("defects.json", '[{"id": "d1", "artifacts": ["a1"]}, {"id": 4, "artifacts": ["a1"]}]',
+     "defect #1 must be an object with a string 'id'"),
+], ids=["meta_int", "meta_null", "meta_bool", "meta_list", "artifact_list", "artifact_int", "project_null",
+        "release_object", "release_int", "project_missing", "defect_id_list", "defect_id_int"])
 def test_malformed_json_shape_is_data_error(release_dir, capsys, name, content, message):
     path = release_dir / name
     path.write_text(content)
@@ -321,6 +333,32 @@ def test_malformed_record_line_names_file_and_line(tmp_path, capsys, case):
     assert main(["analyze", "--records", str(path), "-o", str(tmp_path / "r")]) == EXIT_DATA
     assert f"[{path}:{line}]" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("analyze", "--records"), ("sensitivity", "--records"),
+                                           ("sensitivity", "--eval-records")])
+def test_missing_records_file_is_data_error(tmp_path, capsys, command, flag):
+    present = tmp_path / "records.csv"
+    write_records_csv([make_record(sample=i, diff=500.0) for i in range(3)], present)
+    missing = tmp_path / "absent.csv"
+    files = {"--records": present, flag: missing}
+    args = [command] + [str(a) for f, p in files.items() for a in (f, p)] + ["-o", str(tmp_path / "r")]
+    assert main(args) == EXIT_DATA
+    assert f"cannot read records file: No such file or directory [{missing}]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    with pytest.raises(DataError) as info:
+        read_records(missing)
+    assert info.value.path == missing
+
+
+@pytest.mark.parametrize("value", ["nan", "-3", "1.5", "x"])
+def test_corr_threshold_outside_unit_interval_is_usage_error(tmp_path, capsys, value):
+    records = tmp_path / "records.csv"
+    write_records_csv([make_record(sample=i, diff=500.0) for i in range(3)], records)
+    out = tmp_path / "r"
+    assert main(["analyze", "--records", str(records), f"--corr-threshold={value}", "-o", str(out)]) == EXIT_USAGE
+    assert "--corr-threshold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_records_file_not_utf8_is_data_error(tmp_path, capsys):

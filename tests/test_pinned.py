@@ -88,7 +88,7 @@ def test_forest_model_tuned(kept):
     model = ForestModel(params=ForestParams(n_trees=5), tune=True, tune_population=4, tune_generations=2)
     fitted = model.fit(view.X, view.y, seed=8)
     assert tuned_digest(fitted.params, fitted.predict_proba(kept[1].view().X)[:, 1]) == (
-        "c40e7f4edf1c13726431d054bdff3138d0d496db3e2992b744edb9fbdbe3c99a")
+        "97a571daf21c75c14c569fe9c7549acfc246efa97c516943b4028de822c0be6f")
 
 
 def test_relationship_forest_tuned(kept):
@@ -99,7 +99,7 @@ def test_relationship_forest_tuned(kept):
                                   lambda_grid=(1.0, 10.0), alpha_grid=(0.5,))
     importances = fit.importances["forest"]
     assert tuned_digest(fit.models["forest"].predictor.params, [importances[k] for k in sorted(importances)]) == (
-        "25e1c0674d1cda70e28c175cd2d208c9155d010b950358dd88cfd9db7987a691")
+        "3542547975bc75fd5e36b75fbbccbc2dd9a5a4f6f36222cc8e9ef67e4945019b")
 
 
 def test_bootstrap_gnb_files_mode(kept, tmp_path):

@@ -474,9 +474,8 @@ def test_forest_sweep_with_one_segment_per_chunk(monkeypatch):
     own group and every row its own block, and give the same trees and votes."""
     from defectcost.learners import tree as tree_module
 
-    monkeypatch.setattr(tree_module, "_CHUNK_ELEMENTS", 1, raising=False)
-    monkeypatch.setattr(tree_module, "_GROUP_TREES", 1, raising=False)
-    monkeypatch.setattr(tree_module, "_GROUP_ELEMENTS", 1, raising=False)
+    monkeypatch.setattr(tree_module, "_CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(tree_module, "_GROUP_ELEMENTS", 1)
     for case in _forest_sweep()[::3]:
         _assert_forest_matches_reference(case)
     # a one-row block of a regressor holds one vote per tree, which numpy sums
