@@ -27,6 +27,7 @@ from .costmodel import DEFAULT_BOUNDARIES, Potential, classify_potential
 from .experiments import VARIABLE_NAMES, VARIABLES, EvaluationRecord, write_records_csv
 from .extmath import UNDEFINED, fmt_float, json_number
 from .learners import (
+    Forest,
     ForestParams,
     fit_multinomial_logit_elastic_net,
     forest_importance,
@@ -99,6 +100,7 @@ class RelationshipModel:
 @dataclass(frozen=True, eq=False)
 class RelationshipFit:
     models: dict[str, RelationshipModel]
+    labels: np.ndarray  # the potential level of each record, as the models were fitted on
     importances: dict[str, dict[str, float]]
     logit_coefficients: dict[str, list[float]]
     imputer: Imputer
@@ -152,6 +154,7 @@ def fit_relationship_models(
               for name, predictor in (("logit", logit), ("tree", tree), ("forest", forest))}
     return RelationshipFit(
         models=models,
+        labels=y,
         importances=importances,
         logit_coefficients=coefficients,
         imputer=imputer,
@@ -171,9 +174,6 @@ class PotentialConfusion:
     @property
     def total(self) -> int:
         return int(self.matrix.sum())
-
-    def column_total(self, level: Potential) -> int:
-        return int(self.matrix[:, int(level)].sum())
 
     def to_json_dict(self) -> dict:
         return {"labels": list(POTENTIAL_LABELS), "matrix": self.matrix.astype(int).tolist()}
@@ -454,8 +454,11 @@ def sensitivity_boundaries(
     shifts: Sequence[float] = (0.9, 1.0, 1.1),
     base: tuple[float, float] = DEFAULT_BOUNDARIES,
     forest_params: ForestParams = ForestParams(),
+    fitted: tuple[np.ndarray, Forest] | None = None,
 ) -> SensitivityBoundaries:
-    """Re-bin potential under shifted boundaries, refit the forest, and compare."""
+    """Re-bin potential under shifted boundaries, refit the forest, and compare.
+    A shift that gives the labels of ``fitted``, (labels, forest) of a forest fitted on
+    these records with ``forest_params`` and ``seed``, takes that forest instead of a refit."""
     X, _ = records_matrix(records)
     imputer = fit_imputer(X)
     Xi = imputer.transform(X)
@@ -469,7 +472,8 @@ def sensitivity_boundaries(
         if len(set(y.tolist())) < 2:
             log.warning("boundary shift %.2f leaves a single level; skipping refit", shift)
             continue
-        forest = train_random_forest(Xi, y, forest_params, seed=seed, n_classes=len(Potential))
+        reuse = fitted is not None and np.array_equal(y, fitted[0])
+        forest = fitted[1] if reuse else train_random_forest(Xi, y, forest_params, seed=seed, n_classes=len(Potential))
         predicted = forest.predict(Xi)
         conf = confusion_from_predictions(predicted, y)
         accuracy = float(np.mean(predicted == y))
@@ -611,8 +615,7 @@ def write_report_bundle(
     )
     paths["distribution"] = _write_json(outdir / "distribution.json", distribution_export(records))
 
-    paths["sensitivity"] = _write_json(
-        outdir / "sensitivity.json",
-        sensitivity_boundaries(records, seed=seed, base=boundaries, forest_params=forest_params).to_json_dict(),
-    )
+    fitted = None if tune_forest else (fit.labels, fit.models["forest"].predictor)  # same labels, same forest
+    paths["sensitivity"] = _write_json(outdir / "sensitivity.json", sensitivity_boundaries(
+        records, seed=seed, base=boundaries, forest_params=forest_params, fitted=fitted).to_json_dict())
     return paths

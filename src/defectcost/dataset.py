@@ -156,14 +156,6 @@ class ReleaseView:
     def n(self) -> int:
         return len(self.ids)
 
-    @cached_property
-    def size_by_id(self) -> dict[str, int]:
-        return {i: int(s) for i, s in zip(self.ids, self.sizes)}
-
-    @cached_property
-    def truth_by_id(self) -> dict[str, int]:
-        return {i: int(t) for i, t in zip(self.ids, self.y)}
-
     @property
     def n_defective(self) -> int:
         defective = set()

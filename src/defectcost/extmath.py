@@ -14,10 +14,6 @@ UNDEFINED = math.nan
 INF = math.inf
 
 
-def is_undefined(x: float) -> bool:
-    return math.isnan(x)
-
-
 def safe_div(num: float, den: float) -> float:
     """Division on the extended reals: 0/0 -> undefined, x/0 -> signed infinity."""
     if den == 0:

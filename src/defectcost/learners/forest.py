@@ -70,7 +70,10 @@ class Forest:
         rows = max(1, tree_module._GROUP_ELEMENTS // len(trees.roots))
         for r in range(0, n, rows):
             ids = apply_tree(trees, X[r:r + rows], None if voters is None else voters[:, r:r + rows])
-            total[r:r + rows] += np.cumsum(leaf[ids], axis=0)[-1]  # a sum may add pairwise; a cumsum adds in order
+            block = leaf.take(ids, axis=0)
+            # a sum may add pairwise; a cumsum adds in order, here in place
+            total[r:r + rows] += np.cumsum(block, axis=0, out=block)[-1]
+            del ids, block  # before the next block's walk
         votes = np.full(n, len(trees.roots)) if voters is None else voters.sum(axis=0)
         per_row = votes.reshape((n,) + (1,) * (total.ndim - 1))
         return votes, np.divide(total, per_row, out=np.zeros_like(total), where=per_row > 0)

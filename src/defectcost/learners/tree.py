@@ -5,16 +5,20 @@ when they strictly decrease the weighted impurity. Candidate features can be
 subsampled per split (random-forest mode); tie-breaks are deterministic given
 the input order and the RNG stream, so a fixed seed gives a fixed tree.
 
-Each feature is sorted once per tree. A node owns a segment of that sorted
-index array, and a split partitions the segment stably in place, so every node
-sees its rows in the order a stable sort of the node alone would give.
+Classification sorts each feature once per fit, and a tree holds the distinct
+rows of its bag in that order (rows equal in every feature and the label are one
+row), weighted by their counts in the bag: a cut between distinct values has the
+integer class counts of the repeated rows.
+Regression sorts each feature of each bag, ties in bag order, and keeps a row
+in bag order, as its float sums depend on that order. A node owns a segment of
+each sorted row, which a split partitions stably in place in one linear pass.
 
 A forest is one node table: flat arrays indexed by node id, tree after tree,
 each tree in depth-first preorder from its root. The trees grow level by level,
 each with its own RNG stream: a step handles one depth of every tree in flat
 numpy passes over chunks of segments, and then each tree is put in preorder.
 ``train_cart`` is the one-tree case. Prediction walks every (tree, row) pair
-down one level per step.
+down one level per step, with int32 node and pair ids.
 """
 
 from __future__ import annotations
@@ -65,36 +69,39 @@ def _chunks(lengths, padded=False):
         s0 = s1
 
 
-def _classify_cuts(xs, labels, lengths, n_classes, min_leaf):
-    """(weighted child Gini, index) of the first best cut of every segment.
+def _classify_cuts(xs, labels, weights, lengths, counts, min_leaf):
+    """(weighted child Gini, index, left weight) of the first best cut of every segment.
 
-    Each segment, back to back in ``xs`` and ``labels``, holds one node's rows
-    in the sorted order of one candidate feature; element j scores the cut with
-    j + 1 rows on the left. A cut inside a run of equal values or leaving fewer
-    than ``min_leaf`` rows on a side is inf. Class counts are integer cumsums
-    less the count before each segment, so they are exact.
+    Each segment, back to back in ``xs``, ``labels`` and ``weights`` (used up),
+    holds one node's distinct rows in the sorted order of one candidate feature,
+    weighted by their counts in the bag; ``counts`` holds each segment's class
+    counts. Element j scores the cut with elements 0..j on the left. A cut inside
+    a run of equal values or leaving less than ``min_leaf`` weight on a side is
+    inf. Counts are sums of integers, so they are exact, also for the last class,
+    which has what the other classes leave.
     """
     first = np.cumsum(lengths) - lengths
-    m = np.repeat(lengths, lengths).astype(np.float64)
-    nl = np.arange(1.0, len(xs) + 1) - np.repeat(first, lengths)
-    nr = m - nl
-    sum_l, sum_r = np.zeros(len(xs)), np.zeros(len(xs))
+
+    def left(w, total):  # w's cumsum within each segment, in place: each first element less the total before
+        w[first[1:]] -= total[:-1]
+        return w.cumsum()
+
+    cl = [left(weights * (labels == c), counts[:, c]) for c in range(counts.shape[1] - 1)]
+    nl = left(weights, counts.sum(axis=1))
+    nr = np.repeat(counts.sum(axis=1), lengths) - nl
+    cr = [np.repeat(counts[:, c], lengths) - left_c for c, left_c in enumerate(cl)]
+    cl, cr = cl + [nl - sum(cl)], cr + [nr - sum(cr)]
     with np.errstate(divide="ignore", invalid="ignore"):  # nr is 0 at the end of a segment
-        for c in range(n_classes):  # summed in class order, as numpy sums fewer than 8 terms
-            hot = labels == c
-            left = hot.cumsum(dtype=np.int32)
-            before = left[first] - hot[first]
-            cl = left - np.repeat(before, lengths)
-            cr = np.repeat(left[first + lengths - 1] - before, lengths) - cl
-            sum_l += (cl / nl) ** 2
-            sum_r += (cr / nr) ** 2
-        weighted = (nl * (1.0 - sum_l) + nr * (1.0 - sum_r)) / m
+        # summed from 0 in class order, as numpy sums fewer than 8 terms
+        sum_l, sum_r = sum((c / nl) ** 2 for c in cl), sum((c / nr) ** 2 for c in cr)
+        weighted = (nl * (1.0 - sum_l) + nr * (1.0 - sum_r)) / (nl + nr)
     valid = np.minimum(nl, nr) >= min_leaf
     valid[:-1] &= xs[:-1] < xs[1:]
     scores = np.where(valid, weighted, np.inf)
     best = np.minimum.reduceat(scores, first)
     hits = np.flatnonzero(scores == np.repeat(best, lengths))
-    return best, hits[np.searchsorted(hits, first)] - first
+    cut = hits[np.searchsorted(hits, first)] - first
+    return best, cut, nl[first + cut]
 
 
 def _regress_cuts(xs, ys, lengths, min_leaf):
@@ -119,59 +126,69 @@ def _regress_cuts(xs, ys, lengths, min_leaf):
     return scores[segs, cut], cut
 
 
-def _grow_group(X, XT, y, bags, rngs, task, n_classes, min_split, min_leaf, depth_limit, max_features):
+def _grow_group(X, XT, y, presort, bags, rngs, task, n_classes, min_split, min_leaf, depth_limit, max_features):
     (n, k), (n_trees, b) = X.shape, bags.shape
-    # Tree t's row f < k lists its bag's rows sorted by feature f (ties in bag order), row k lists
-    # them in bag order; ``order`` is the flat (tree, row, column) array. A node owns the m columns
-    # from flat position start + f * b of each row f of its tree.
-    order = np.empty((n_trees, k + 1, b), dtype=np.int32)
-    for t, bag in enumerate(bags):
-        order[t, :k] = bag[np.argsort(X[bag], axis=0, kind="stable").T]
-        order[t, k] = bag
-    order = order.ravel()
-    # The frontier holds the open nodes of one depth, tree by tree and left to right
-    # within a tree; the j-th splitting node's children are entries 2j and 2j + 1 of the next.
-    start, m, levels = np.arange(n_trees) * (k + 1) * b, np.full(n_trees, b), []
+    classify = task == "classify"
+    if classify:  # row f: the bag's distinct rows by feature f; row i of tree t weighs weight[t * n + i]
+        weight = np.bincount((bags + np.arange(n_trees)[:, None] * n).ravel(), minlength=n_trees * n)
+        held = (weight.reshape(n_trees, n) > 0)[:, presort]
+        order, width, rows = np.broadcast_to(presort, held.shape)[held], held[:, 0].sum(axis=1), k
+        weight = weight.astype(np.float64)
+    else:  # row f < k: the bag's rows by feature f, ties in bag order; row k: the bag
+        order = np.empty((n_trees, k + 1, b), dtype=np.int32)
+        for t, bag in enumerate(bags):
+            order[t, :k] = bag[np.argsort(X[bag], axis=0, kind="stable").T]
+            order[t, k] = bag
+        order, width, rows = order.ravel(), np.full(n_trees, b), k + 1
+    # ``order`` holds each tree's rows back to back, each ``width[t]`` ids long; a node of tree t owns
+    # the m ids from start + f * width[t] of each row f and weighs w. The frontier holds the open nodes
+    # of one depth, tree by tree and left to right; the j-th split's children are entries 2j, 2j + 1.
+    tree, start = np.arange(n_trees), np.cumsum(rows * width) - rows * width
+    m, w, levels = width, np.full(n_trees, b), []
     while m.size:
-        # node statistics from each node's rows in bag order
-        value = np.empty((len(m), n_classes) if task == "classify" else len(m))
+        stride = width[tree]
+        # node statistics from each node's rows: its first row, or for regression its rows in bag order
+        value = np.empty((len(m), n_classes) if classify else len(m))
         impurity = np.empty(len(m))
-        base = start + k * b
+        base = start if classify else start + k * stride
         for s0, s1 in _chunks(m):
-            ys = y[order[_ragged(base[s0:s1], m[s0:s1])]]
-            if task == "classify":
+            ids = order.take(_ragged(base[s0:s1], m[s0:s1]))
+            if classify:
                 seg = np.repeat(np.arange(s1 - s0) * n_classes, m[s0:s1])
-                value[s0:s1] = np.bincount(seg + ys, minlength=(s1 - s0) * n_classes).reshape(-1, n_classes)
+                weights = weight.take(np.repeat(tree[s0:s1] * n, m[s0:s1]) + ids)
+                value[s0:s1] = np.bincount(seg + y.take(ids), weights, (s1 - s0) * n_classes).reshape(-1, n_classes)
             else:
-                for i, node_ys in enumerate(np.split(ys, np.cumsum(m[s0:s1])[:-1]), s0):
+                for i, node_ys in enumerate(np.split(y.take(ids), np.cumsum(m[s0:s1])[:-1]), s0):
                     value[i], impurity[i] = node_ys.mean(), np.maximum(node_ys.var(), 0.0)
-        if task == "classify":
-            p = value / m[:, None]
+        if classify:
+            p = value / w[:, None]
             impurity = 1.0 - (p * p).sum(axis=1)
         feature, threshold, decrease = np.full(len(m), -1), np.full(len(m), np.nan), np.zeros(len(m))
-        stop = (m < min_split) | (m < 2 * min_leaf) | (impurity <= 0.0)
+        stop = (w < min_split) | (w < 2 * min_leaf) | (impurity <= 0.0)
         if depth_limit is not None:
             stop |= len(levels) >= depth_limit
         split = np.flatnonzero(~stop)
         drawn = np.tile(np.arange(k), (split.size, 1))
         if max_features < k:  # each tree draws for its splitting nodes in one call, a row per node
-            nodes = np.bincount(start[split] // ((k + 1) * b), minlength=n_trees).tolist()
+            nodes = np.bincount(tree[split], minlength=n_trees).tolist()
             drawn = np.concatenate([r.random((c, k)).argsort(axis=1)[:, :max_features] for r, c in zip(rngs, nodes)])
         # one segment per (node, candidate feature), features in draw order
         seg_node, seg_feature = np.repeat(split, max_features), drawn.ravel()
         seg_len = m[seg_node]
-        seg_base = start[seg_node] + seg_feature * b
-        best, cut = np.empty(len(seg_node)), np.empty(len(seg_node), dtype=np.intp)
+        seg_base = start[seg_node] + seg_feature * stride[seg_node]
+        best, cut, w_left = np.empty(len(seg_node)), np.empty(len(seg_node), dtype=np.intp), np.empty(len(seg_node))
         # padded blocks waste least on segments of similar length
-        by_len = np.arange(len(seg_node)) if task == "classify" else np.argsort(seg_len, kind="stable")
-        for s0, s1 in _chunks(seg_len[by_len], padded=task != "classify"):
+        by_len = np.arange(len(seg_node)) if classify else np.argsort(seg_len, kind="stable")
+        for s0, s1 in _chunks(seg_len[by_len], padded=not classify):
             s = by_len[s0:s1]
-            rows = order[_ragged(seg_base[s], seg_len[s])]
-            xs = XT[np.repeat(seg_feature[s] * n, seg_len[s]) + rows]
-            if task == "classify":
-                best[s], cut[s] = _classify_cuts(xs, y[rows], seg_len[s], n_classes, min_leaf)
+            ids = order.take(_ragged(seg_base[s], seg_len[s]))
+            xs = XT.take(np.repeat(seg_feature[s] * n, seg_len[s]) + ids)
+            if classify:
+                weights = weight.take(np.repeat(tree[seg_node[s]] * n, seg_len[s]) + ids)
+                best[s], cut[s], w_left[s] = _classify_cuts(xs, y.take(ids), weights, seg_len[s], value[seg_node[s]],
+                                                            min_leaf)
             else:
-                best[s], cut[s] = _regress_cuts(xs, y[rows], seg_len[s], min_leaf)
+                best[s], cut[s] = _regress_cuts(xs, y.take(ids), seg_len[s], min_leaf)
         pick = np.arange(split.size) * max_features + best.reshape(split.size, max_features).argmin(axis=1)
         gain = impurity[split] - best[pick]  # -inf when no feature has a valid cut
         keep = gain > _MIN_DECREASE
@@ -180,25 +197,29 @@ def _grow_group(X, XT, y, bags, rngs, task, n_classes, min_split, min_leaf, dept
         lo, hi = XT[f * n + order[at]], XT[f * n + order[at + 1]]
         thr = (lo + hi) / 2.0
         thr = np.where(thr >= hi, lo, thr)  # adjacent floats: keep the partition exactly at the sorted prefix
-        feature[split], threshold[split], decrease[split] = f, thr, m[split] * gain
+        feature[split], threshold[split], decrease[split] = f, thr, w[split] * gain
         n_left = cut[pick] + 1
+        w_left = w_left[pick].astype(np.int64) if classify else n_left
 
-        # partition every row of every splitting node: the first n_left rows of
-        # feature f's order go left, in every row; one stable sort by (segment,
-        # side) keeps each side in order
-        part_len = np.repeat(m[split], k + 1)
-        part_base = (start[split, None] + np.arange(k + 1) * b).ravel()
-        part_f, part_thr = np.repeat(f * n, k + 1), np.repeat(thr, k + 1)
+        # partition every row of every splitting node: the first n_left ids of feature f's
+        # row go left, in every row; a left id moves to its rank among the lefts, a right
+        # one to n_left plus its rank among the rights, so each side keeps its order
+        part_len, part_left = np.repeat(m[split], rows), np.repeat(n_left, rows)
+        part_base = (start[split, None] + np.arange(rows) * stride[split, None]).ravel()
+        part_f, part_thr = np.repeat(f * n, rows), np.repeat(thr, rows)
         for s0, s1 in _chunks(part_len):
             lengths = part_len[s0:s1]
             at = _ragged(part_base[s0:s1], lengths)
-            rows = order[at]
-            goes_left = XT[np.repeat(part_f[s0:s1], lengths) + rows] <= np.repeat(part_thr[s0:s1], lengths)
-            side = np.repeat(np.arange(0, 2 * (s1 - s0), 2), lengths) + ~goes_left
-            order[at] = rows[np.argsort(side, kind="stable")]
-        levels.append((split, feature, threshold, value, m, impurity, decrease))
-        start = np.stack([start[split], start[split] + n_left], axis=1).ravel()
+            ids = order.take(at)
+            goes_left = XT.take(np.repeat(part_f[s0:s1], lengths) + ids) <= np.repeat(part_thr[s0:s1], lengths)
+            lefts, first = goes_left.cumsum(), np.cumsum(lengths) - lengths
+            lefts -= np.repeat(lefts[first] - goes_left[first], lengths)
+            order[np.where(goes_left, np.repeat(part_base[s0:s1] - 1, lengths) + lefts,
+                           at + np.repeat(part_left[s0:s1], lengths) - lefts)] = ids
+        levels.append((split, feature, threshold, value, w, impurity, decrease))
+        tree, start = np.repeat(tree[split], 2), np.stack([start[split], start[split] + n_left], axis=1).ravel()
         m = np.stack([n_left, m[split] - n_left], axis=1).ravel()
+        w = np.stack([w_left, w[split] - w_left], axis=1).ravel()
 
     # Renumber each tree into preorder: a left child follows its parent, and a right
     # child follows the left subtree, whose size is ``skip`` - 1 (subtree sizes go bottom up).
@@ -232,23 +253,24 @@ def grow_trees(X: np.ndarray, y: np.ndarray, bags, rngs, *, task: str = "classif
         raise ValueError(f"unknown task {task!r}")
     if min_split < 2 or min_leaf < 1:
         raise ValueError("min_split must be >= 2 and min_leaf >= 1")
+    y = y.astype(np.int64 if task == "classify" else np.float64)
     if task == "classify":
-        y = y.astype(np.int64)
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        n_classes = int(y.max()) + 1 if n_classes is None else n_classes
         if y.min() < 0 or y.max() >= n_classes:
             raise ValueError(f"class labels must lie in [0, {n_classes})")
-    else:
-        y = y.astype(np.float64)
     k = X.shape[1]
-    if max_features is None or max_features > k:
-        max_features = k
+    max_features = k if max_features is None else min(max_features, k)
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
-    XT, bags = X.T.ravel(), np.asarray(bags, dtype=np.int32)
+    bags, presort = np.asarray(bags, dtype=np.int32), None
+    if task == "classify":  # rows equal in every feature and the label are one row, weighted in each bag
+        _, first, same = np.unique(np.column_stack([X, y]), axis=0, return_index=True, return_inverse=True)
+        X, y, bags = X[first], y[first], same.reshape(-1).astype(np.int32)[bags]
+        presort = np.argsort(X, axis=0, kind="stable").T.astype(np.int32, order="C")
+    XT = X.T.ravel()
     groups = -(-bags.size * (k + 1) // _GROUP_ELEMENTS)  # fewest equal groups
     group = -(-len(bags) // groups)
-    groups = [_grow_group(X, XT, y, bags[g:g + group], rngs[g:g + group], task, n_classes, min_split, min_leaf,
+    groups = [_grow_group(X, XT, y, presort, bags[g:g + group], rngs[g:g + group], task, n_classes, min_split, min_leaf,
                           depth_limit, max_features) for g in range(0, len(bags), group)]
     count, feature, threshold, value, m, impurity, decrease, skip = map(np.concatenate, zip(*groups))
     at = np.arange(len(feature))
@@ -256,23 +278,9 @@ def grow_trees(X: np.ndarray, y: np.ndarray, bags, rngs, *, task: str = "classif
     return Tree(feature, threshold, left, right, value, m, impurity, decrease, np.cumsum(count) - count)
 
 
-def train_cart(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    task: str = "classify",
-    n_classes: int | None = None,
-    min_split: int = 2,
-    min_leaf: int = 1,
-    depth_limit: int | None = None,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> Tree:
-    """Grow a CART tree on all rows: the one-tree case of ``grow_trees``."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return grow_trees(X, y, [np.arange(len(X))], [rng], task=task, n_classes=n_classes, min_split=min_split,
-                      min_leaf=min_leaf, depth_limit=depth_limit, max_features=max_features)
+def train_cart(X: np.ndarray, y: np.ndarray, *, rng: np.random.Generator | None = None, **params) -> Tree:
+    """Grow a CART tree on all rows: the one-tree case of ``grow_trees``, with its keyword parameters."""
+    return grow_trees(X, y, [np.arange(len(X))], [np.random.default_rng(0) if rng is None else rng], **params)
 
 
 def tree_depth(tree: Tree) -> int:
@@ -293,19 +301,22 @@ def count_leaves(tree: Tree) -> int:
 def apply_tree(tree: Tree, X: np.ndarray, voters: np.ndarray | None = None) -> np.ndarray:
     """(trees, rows) leaf ids: every (tree, row) pair still at an internal node
     moves down one level per step. A pair outside the optional (trees, rows)
-    mask ``voters`` is never walked and gets -1."""
+    mask ``voters`` is never walked and gets -1. Node and pair ids are int32,
+    so X and the pairs of one call stay below 2^31 elements; gathers use
+    ``take``, nearly as fast with them as with intp ids, unlike indexing."""
     X = np.asarray(X, dtype=np.float64)
     (n, k), flat = X.shape, X.ravel()
-    node = np.repeat(tree.roots, n)
+    feature, right = tree.feature.astype(np.int32), tree.right.astype(np.int32)
+    node = np.repeat(tree.roots.astype(np.int32), n)
     if voters is not None:
         node[~voters.ravel()] = -1
-    active = np.flatnonzero((node >= 0) & (tree.feature[node] >= 0))
+    active = np.arange(node.size, dtype=np.int32)[(node >= 0) & (feature.take(node) >= 0)]
     while active.size:
-        at = node[active]
-        goes_left = flat[active % n * k + tree.feature[at]] <= tree.threshold[at]
-        at = np.where(goes_left, tree.left[at], tree.right[at])
+        at = node.take(active)
+        goes_left = flat.take(active % n * k + feature.take(at)) <= tree.threshold.take(at)
+        at = np.where(goes_left, at + 1, right.take(at))  # a left child follows its parent
         node[active] = at
-        active = active[tree.feature[at] >= 0]
+        active = active[feature.take(at) >= 0]
     return node.reshape(len(tree.roots), n)
 
 

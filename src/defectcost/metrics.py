@@ -171,11 +171,6 @@ def _inspection_order(view: ReleaseView, scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.array(view.ids), -view.sizes, -scores))
 
 
-def ranking_order(view: ReleaseView, pred: Prediction) -> list[str]:
-    """Inspection order: descending score, then descending size, then id."""
-    return [view.ids[i] for i in _inspection_order(view, pred.scores_for(view))]
-
-
 def auc_alberg(view: ReleaseView, pred: Prediction) -> float:
     """Area under (fraction of modules considered, fraction of defective found)."""
     found = np.cumsum(view.y[_inspection_order(view, pred.scores_for(view))])

@@ -6,11 +6,34 @@ import pytest
 from defectcost.costmodel import classify_potential
 from defectcost.dataset import Artifact, Defect, Release
 from defectcost.experiments import EvaluationRecord
-from defectcost.metrics import METRIC_NAMES, Prediction
+from defectcost.metrics import METRIC_NAMES, Prediction, _inspection_order
 
 T1_SIZES = {"a1": 100, "a2": 50, "a3": 200, "a4": 10, "a5": 40, "a6": 600}
 T1_DEFECTS = {"d1": {"a1"}, "d2": {"a3", "a5"}}
 T1_SCORES = {"a1": 0.9, "a5": 0.8, "a2": 0.7, "a3": 0.4, "a6": 0.3, "a4": 0.1}
+
+
+def is_undefined(x) -> bool:
+    """An undefined value of the extended reals, which are NaN."""
+    return math.isnan(x)
+
+
+def size_by_id(view) -> dict[str, int]:
+    return {i: int(s) for i, s in zip(view.ids, view.sizes)}
+
+
+def truth_by_id(view) -> dict[str, int]:
+    return {i: int(t) for i, t in zip(view.ids, view.y)}
+
+
+def ranking_order(view, pred) -> list[str]:
+    """The package's inspection order as ids: descending score, then descending size, then id."""
+    return [view.ids[i] for i in _inspection_order(view, pred.scores_for(view))]
+
+
+def column_total(conf, level) -> int:
+    """Records whose true potential is ``level`` in a confusion matrix (rows predicted, columns true)."""
+    return int(conf.matrix[:, int(level)].sum())
 
 
 def make_release(sizes=None, defects=None, project="demo", release_id="r1",

@@ -46,6 +46,8 @@ from defectcost.learners.logit import one_hot
 from defectcost.metrics import ConfusionCounts, Prediction, auc, confusion_metrics
 from defectcost.synth import SynthSpec, generate_synthetic
 
+from conftest import size_by_id
+
 NAN = math.nan
 INF = math.inf
 
@@ -122,8 +124,9 @@ def test_c02_cost_bound_oracle(t1_view):
     start = time.time()
 
     def oracle(positives):
-        predicted_size = sum(t1_view.size_by_id[a] for a in t1_view.ids if a in positives)
-        clean_size = sum(t1_view.size_by_id[a] for a in t1_view.ids if a not in positives)
+        sizes = size_by_id(t1_view)
+        predicted_size = sum(sizes[a] for a in t1_view.ids if a in positives)
+        clean_size = sum(sizes[a] for a in t1_view.ids if a not in positives)
         d_pred = sum(1 for d in t1_view.defects if set(d.artifacts) <= positives)
         d_miss = len(t1_view.defects) - d_pred
 

@@ -23,10 +23,9 @@ from defectcost.analysis import (
 )
 from defectcost.costmodel import Potential, classify_potential
 from defectcost.experiments import VARIABLE_NAMES
-from defectcost.extmath import is_undefined
 from defectcost.learners import ForestParams
 
-from conftest import make_record
+from conftest import column_total, is_undefined, make_record
 
 
 def noisy_records(rng, n=300, with_none=True):
@@ -241,7 +240,7 @@ def test_confusion_totals_match_records():
     conf, summary = evaluate_confusion(fit.models["forest"], records)
     assert conf.total == len(records)
     for label, entry in summary.items():
-        assert entry["n"] == conf.column_total(Potential.from_label(label))
+        assert entry["n"] == column_total(conf, Potential.from_label(label))
 
 
 # --- correlations ------------------------------------------------------------
@@ -427,6 +426,27 @@ def test_r_squared():
 
 
 # --- report bundle -----------------------------------------------------------
+
+
+def test_report_bundle_reuses_the_relationship_forest(tmp_path, monkeypatch):
+    """A boundary shift whose labels equal the relationship labels takes the
+    untuned relationship forest: the bundle fits one forest per distinct label
+    set and writes the sensitivity report of separate refits."""
+    from defectcost import analysis
+
+    rng = np.random.default_rng(15)
+    records = noisy_records(rng, n=90) + [make_record(diff=950.0, sample=100 + i) for i in range(6)]
+    params = ForestParams(n_trees=10)
+    fits = []
+    fit = analysis.train_random_forest
+    monkeypatch.setattr(analysis, "train_random_forest", lambda *a, **kw: fits.append(kw) or fit(*a, **kw))
+    write_report_bundle(tmp_path, records, seed=0, forest_params=params)
+    # the depth-5 tree, the relationship forest and the 0.9 shift, where 950 moves up a level;
+    # shifts 1.0 and 1.1 label every record as the relationship models do
+    assert len(fits) == 3
+    refits = sensitivity_boundaries(records, seed=0, forest_params=params)
+    assert len(fits) == 6
+    assert (tmp_path / "sensitivity.json").read_text() == json.dumps(refits.to_json_dict(), indent=1) + "\n"
 
 
 def test_report_bundle_files(tmp_path):

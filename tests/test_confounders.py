@@ -3,10 +3,9 @@ import math
 import pytest
 
 from defectcost.confounders import compute_confounders, top_share
-from defectcost.extmath import is_undefined
 from defectcost.metrics import Prediction, confusion_counts
 
-from conftest import assert_close, make_release
+from conftest import assert_close, is_undefined, make_release
 
 
 def test_bias_fractions(t1_view):

@@ -10,10 +10,10 @@ from defectcost.costmodel import (
     defect_outcome,
     diff_simplified,
 )
-from defectcost.extmath import ext_sub, is_undefined, safe_div
+from defectcost.extmath import ext_sub, safe_div
 from defectcost.metrics import Prediction
 
-from conftest import assert_close, make_release
+from conftest import assert_close, is_undefined, make_release, size_by_id
 
 INF = math.inf
 NAN = math.nan
@@ -25,9 +25,9 @@ def predict(view, positives):
 
 def enumeration_oracle(view, positives):
     """Independent set-enumeration of lower/upper/diff for one prediction."""
-    ids = list(view.ids)
-    predicted_size = sum(view.size_by_id[a] for a in ids if a in positives)
-    clean_size = sum(view.size_by_id[a] for a in ids if a not in positives)
+    ids, sizes = list(view.ids), size_by_id(view)
+    predicted_size = sum(sizes[a] for a in ids if a in positives)
+    clean_size = sum(sizes[a] for a in ids if a not in positives)
     d_pred = [d for d in view.defects if set(d.artifacts) <= set(positives)]
     d_miss = [d for d in view.defects if d not in d_pred]
 

@@ -25,10 +25,9 @@ from defectcost.metrics import (
     confusion_counts,
     effort_metrics,
     evaluate_metrics,
-    ranking_order,
 )
 
-from conftest import make_release
+from conftest import make_release, ranking_order, size_by_id, truth_by_id
 
 
 def ref_label(pred, aid):
@@ -36,7 +35,8 @@ def ref_label(pred, aid):
 
 
 def ref_ranking_order(view, pred):
-    return sorted(view.ids, key=lambda a: (-pred.scores[a], -view.size_by_id[a], a))
+    sizes = size_by_id(view)
+    return sorted(view.ids, key=lambda a: (-pred.scores[a], -sizes[a], a))
 
 
 def ref_confusion(view, pred):
@@ -69,8 +69,8 @@ def ref_average_ranks(values):
 
 
 def ref_auc_alberg(view, pred):
-    order = ref_ranking_order(view, pred)
-    total_def = sum(view.truth_by_id[a] for a in order)
+    order, truth = ref_ranking_order(view, pred), truth_by_id(view)
+    total_def = sum(truth[a] for a in order)
     if total_def == 0:
         return UNDEFINED
     n = len(order)
@@ -78,7 +78,7 @@ def ref_auc_alberg(view, pred):
     found = 0
     prev_y = 0.0
     for aid in order:
-        found += view.truth_by_id[aid]
+        found += truth[aid]
         y = found / total_def
         area += (1.0 / n) * (prev_y + y) / 2.0
         prev_y = y
@@ -132,27 +132,28 @@ def ref_auc_recall_pf(truth, scores):
 
 
 def ref_effort(view, pred, mode):
-    cost = float(sum(view.size_by_id[a] for a in view.ids if ref_label(pred, a) == 1))
+    sizes, truth = size_by_id(view), truth_by_id(view)
+    cost = float(sum(sizes[a] for a in view.ids if ref_label(pred, a) == 1))
     order = ref_ranking_order(view, pred)
     budget = 0.2 * float(view.sizes.sum())
     inspected = set()
     used = 0.0
     for aid in order:
-        size = view.size_by_id[aid]
+        size = sizes[aid]
         if used + size > budget:
             break
         inspected.add(aid)
         used += size
 
     if mode == "files":
-        nofb20 = float(sum(1 for a in inspected if view.truth_by_id[a] == 1))
+        nofb20 = float(sum(1 for a in inspected if truth[a] == 1))
         total = int(view.y.sum())
         need = math.ceil(0.8 * total)
         if total == 0:
             return cost, nofb20, UNDEFINED
         found = 0
         for i, aid in enumerate(order, start=1):
-            found += view.truth_by_id[aid]
+            found += truth[aid]
             if found >= need:
                 return cost, nofb20, float(i)
         return cost, nofb20, UNDEFINED
@@ -187,8 +188,9 @@ def ref_defect_outcome(view, pred):
 
 def ref_cost_bounds(view, pred):
     predicted, missed = ref_defect_outcome(view, pred)
-    size_predicted = float(sum(view.size_by_id[a] for a in view.ids if ref_label(pred, a) == 1))
-    size_clean = float(sum(view.size_by_id[a] for a in view.ids if ref_label(pred, a) == 0))
+    sizes = size_by_id(view)
+    size_predicted = float(sum(sizes[a] for a in view.ids if ref_label(pred, a) == 1))
+    size_clean = float(sum(sizes[a] for a in view.ids if ref_label(pred, a) == 0))
     lower = safe_div(size_predicted, len(predicted))
     upper = safe_div(size_clean, len(missed))
     return lower, upper, ext_sub(upper, lower)
@@ -198,12 +200,13 @@ def ref_diff_simplified(view, pred):
     tp = fn = 0
     size_predicted = 0.0
     size_clean = 0.0
+    sizes = size_by_id(view)
     for aid, truth in zip(view.ids, view.y):
         if ref_label(pred, aid) == 1:
-            size_predicted += view.size_by_id[aid]
+            size_predicted += sizes[aid]
             tp += int(truth)
         else:
-            size_clean += view.size_by_id[aid]
+            size_clean += sizes[aid]
             fn += int(truth)
     return ext_sub(safe_div(size_clean, fn), safe_div(size_predicted, tp))
 

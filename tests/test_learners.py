@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defectcost.extmath import is_undefined
 from defectcost.learners import (
     ForestParams,
     apply_smote,
@@ -32,7 +31,7 @@ from defectcost.learners import (
 from defectcost.learners import logit
 from defectcost.learners.logit import one_hot
 
-from conftest import assert_close
+from conftest import assert_close, is_undefined
 
 
 # --- CART ------------------------------------------------------------------

@@ -4,7 +4,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from defectcost.extmath import is_undefined
 from defectcost.metrics import (
     ConfusionCounts,
     CoverageError,
@@ -16,10 +15,9 @@ from defectcost.metrics import (
     confusion_metrics,
     effort_metrics,
     evaluate_metrics,
-    ranking_order,
 )
 
-from conftest import T1_SCORES, assert_close, make_release
+from conftest import T1_SCORES, assert_close, is_undefined, make_release, ranking_order, truth_by_id
 
 
 def all_one(view):
@@ -169,13 +167,13 @@ def test_auc_monotone_invariance():
 
 
 def alberg_oracle(view, pred):
-    order = ranking_order(view, pred)
-    total = sum(view.truth_by_id[a] for a in order)
+    order, truth = ranking_order(view, pred), truth_by_id(view)
+    total = sum(truth[a] for a in order)
     n = len(order)
     xs, ys = [0.0], [0.0]
     found = 0
     for i, a in enumerate(order, start=1):
-        found += view.truth_by_id[a]
+        found += truth[a]
         xs.append(i / n)
         ys.append(found / total)
     return float(np.trapezoid(ys, xs))
@@ -188,8 +186,9 @@ def test_auc_alberg(t1_view, t1_prediction):
 
 
 def test_auc_alberg_extremes(t1_view):
-    best = Prediction({a: float(t1_view.truth_by_id[a]) for a in t1_view.ids}, 0.5)
-    worst = Prediction({a: 1.0 - t1_view.truth_by_id[a] for a in t1_view.ids}, 0.5)
+    truth = truth_by_id(t1_view)
+    best = Prediction({a: float(truth[a]) for a in t1_view.ids}, 0.5)
+    worst = Prediction({a: 1.0 - truth[a] for a in t1_view.ids}, 0.5)
     n, d = 6, 3
     # ranking all defective artifacts first is maximal for this class balance
     assert_close(auc_alberg(t1_view, best), 1 - d / (2 * n))

@@ -11,6 +11,10 @@ a depth limit, feature subsampling with the same RNG stream) the package must
 give the same nodes in preorder (feature, threshold, sample count, impurity,
 value, decrease) and bitwise-equal predictions and Gini importances, for single
 trees and for forests (predict, predict_proba, out-of-bag votes, importances).
+Training sets with duplicated rows and conflicting labels, SMOTE-shaped sets
+and heavily repeated bags check that a classification tree grown on the
+distinct rows of its bag, weighted by their counts, is the tree of the
+repeated rows.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ import pytest
 from defectcost.learners import (
     Forest,
     ForestParams,
+    apply_smote,
     forest_importance,
     gini_importance,
     train_cart,
     train_random_forest,
 )
+from defectcost.learners.tree import grow_trees
 
 _MIN_DECREASE = 1e-12
 
@@ -261,9 +267,11 @@ def one_tree_forest(tree, task, n_classes):
 
 
 def assert_same(a, b):
-    """Equal shape and equal values bit for bit (NaN equal to NaN, signed zeros told apart)."""
+    """Equal shape, equal dtype and equal values bit for bit (NaN equal to NaN,
+    signed zeros told apart)."""
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape
+    assert a.dtype == b.dtype
     assert np.array_equal(a, b, equal_nan=True)
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -276,10 +284,40 @@ def _classify(rng, n, k, classes):
     return X, y.astype(int)
 
 
+def _repeated_row_sets():
+    """(name, X, y, n_classes) of classification sets at 2 and 4 classes shaped
+    like the forests' inputs: rows drawn with repeats from a small pool, so that
+    equal rows carry conflicting labels, as in a bootstrap sample; and SMOTE-shaped
+    sets of many continuous rows with balanced classes (at 2 classes the output of
+    ``apply_smote`` on imbalanced rounded data)."""
+    rng = np.random.default_rng(52)
+    sets = []
+    for classes in (2, 4):
+        pool = np.round(rng.normal(size=(30, 5)), 1)
+        X = pool[rng.integers(0, len(pool), size=180)]
+        y = (X[:, 0] > 0).astype(int) * (classes // 2) + rng.integers(0, classes // 2 + 1, size=180)
+        sets.append((f"duplicated_rows_{classes}", X, np.minimum(y, classes - 1), classes))
+    X = np.round(np.exp(rng.normal(size=(300, 6))), 2)
+    y = (X[:, 0] + X[:, 3] + rng.normal(0, 1, 300) > 4.5).astype(int)
+    assert 0.1 < y.mean() < 0.4
+    X, y = apply_smote(X, y, seed=3)
+    sets.append(("smote_shaped_2", X, y, 2))
+    X = rng.normal(size=(400, 6))
+    signal = X[:, 0] - 0.7 * X[:, 2] + rng.normal(0, 0.6, 400)
+    sets.append(("smote_shaped_4", X, np.searchsorted(np.quantile(signal, [0.25, 0.5, 0.75]), signal), 4))
+    return sets
+
+
+REPEATED_ROW_SETS = _repeated_row_sets()
+SET_PARAMS = ({"min_leaf": 3, "min_split": 5}, {"max_features": 2})
+
+
 def _fixtures():
     """(name, X, y, task, train_cart keyword arguments without rng) per case."""
     rng = np.random.default_rng(20)
-    cases = []
+    cases = [(f"{name}_{'min_leaf' if 'min_leaf' in kwargs else 'max_features'}", X, y, "classify",
+              {"n_classes": classes, **kwargs})
+             for name, X, y, classes in REPEATED_ROW_SETS for kwargs in SET_PARAMS]
     X, y = _classify(rng, 60, 5, 2)
     cases.append(("two_class", X, y, "classify", {}))
     X, y = _classify(rng, 150, 6, 4)
@@ -333,6 +371,53 @@ def test_tree_matches_reference(case):
     else:
         assert_same(one_tree_forest(tree, task, 0).predict(probe), ref_predict_regression(ref, probe))
     assert_same(gini_importance(tree, X.shape[1]), ref_importance(ref, X.shape[1])[None])
+
+
+def _bags(rng, n, kind):
+    """Three bags of n row ids: bootstrap draws, or heavily repeated draws from a
+    few rows (about 1 in 10, with skewed counts)."""
+    if kind == "bootstrap":
+        return rng.integers(0, n, size=(3, n))
+    few = rng.choice(n, size=max(2, n // 10), replace=False)
+    return few[np.minimum(rng.geometric(0.15, size=(3, n)) - 1, len(few) - 1)]
+
+
+@pytest.mark.parametrize("kind", ["bootstrap", "repeated"])
+@pytest.mark.parametrize("kwargs", SET_PARAMS, ids=["min_leaf", "max_features"])
+@pytest.mark.parametrize("data", REPEATED_ROW_SETS, ids=[d[0] for d in REPEATED_ROW_SETS])
+def test_grown_trees_match_reference_on_repeated_rows(data, kwargs, kind):
+    """Each tree of ``grow_trees`` is the reference tree of its bag's rows,
+    repeats included, for classification and for regression on the same rows."""
+    name, X, y, classes = data
+    seed = sum(map(ord, name + kind))
+    bags = _bags(np.random.default_rng(seed), len(X), kind)
+    assert len(np.unique(bags[0])) < 0.7 * len(X)
+    for task, target, n_classes in (("classify", y, classes), ("regress", X[:, 1] - y, None)):
+        trees = grow_trees(X, target, bags, [np.random.default_rng([seed, t]) for t in range(len(bags))],
+                           task=task, n_classes=n_classes, **kwargs)
+        for t, bag in enumerate(bags):
+            ref = ref_train_cart(X[bag], target[bag], task=task, n_classes=n_classes,
+                                 rng=np.random.default_rng([seed, t]), **kwargs)
+            want, got = ref_nodes(ref), package_nodes(trees, t)
+            assert len(want["feature"]) > 1
+            for field in want:
+                assert_same(got[field], want[field])
+
+
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_tree_columns_have_their_dtypes(task):
+    """Sample counts and node ids are integers, values and impurities float64,
+    also for trees grown on weighted distinct rows."""
+    rng = np.random.default_rng(61)
+    X = np.round(rng.normal(size=(80, 4)), 1)
+    y = (X[:, 0] > 0).astype(int) if task == "classify" else X[:, 0] + X[:, 1]
+    trees = grow_trees(X, y, rng.integers(0, 80, size=(4, 80)), [np.random.default_rng(t) for t in range(4)],
+                       task=task, max_features=2)
+    assert len(trees.feature) > 4
+    for column in ("feature", "left", "right", "n", "roots"):
+        assert np.issubdtype(getattr(trees, column).dtype, np.integer), column
+    for column in ("threshold", "value", "impurity", "decrease"):
+        assert getattr(trees, column).dtype == np.float64, column
 
 
 def ref_forest_trees(X, y, params, seed, task, n_classes):
