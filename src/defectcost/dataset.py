@@ -17,8 +17,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,6 +40,19 @@ class DataError(Exception):
 
 class SplitError(Exception):
     """Bootstrap redraw budget exhausted for a release."""
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_NEVER = np.iinfo(np.int64).max  # the instant of a fix that has no timestamp
+
+
+def _instant(ts: datetime) -> int:
+    """Microseconds since the epoch, exact at datetime's resolution, so
+    instants order as the datetimes do; a naive time is taken as UTC."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return (ts - _EPOCH) // _MICROSECOND
 
 
 def _parse_timestamp(value, path=None, line=None) -> datetime:
@@ -81,16 +95,21 @@ class Release:
         return tuple(a.id for a in self.artifacts)
 
     @cached_property
-    def _arrays(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-        """id -> row map, read-only ``sizes`` and ``(n, k)`` features, and
-        each defect's rows; built once, since only labels vary by view."""
+    def _arrays(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """id -> row map, read-only ``sizes`` and ``(n, k)`` features, each
+        defect's fix instant (``_NEVER`` without a timestamp), and the defect
+        map as rows with their defect's fix instant beside them; built once,
+        since only labels vary by view."""
         row_of = {aid: i for i, aid in enumerate(self.artifact_ids)}
         k = len(self.artifacts[0].features) if self.artifacts else 0
         sizes = np.array([a.size for a in self.artifacts], dtype=np.int64)
         X = np.array([a.features for a in self.artifacts], dtype=np.float64).reshape(len(sizes), k)
         sizes.flags.writeable = X.flags.writeable = False
-        defect_rows = tuple(np.array([row_of[a] for a in d.artifacts], dtype=np.int64) for d in self.defects)
-        return row_of, sizes, X, defect_rows
+        fixed = np.array([_NEVER if d.fixed_at is None else _instant(d.fixed_at) for d in self.defects],
+                         dtype=np.int64)
+        rows = np.array([row_of[a] for d in self.defects for a in d.artifacts], dtype=np.int64)
+        row_fixed = np.repeat(fixed, [len(d.artifacts) for d in self.defects])
+        return row_of, sizes, X, fixed, rows, row_fixed
 
     @cached_property
     def defective_ids(self) -> frozenset[str]:
@@ -123,20 +142,22 @@ class Release:
         at that date can not be verified. Without ``ids`` the view's ``sizes``
         and ``X`` are the release's read-only arrays themselves.
         """
-        row_of, sizes, X, defect_rows = self._arrays
-        kept = [j for j, d in enumerate(self.defects)
-                if as_of is None or (d.fixed_at is not None and d.fixed_at < as_of)]
+        row_of, sizes, X, fixed, rows, row_fixed = self._arrays
         y = np.zeros(len(sizes), dtype=np.int64)
-        if kept:
-            y[np.concatenate([defect_rows[j] for j in kept])] = 1
-        defects = tuple(self.defects[j] for j in kept)
+        if as_of is None:
+            y[rows] = 1
+            defects = self.defects
+        else:
+            before = _instant(as_of)
+            y[rows[row_fixed < before]] = 1
+            defects = tuple(compress(self.defects, (fixed < before).tolist()))
         if ids is None:
             return ReleaseView(self.key(), self.artifact_ids, sizes, X, y, defects)
-        rows = np.array([row_of[i] for i in ids], dtype=np.int64)
+        picked = np.array([row_of[i] for i in ids], dtype=np.int64)
         distinct = set(ids)
         feet = ((d, frozenset(a for a in d.artifacts if a in distinct)) for d in defects)
         return ReleaseView(
-            self.key(), tuple(ids), sizes[rows], X[rows], y[rows],
+            self.key(), tuple(ids), sizes[picked], X[picked], y[picked],
             tuple(Defect(d.id, foot, d.fixed_at) for d, foot in feet if foot),
         )
 
@@ -155,13 +176,6 @@ class ReleaseView:
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    @property
-    def n_defective(self) -> int:
-        defective = set()
-        for d in self.defects:
-            defective.update(d.artifacts)
-        return len(defective)
 
     @cached_property
     def defect_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +380,7 @@ def write_release(release: Release, directory) -> Path:
 COUNT_MODES = ("defective_files", "defects")
 
 
-def count_defects(release: Release | ReleaseView, mode: str = "defective_files") -> int:
+def count_defects(release: Release, mode: str = "defective_files") -> int:
     if mode == "defective_files":
         return release.n_defective
     if mode == "defects":

@@ -34,7 +34,7 @@ from .costmodel import (
     classify_potential,
     cost_bounds,
 )
-from .dataset import COUNT_MODES, DataError, Release, ReleaseView, SplitError, bootstrap_split, count_defects
+from .dataset import COUNT_MODES, DataError, Release, ReleaseView, SplitError, bootstrap_split
 from .extmath import fmt_float, json_extended, json_number, parse_extended
 from .learners import (
     Forest,
@@ -47,7 +47,7 @@ from .learners import (
     tune_forest_params,
     tune_smote,
 )
-from .metrics import EFFORT_MODES, METRIC_NAMES, Prediction, evaluate_metrics
+from .metrics import EFFORT_MODES, METRIC_NAMES, Prediction, ViewScores, evaluate_metrics
 
 log = logging.getLogger(__name__)
 
@@ -222,34 +222,61 @@ class TransferResult:
 TRANSFER_KINDS = ("none", "watanabe", "camargo_cruz")
 
 
-def transfer_transform(kind: str, train_X: np.ndarray, target_X: np.ndarray) -> TransferResult:
+@dataclass(frozen=True, eq=False)
+class TransferSide:
+    """Features made ready for one transfer kind: for camargo_cruz
+    ``ln(max(x, 0) + 1)``, else ``X`` itself, and the columns that hold a
+    negative value. Both are elementwise, so a release's side is prepared once
+    per run and a pool's side is its releases' sides stacked in pool order."""
+
+    kind: str
+    X: np.ndarray
+    negative: np.ndarray  # (k,) bool
+
+    @staticmethod
+    def stack(sides: Sequence["TransferSide"]) -> "TransferSide":
+        if len(sides) == 1:
+            return sides[0]
+        return TransferSide(sides[0].kind, np.vstack([s.X for s in sides]),
+                            np.logical_or.reduce([s.negative for s in sides]))
+
+
+def transfer_side(kind: str, X: np.ndarray) -> TransferSide:
+    """The part of ``transfer_transform`` that depends on one side's rows only."""
+    if kind not in TRANSFER_KINDS:
+        raise ValueError(f"unknown transfer kind {kind!r} (expected one of {TRANSFER_KINDS})")
+    X = np.asarray(X, dtype=np.float64)
+    negative = (X < 0).any(axis=0)
+    return TransferSide(kind, np.log1p(np.maximum(X, 0.0)) if kind == "camargo_cruz" else X, negative)
+
+
+def transfer_transform(kind: str, train, target) -> TransferResult:
     """Align training data with the target project.
 
     watanabe: scale each training feature by mean(target)/mean(train);
     features with zero training mean are left unscaled and flagged.
     camargo_cruz: ln(x+1) on both sides (negative values clipped to zero
     first; static metrics are non-negative by construction), then shift the
-    training features by median(target) - median(train).
+    training features by median(target) - median(train); features with a
+    negative value on either side are flagged.
+
+    ``train`` and ``target`` are feature arrays, or sides that
+    ``transfer_side`` prepared for ``kind``.
     """
-    train_X = np.asarray(train_X, dtype=np.float64)
-    target_X = np.asarray(target_X, dtype=np.float64)
+    train, target = (s if isinstance(s, TransferSide) else transfer_side(kind, s) for s in (train, target))
+    if train.kind != kind or target.kind != kind:
+        raise ValueError(f"sides prepared for {train.kind!r} and {target.kind!r}, not {kind!r}")
     if kind == "none":
-        return TransferResult(train_X, target_X)
+        return TransferResult(train.X, target.X)
     if kind == "watanabe":
-        train_mean = train_X.mean(axis=0)
-        target_mean = target_X.mean(axis=0)
+        train_mean = train.X.mean(axis=0)
+        target_mean = target.X.mean(axis=0)
         flagged = tuple(int(i) for i in np.flatnonzero(train_mean == 0))
         scale = np.where(train_mean == 0, 1.0, target_mean / np.where(train_mean == 0, 1.0, train_mean))
-        return TransferResult(train_X * scale, target_X, flagged)
-    if kind == "camargo_cruz":
-        flagged = tuple(
-            int(i) for i in np.flatnonzero((train_X < 0).any(axis=0) | (target_X < 0).any(axis=0))
-        )
-        train_log = np.log1p(np.maximum(train_X, 0.0))
-        target_log = np.log1p(np.maximum(target_X, 0.0))
-        shift = np.median(target_log, axis=0) - np.median(train_log, axis=0)
-        return TransferResult(train_log + shift, target_log, flagged)
-    raise ValueError(f"unknown transfer kind {kind!r} (expected one of {TRANSFER_KINDS})")
+        return TransferResult(train.X * scale, target.X, flagged)
+    flagged = tuple(int(i) for i in np.flatnonzero(train.negative | target.negative))
+    shift = np.median(target.X, axis=0) - np.median(train.X, axis=0)
+    return TransferResult(train.X + shift, target.X, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +359,23 @@ def _fit_and_record(
     train_X,
     train_y,
     test_view: ReleaseView,
-    transfer: str | None = None,
+    test_X: np.ndarray | None = None,
 ) -> EvaluationRecord:
-    """Transfer (when given) and oversample the training data, fit
-    ``config.model`` on it and evaluate the model on ``test_view``. ``seeds``
-    are the (model, SMOTE, SMOTE tuning) seeds the scenario derived."""
+    """Oversample the training data, fit ``config.model`` on it and evaluate
+    the model on ``test_view``, scoring ``test_X`` (default ``test_view.X``).
+    ``seeds`` are the (model, SMOTE, SMOTE tuning) seeds the scenario derived."""
     model_seed, smote_seed, tune_seed = (int(v) for v in seeds)
-    test_X = test_view.X
-    if transfer is not None:
-        moved = transfer_transform(transfer, train_X, test_X)
-        train_X, test_X = moved.train_X, moved.target_X
+    test_X = test_view.X if test_X is None else test_X
     X, y = train_X, np.asarray(train_y, dtype=np.int64)
     if oversample != "off":
         tuned = tune_smote(X, y, seed=tune_seed) if oversample == "smote_tuned" else ()
         X, y = apply_smote(X, y, *tuned, seed=smote_seed)
-    if len(np.unique(y)) < 2:
+    if y.min() == y.max():
         scores = np.full(len(test_X), float(y[0]))
     else:
         scores = config.model.fit(X, y, seed=model_seed).predict_proba(test_X)[:, 1]
     return _record(
-        Prediction.from_arrays(test_view.ids, scores, config.threshold), test_view, train_y, y,
+        ViewScores(test_view, np.array(scores, dtype=np.float64), config.threshold), test_view, train_y, y,
         effort_mode=config.effort_mode, boundaries=config.boundaries,
         scenario=scenario, project=release.project, release=release.release_id, sample=sample,
         preprocessing="plain" if oversample == "off" else "oversampled", seed=model_seed,
@@ -362,6 +386,7 @@ def _record(pred, test_view, train_labels, train_prime_labels, *, effort_mode, b
     """Evaluate ``pred`` on ``test_view``: metrics, confounders (training
     labels None when there was no training), cost bounds and potential.
     ``identity`` holds the record's identity fields."""
+    pred = pred.for_view(test_view)
     metrics = evaluate_metrics(test_view, pred, effort_mode=effort_mode)
     confounders = compute_confounders(train_labels, train_prime_labels, test_view)
     bounds = cost_bounds(test_view, pred)
@@ -455,11 +480,39 @@ def _ordered_by_time(releases: Sequence[Release]) -> list[Release]:
 def _eligible_train_view(
     release: Release, as_of, min_instances: int, min_defects: int, mode: str
 ) -> ReleaseView | None:
-    """View with leakage-cleaned labels if it passes the size/defect filter."""
+    """View with leakage-cleaned labels if it passes the size/defect filter.
+    A whole-release view has one row per artifact, so its labels count its
+    defective files."""
+    if mode not in COUNT_MODES:
+        raise ValueError(f"unknown defect counting mode {mode!r}")
     view = release.view(as_of=as_of)
-    if view.n < min_instances or count_defects(view, mode) < min_defects:
+    found = int(np.count_nonzero(view.y)) if mode == "defective_files" else len(view.defects)
+    if view.n < min_instances or found < min_defects:
         return None
     return view
+
+
+def _prepare_targets(releases: Sequence[Release], kind: str) -> dict[int, tuple[ReleaseView, TransferSide]]:
+    """Each release's full view and its transfer side, by ``id(release)``:
+    everything of a release that no target changes, built once per run."""
+    views = {id(r): r.view() for r in releases}
+    return {key: (view, transfer_side(kind, view.X)) for key, view in views.items()}
+
+
+def _transfer_record(config: EvalConfig, scenario: str, seeds, target: Release,
+                     train: list[tuple[Release, ReleaseView]], prepared) -> EvaluationRecord:
+    """The record of ``target`` for ``config.model`` trained on the stacked
+    (release, leakage-cleaned view) pairs of ``train`` after the transfer of
+    ``config``; ``prepared`` is the run's ``_prepare_targets``."""
+    test_view, target_side = prepared[id(target)]
+    moved = transfer_transform(
+        config.transfer, TransferSide.stack([prepared[id(r)][1] for r, _ in train]), target_side
+    )
+    return _fit_and_record(
+        config, config.oversample, seeds, scenario=scenario, release=target, sample=0,
+        train_X=moved.train_X, train_y=np.concatenate([v.y for _, v in train]),
+        test_view=test_view, test_X=moved.target_X,
+    )
 
 
 def run_cross_version(
@@ -477,6 +530,7 @@ def run_cross_version(
     ``model`` overrides ``config.model``.
     """
     config = _cross_config(config, model)
+    prepared = _prepare_targets(releases, config.transfer)
     records: list[EvaluationRecord] = []
     notices: list[str] = []
     by_project: dict[str, list[Release]] = {}
@@ -497,20 +551,8 @@ def run_cross_version(
             if train_view is None:
                 notices.append(f"cross_version: no eligible prior release for {target.key()}")
                 continue
-            records.append(
-                _fit_and_record(
-                    config,
-                    config.oversample,
-                    _cross_seeds(seed, "cross_version", target_idx),
-                    scenario="cross_version",
-                    release=target,
-                    sample=0,
-                    train_X=train_view.X,
-                    train_y=train_view.y,
-                    test_view=target.view(),
-                    transfer=config.transfer,
-                )
-            )
+            records.append(_transfer_record(config, "cross_version", _cross_seeds(seed, "cross_version", target_idx),
+                                            target, [(candidate, train_view)], prepared))
     for note in notices:
         log.warning("%s", note)
     return RunResult(records=records, notices=notices)
@@ -566,6 +608,7 @@ def run_cross_project(
     target's release date. ``model`` overrides ``config.model``.
     """
     config = _cross_config(config, model)
+    prepared = _prepare_targets(releases, config.transfer)
     records: list[EvaluationRecord] = []
     notices: list[str] = []
     for idx, target in enumerate(sorted(releases, key=lambda r: (r.project, r.released_at, r.release_id))):
@@ -580,20 +623,8 @@ def run_cross_project(
         if not pool:
             notices.append(f"cross_project: empty training pool for {target.key()}")
             continue
-        records.append(
-            _fit_and_record(
-                config,
-                config.oversample,
-                _cross_seeds(seed, "cross_project", idx),
-                scenario="cross_project",
-                release=target,
-                sample=0,
-                train_X=np.vstack([v.X for _, v in pool]),
-                train_y=np.concatenate([v.y for _, v in pool]),
-                test_view=target.view(),
-                transfer=config.transfer,
-            )
-        )
+        records.append(_transfer_record(config, "cross_project", _cross_seeds(seed, "cross_project", idx),
+                                        target, pool, prepared))
     for note in notices:
         log.warning("%s", note)
     return RunResult(records=records, notices=notices)

@@ -43,11 +43,35 @@ class Prediction:
             )
         return np.array([self.scores[a] for a in view.ids], dtype=np.float64)
 
+    def for_view(self, view: ReleaseView) -> "ViewScores":
+        """This prediction checked against ``view`` once, for every metric of a record."""
+        return ViewScores(view, self.scores_for(view), self.threshold)
+
     @staticmethod
     def from_arrays(ids: Sequence[str], scores: Sequence[float], threshold: float = 0.5) -> "Prediction":
         if len(ids) != len(scores):
             raise ValueError(f"{len(ids)} ids but {len(scores)} scores")
         return Prediction(dict(zip(ids, (float(s) for s in scores))), threshold)
+
+
+@dataclass(frozen=True, eq=False)
+class ViewScores:
+    """Scores in the row order of one view, with the threshold: a Prediction
+    whose coverage of ``view`` is checked. The metric and cost functions take
+    it wherever they take a Prediction."""
+
+    view: ReleaseView
+    scores: np.ndarray
+    threshold: float = 0.5
+
+    def scores_for(self, view: ReleaseView) -> np.ndarray:
+        if view is not self.view:
+            raise CoverageError(f"scores were checked against another view than {view.release_key}")
+        return self.scores
+
+    def for_view(self, view: ReleaseView) -> "ViewScores":
+        self.scores_for(view)
+        return self
 
 
 @dataclass(frozen=True)
@@ -253,6 +277,7 @@ def effort_metrics(
 
 def evaluate_metrics(view: ReleaseView, pred: Prediction, effort_mode: str = "defects") -> MetricVector:
     """All twenty metrics for one evaluation set."""
+    pred = pred.for_view(view)
     counts = confusion_counts(view, pred)
     base = confusion_metrics(counts)
     truth = view.y
