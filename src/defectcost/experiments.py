@@ -222,6 +222,22 @@ class TransferResult:
 TRANSFER_KINDS = ("none", "watanabe", "camargo_cruz")
 
 
+def _column_medians(X: np.ndarray) -> np.ndarray:
+    """``np.median(X, axis=0)`` bit for bit, without np.median's import of
+    numpy.ma: one partition of each column, contiguous, at the upper middle;
+    the lower middle of an even count is the largest value below it, and a
+    column holding NaN, which partitions last, has median NaN."""
+    n = len(X)
+    if n == 0:
+        return np.full(X.shape[1], np.nan)
+    half = n // 2
+    part = X.T.copy()
+    part.partition(half, axis=1)
+    upper = part[:, half:]
+    median = upper[:, 0] if n % 2 else (part[:, :half].max(axis=1) + upper[:, 0]) / 2.0
+    return np.where(np.isnan(upper.max(axis=1)), np.nan, median)
+
+
 @dataclass(frozen=True, eq=False)
 class TransferSide:
     """Features made ready for one transfer kind: for camargo_cruz
@@ -275,7 +291,7 @@ def transfer_transform(kind: str, train, target) -> TransferResult:
         scale = np.where(train_mean == 0, 1.0, target_mean / np.where(train_mean == 0, 1.0, train_mean))
         return TransferResult(train.X * scale, target.X, flagged)
     flagged = tuple(int(i) for i in np.flatnonzero(train.negative | target.negative))
-    shift = np.median(target.X, axis=0) - np.median(train.X, axis=0)
+    shift = _column_medians(target.X) - _column_medians(train.X)
     return TransferResult(train.X + shift, target.X, flagged)
 
 

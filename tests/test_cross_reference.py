@@ -16,6 +16,7 @@ from defectcost.experiments import (
     TRANSFER_KINDS,
     EvalConfig,
     GaussianNBModel,
+    _column_medians,
     _cross_seeds,
     _ordered_by_time,
     _record,
@@ -177,3 +178,23 @@ def test_a_fix_at_the_target_instant_is_not_training_knowledge():
         Defect(d.id, d.artifacts, target.released_at - timedelta(microseconds=1)) for d in releases[0].defects))
     assert not at_target.view(as_of=target.released_at).y.any()
     assert just_before.view(as_of=target.released_at).y.sum() == releases[0].n_defective
+
+
+def test_column_medians_match_numpy_median():
+    rng = np.random.default_rng(3)
+    for n in [0, 1, 2, 3, 4, 7, 8, 450, 451, 1000, 1001]:
+        for k in [0, 1, 3]:
+            X = np.log1p(np.maximum(rng.normal(2.0, 1.5, size=(n, k)), 0.0))
+            if n > 3:
+                X[rng.integers(0, n, size=n // 2)] = X[0]  # ties
+            for _ in range(2):
+                want = np.median(X, axis=0) if n else np.full(k, np.nan)
+                got = _column_medians(X)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+                if n and k:
+                    X[int(rng.integers(n)), int(rng.integers(k))] = np.nan
+    X = rng.normal(size=(9, 2))
+    before = X.copy()
+    _column_medians(X)
+    assert X.tobytes() == before.tobytes()

@@ -2,6 +2,8 @@
 only from the standard library, numpy and the package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +34,23 @@ def test_every_export_resolves():
 
     for package in (defectcost, learners):
         assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
+def test_runs_do_not_import_numpy_ma(tmp_path):
+    """``np.unique`` without return options imports numpy.ma on first use in
+    numpy 2.x, about 25 ms of a command; no run path should need it."""
+    script = f"""
+import sys
+from defectcost.cli import main
+out = {str(tmp_path)!r}
+main(["synth", "--seed", "3", "--projects", "2", "--releases", "3", "--artifacts", "60,80", "-o", out + "/corpus"])
+common = ["--data", out + "/corpus", "--min-instances", "10", "--min-defects", "2"]
+main(["bootstrap", *common, "--samples", "1", "--trees", "5", "-o", out + "/bootstrap"])
+main(["cross-project", *common, "--model", "gnb", "--transfer", "camargo_cruz", "-o", out + "/cross"])
+print(sorted(name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(defectcost.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert (tmp_path / "bootstrap" / "records.csv").is_file()
+    assert len((tmp_path / "cross" / "records.csv").read_text().splitlines()) > 1
+    assert run.stdout.splitlines()[-1] == "[]"
