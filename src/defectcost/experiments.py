@@ -567,8 +567,9 @@ def run_cross_version(
             if train_view is None:
                 notices.append(f"cross_version: no eligible prior release for {target.key()}")
                 continue
-            records.append(_transfer_record(config, "cross_version", _cross_seeds(seed, "cross_version", target_idx),
-                                            target, [(candidate, train_view)], prepared))
+            seeds = _cross_seeds(seed, "cross_version", target_idx)
+            train = [(candidate, train_view)]
+            records.append(_transfer_record(config, "cross_version", seeds, target, train, prepared))
     for note in notices:
         log.warning("%s", note)
     return RunResult(records=records, notices=notices)
@@ -639,8 +640,8 @@ def run_cross_project(
         if not pool:
             notices.append(f"cross_project: empty training pool for {target.key()}")
             continue
-        records.append(_transfer_record(config, "cross_project", _cross_seeds(seed, "cross_project", idx),
-                                        target, pool, prepared))
+        seeds = _cross_seeds(seed, "cross_project", idx)
+        records.append(_transfer_record(config, "cross_project", seeds, target, pool, prepared))
     for note in notices:
         log.warning("%s", note)
     return RunResult(records=records, notices=notices)

@@ -31,14 +31,16 @@ def train_gaussian_nb(X, y) -> GaussianNB:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     ordered = np.sort(y)
-    classes = ordered[np.append(True, ordered[1:] != ordered[:-1])]  # np.unique's result, without its import of numpy.ma
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    classes = ordered[first]  # np.unique(y), without the import of numpy.ma it makes
     eps = 1e-9 * max(float(X.var(axis=0).max()), 1.0)
     means, variances, priors = [], [], []
     for c in classes:
         rows = X[y == c]
         mean = rows.mean(axis=0, keepdims=True)
         means.append(mean[0])
-        variances.append(rows.var(axis=0, mean=mean) + eps)  # the mean var would compute, bit for bit
+        variances.append(rows.var(axis=0, mean=mean) + eps)  # the mean that var computes, bit for bit
         priors.append(len(rows) / len(y))
     return GaussianNB(
         classes=classes,
