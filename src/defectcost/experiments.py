@@ -399,10 +399,9 @@ def _fit_and_record(
 
 
 def _record(pred, test_view, train_labels, train_prime_labels, *, effort_mode, boundaries, **identity):
-    """Evaluate ``pred`` on ``test_view``: metrics, confounders (training
-    labels None when there was no training), cost bounds and potential.
-    ``identity`` holds the record's identity fields."""
-    pred = pred.for_view(test_view)
+    """Evaluate ``pred``, scores checked against ``test_view``, on it:
+    metrics, confounders (training labels None when there was no training),
+    cost bounds and potential. ``identity`` holds the record's identity fields."""
     metrics = evaluate_metrics(test_view, pred, effort_mode=effort_mode)
     confounders = compute_confounders(train_labels, train_prime_labels, test_view)
     bounds = cost_bounds(test_view, pred)
@@ -661,8 +660,9 @@ def evaluate_external_prediction(
     No training data exists here, so the training-side confounders carry the
     undefined marker and the training sizes are zero.
     """
+    view = release.view()
     return _record(
-        Prediction(dict(scores_by_id), threshold), release.view(), None, None,
+        Prediction(dict(scores_by_id), threshold).for_view(view), view, None, None,
         effort_mode=effort_mode, boundaries=boundaries,
         scenario="external", project=release.project, release=release.release_id, sample=0,
         preprocessing="plain", seed=seed,

@@ -58,7 +58,7 @@ class Prediction:
 class ViewScores:
     """Scores in the row order of one view, with the threshold: a Prediction
     whose coverage of ``view`` is checked. The metric and cost functions take
-    it wherever they take a Prediction."""
+    it wherever they take a Prediction, so a record checks coverage once."""
 
     view: ReleaseView
     scores: np.ndarray
@@ -68,10 +68,6 @@ class ViewScores:
         if view is not self.view:
             raise CoverageError(f"scores were checked against another view than {view.release_key}")
         return self.scores
-
-    def for_view(self, view: ReleaseView) -> "ViewScores":
-        self.scores_for(view)
-        return self
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,6 @@ def effort_metrics(
 
 def evaluate_metrics(view: ReleaseView, pred: Prediction, effort_mode: str = "defects") -> MetricVector:
     """All twenty metrics for one evaluation set."""
-    pred = pred.for_view(view)
     counts = confusion_counts(view, pred)
     base = confusion_metrics(counts)
     truth = view.y

@@ -47,6 +47,15 @@ def test_coverage_mismatch(t1_view):
         Prediction.from_arrays(["a1", "a2"], [0.5])
 
 
+def test_checked_prediction_gives_the_same_metrics(t1_release, t1_view, t1_prediction):
+    checked = t1_prediction.for_view(t1_view)
+    assert repr(evaluate_metrics(t1_view, checked)) == repr(evaluate_metrics(t1_view, t1_prediction))
+    with pytest.raises(CoverageError, match="another view"):
+        confusion_counts(t1_release.view(), checked)
+    with pytest.raises(CoverageError):
+        Prediction({"a1": 1.0}, 0.5).for_view(t1_view)
+
+
 def test_threshold_is_strict(t1_view):
     pred = Prediction({a: 0.5 for a in t1_view.ids}, 0.5)
     c = confusion_counts(t1_view, pred)
