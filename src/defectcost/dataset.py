@@ -380,11 +380,13 @@ def write_release(release: Release, directory) -> Path:
 COUNT_MODES = ("defective_files", "defects")
 
 
-def count_defects(release: Release, mode: str = "defective_files") -> int:
+def count_defects(view: ReleaseView, mode: str = "defective_files") -> int:
+    """Defects of a whole-release view, one row per artifact: its defective
+    files (labelled rows) or its distinct defects."""
     if mode == "defective_files":
-        return release.n_defective
+        return int(np.count_nonzero(view.y))
     if mode == "defects":
-        return len(release.defects)
+        return len(view.defects)
     raise ValueError(f"unknown defect counting mode {mode!r}")
 
 
@@ -404,7 +406,7 @@ def filter_releases(
     return [
         r
         for r in releases
-        if r.n_artifacts >= min_instances and count_defects(r, mode) >= min_defects
+        if r.n_artifacts >= min_instances and count_defects(r.view(), mode) >= min_defects
     ]
 
 

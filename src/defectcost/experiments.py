@@ -34,7 +34,7 @@ from .costmodel import (
     classify_potential,
     cost_bounds,
 )
-from .dataset import COUNT_MODES, DataError, Release, ReleaseView, SplitError, bootstrap_split
+from .dataset import COUNT_MODES, DataError, Release, ReleaseView, SplitError, bootstrap_split, count_defects
 from .extmath import fmt_float, json_extended, json_number, parse_extended
 from .learners import (
     Forest,
@@ -223,10 +223,11 @@ TRANSFER_KINDS = ("none", "watanabe", "camargo_cruz")
 
 
 def _column_medians(X: np.ndarray) -> np.ndarray:
-    """``np.median(X, axis=0)`` bit for bit, without np.median's import of
-    numpy.ma: one partition of each column, contiguous, at the upper middle;
-    the lower middle of an even count is the largest value below it, and a
-    column holding NaN, which partitions last, has median NaN."""
+    """``np.median(X, axis=0)`` bit for bit from one partition of each column,
+    copied contiguous, at the upper middle: the lower middle of an even count
+    is the largest value below it, and a column holding NaN, which partitions
+    last, has median NaN. Unlike np.median it needs no third partition index
+    for a NaN check and does not import numpy.ma."""
     n = len(X)
     if n == 0:
         return np.full(X.shape[1], np.nan)
@@ -495,14 +496,9 @@ def _ordered_by_time(releases: Sequence[Release]) -> list[Release]:
 def _eligible_train_view(
     release: Release, as_of, min_instances: int, min_defects: int, mode: str
 ) -> ReleaseView | None:
-    """View with leakage-cleaned labels if it passes the size/defect filter.
-    A whole-release view has one row per artifact, so its labels count its
-    defective files."""
-    if mode not in COUNT_MODES:
-        raise ValueError(f"unknown defect counting mode {mode!r}")
+    """View with leakage-cleaned labels if it passes the size/defect filter."""
     view = release.view(as_of=as_of)
-    found = int(np.count_nonzero(view.y)) if mode == "defective_files" else len(view.defects)
-    if view.n < min_instances or found < min_defects:
+    if view.n < min_instances or count_defects(view, mode) < min_defects:
         return None
     return view
 
