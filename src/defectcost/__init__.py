@@ -18,7 +18,6 @@ from .costmodel import (
     diff_simplified,
 )
 from .dataset import (
-    Artifact,
     DataError,
     Defect,
     Release,
@@ -65,7 +64,6 @@ from .synth import SynthSpec, generate_synthetic
 __version__ = "0.1.0"
 
 __all__ = [
-    "Artifact",
     "CONFOUNDER_NAMES",
     "ConfounderVector",
     "ConfusionCounts",

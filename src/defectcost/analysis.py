@@ -18,7 +18,6 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -380,6 +379,8 @@ def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_
     counts, edges = np.histogram(lg, bins=bins)
     out["histogram"] = {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
     if sd > 0 and len(lg) >= 2:
+        from statistics import NormalDist  # imported here: the CLI imports this module for every command
+
         dist = NormalDist(mean, sd)
         n_points = min(qq_points, len(lg))
         probs = (np.arange(n_points) + 0.5) / n_points

@@ -1,9 +1,10 @@
-"""Release data model: artifacts, defects, ingestion, filtering, bootstrap splits.
+"""Release data model: defects, ingestion, filtering, bootstrap splits.
 
-A release holds a set of software artifacts (files) with sizes and static
-metrics, plus a defect map with an n-to-m relationship between defects and
-artifacts. Defectiveness of an artifact is always derived from the defect map,
-never stored, so the two can not drift apart.
+A release holds its software artifacts (files) as array rows: ids, int64
+sizes and a float64 ``(n, k)`` matrix of static metrics, parsed straight from
+``metrics.csv``. Its defect map relates defects and artifacts n-to-m; an
+artifact's defectiveness is derived from it, never stored, so the two can not
+drift apart.
 
 On-disk format of one release (three files in one directory):
   metrics.csv  header ``artifact_id,size,<feature_1>,...,<feature_k>``
@@ -66,50 +67,43 @@ def _parse_timestamp(value, path=None, line=None) -> datetime:
 
 
 @dataclass(frozen=True)
-class Artifact:
-    id: str
-    size: int
-    features: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class Defect:
     id: str
     artifacts: frozenset[str]
     fixed_at: datetime | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Release:
+    """Artifact ``i`` is ``artifact_ids[i]``, of size ``sizes[i]`` (int64) with
+    static metrics ``X[i]`` (float64); both arrays are read-only copies."""
+
     project: str
     release_id: str
     released_at: datetime
-    artifacts: tuple[Artifact, ...]
+    artifact_ids: tuple[str, ...]
+    sizes: np.ndarray
+    X: np.ndarray
     defects: tuple[Defect, ...]
 
     def __post_init__(self):
+        for name, dtype in (("sizes", np.int64), ("X", np.float64)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         validate_release(self)
 
     @cached_property
-    def artifact_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.artifacts)
-
-    @cached_property
-    def _arrays(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """id -> row map, read-only ``sizes`` and ``(n, k)`` features, each
-        defect's fix instant (``_NEVER`` without a timestamp), and the defect
-        map as rows with their defect's fix instant beside them; built once,
-        since only labels vary by view."""
+    def _arrays(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+        """id -> row map, each defect's fix instant (``_NEVER`` without a
+        timestamp), and the defect map as rows with their defect's fix instant
+        beside them; built once, since only labels vary by view."""
         row_of = {aid: i for i, aid in enumerate(self.artifact_ids)}
-        k = len(self.artifacts[0].features) if self.artifacts else 0
-        sizes = np.array([a.size for a in self.artifacts], dtype=np.int64)
-        X = np.array([a.features for a in self.artifacts], dtype=np.float64).reshape(len(sizes), k)
-        sizes.flags.writeable = X.flags.writeable = False
         fixed = np.array([_NEVER if d.fixed_at is None else _instant(d.fixed_at) for d in self.defects],
                          dtype=np.int64)
         rows = np.array([row_of[a] for d in self.defects for a in d.artifacts], dtype=np.int64)
         row_fixed = np.repeat(fixed, [len(d.artifacts) for d in self.defects])
-        return row_of, sizes, X, fixed, rows, row_fixed
+        return row_of, fixed, rows, row_fixed
 
     @cached_property
     def defective_ids(self) -> frozenset[str]:
@@ -120,7 +114,7 @@ class Release:
 
     @property
     def n_artifacts(self) -> int:
-        return len(self.artifacts)
+        return len(self.artifact_ids)
 
     @property
     def n_defective(self) -> int:
@@ -128,7 +122,7 @@ class Release:
 
     @property
     def defect_ratio(self) -> float:
-        return self.n_defective / self.n_artifacts if self.artifacts else 0.0
+        return self.n_defective / self.n_artifacts if self.artifact_ids else 0.0
 
     def key(self) -> str:
         return f"{self.project}/{self.release_id}"
@@ -142,7 +136,8 @@ class Release:
         at that date can not be verified. Without ``ids`` the view's ``sizes``
         and ``X`` are the release's read-only arrays themselves.
         """
-        row_of, sizes, X, fixed, rows, row_fixed = self._arrays
+        row_of, fixed, rows, row_fixed = self._arrays
+        sizes, X = self.sizes, self.X
         y = np.zeros(len(sizes), dtype=np.int64)
         if as_of is None:
             y[rows] = 1
@@ -202,27 +197,24 @@ class SplitSample:
     seed: int
 
 
+def _first_repeat(values: Sequence) -> int | None:
+    """Index of the first value equal to an earlier one, or None."""
+    seen: set = set()
+    return next((i for i, v in enumerate(values) if v in seen or seen.add(v)), None)
+
+
 def validate_release(release: Release) -> None:
-    seen = set()
-    width = None
-    for a in release.artifacts:
-        if a.id in seen:
-            raise DataError(f"duplicate artifact id {a.id!r} in {release.key()}")
-        seen.add(a.id)
-        if a.size < 0:
-            raise DataError(f"negative size for artifact {a.id!r} in {release.key()}")
-        if width is None:
-            width = len(a.features)
-        elif len(a.features) != width:
-            raise DataError(
-                f"feature vector length mismatch for artifact {a.id!r} "
-                f"({len(a.features)} != {width}) in {release.key()}"
-            )
-    defect_ids = set()
+    ids, sizes, X = release.artifact_ids, release.sizes, release.X
+    if sizes.shape != (len(ids),) or X.ndim != 2 or len(X) != len(ids):
+        raise DataError(f"sizes {sizes.shape} and X {X.shape} do not fit {len(ids)} artifact ids in {release.key()}")
+    if (i := _first_repeat(ids)) is not None:
+        raise DataError(f"duplicate artifact id {ids[i]!r} in {release.key()}")
+    if (negative := np.flatnonzero(sizes < 0)).size:
+        raise DataError(f"negative size for artifact {ids[negative[0]]!r} in {release.key()}")
+    seen = set(ids)
+    if (i := _first_repeat([d.id for d in release.defects])) is not None:
+        raise DataError(f"duplicate defect id {release.defects[i].id!r} in {release.key()}")
     for d in release.defects:
-        if d.id in defect_ids:
-            raise DataError(f"duplicate defect id {d.id!r} in {release.key()}")
-        defect_ids.add(d.id)
         if not d.artifacts:
             raise DataError(f"defect {d.id!r} has no artifacts in {release.key()}")
         for aid in d.artifacts:
@@ -253,7 +245,8 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
         if not isinstance(meta.get(key), str):
             raise DataError(f"meta field {key!r} must be a string, got {meta.get(key, 'nothing')!r}", meta_file)
 
-    artifacts = []
+    ids, size_strs, feature_strs, lines = [], [], [], []
+    stop = None  # the error that ended reading; the rows read before it are checked first
     with metrics_file.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -264,30 +257,22 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise DataError(f"expected {len(header)} columns, got {len(row)}", metrics_file, lineno)
-                aid = row[0]
-                try:
-                    size = int(row[1])
-                except ValueError as exc:
-                    raise DataError(f"size must be an integer, got {row[1]!r}", metrics_file, lineno) from exc
-                if size < 0:
-                    raise DataError(f"negative size {size}", metrics_file, lineno)
-                try:
-                    feats = tuple(map(float, row[2:]))
-                except ValueError as exc:
-                    raise DataError("malformed feature value", metrics_file, lineno) from exc
-                if not all(map(math.isfinite, feats)):
-                    raise DataError("non-finite feature value", metrics_file, lineno)
-                artifacts.append(Artifact(aid, size, feats))
+                    stop = DataError(f"expected {len(header)} columns, got {len(row)}", metrics_file, lineno)
+                    break
+                ids.append(row[0])
+                size_strs.append(row[1])
+                feature_strs += row[2:]
+                lines.append(lineno)
         except csv.Error as exc:
-            raise DataError(f"malformed CSV: {exc}", metrics_file, reader.line_num) from None
+            stop = DataError(f"malformed CSV: {exc}", metrics_file, reader.line_num)
         except UnicodeDecodeError as exc:
-            raise DataError(f"not UTF-8 text: {exc.reason}", metrics_file) from None
+            stop = DataError(f"not UTF-8 text: {exc.reason}", metrics_file)
+    sizes, X = _metric_columns(metrics_file, size_strs, feature_strs, lines, stop)
 
     raw_defects = _read_json(defects_file)
     if not isinstance(raw_defects, list):
         raise DataError("defects file must contain a JSON array", defects_file)
-    known = {a.id for a in artifacts}
+    known = set(ids)
     defects = []
     for i, entry in enumerate(raw_defects):
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) or "artifacts" not in entry:
@@ -299,28 +284,47 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
             if not isinstance(aid, str):
                 raise DataError(f"artifact id {aid!r} in defect {entry['id']!r} must be a string", defects_file)
             if aid not in known:
-                raise DataError(f"unknown artifact id {aid!r} in defect {entry['id']!r}", defects_file)
+                raise DataError(f"unknown artifact id {aid!r} in defect {entry['id']!r}, not in {metrics_file.name}",
+                                defects_file)
         fixed_at = entry.get("fixed_at")
-        defects.append(
-            Defect(
-                id=entry["id"],
-                artifacts=frozenset(arts),
-                fixed_at=None if fixed_at is None else _parse_timestamp(fixed_at, defects_file),
-            )
-        )
+        fixed_at = None if fixed_at is None else _parse_timestamp(fixed_at, defects_file)
+        defects.append(Defect(entry["id"], frozenset(arts), fixed_at))
+    if (i := _first_repeat(ids)) is not None:
+        raise DataError(f"duplicate artifact id {ids[i]!r}", metrics_file, lines[i])
+    if (i := _first_repeat([d.id for d in defects])) is not None:
+        raise DataError(f"duplicate defect id {defects[i].id!r}", defects_file)
+    released_at = _parse_timestamp(meta["released_at"], meta_file)
+    return Release(meta["project"], meta["release"], released_at, tuple(ids), sizes, X, tuple(defects))
 
+
+def _metric_columns(path: Path, size_strs: list[str], feature_strs: list[str], lines: list[int], stop):
+    """``sizes`` (n,) int64 and ``X`` (n, k) float64 of the n rows read before
+    ``stop``, the error that ended reading (or None): each column is parsed by
+    one ``int()`` or ``float()`` pass and checked at once. A bad file is read
+    again row by row, for the error of its first offending line."""
+    n = len(lines)
+    k = len(feature_strs) // n if n else 0
     try:
-        return Release(
-            project=meta["project"],
-            release_id=meta["release"],
-            released_at=_parse_timestamp(meta["released_at"], meta_file),
-            artifacts=tuple(artifacts),
-            defects=tuple(defects),
-        )
-    except DataError:
-        raise
-    except Exception as exc:  # validation re-raises with release context
-        raise DataError(str(exc), metrics_file) from exc
+        sizes = np.array(list(map(int, size_strs)), dtype=np.int64)
+        X = np.array(list(map(float, feature_strs)), dtype=np.float64).reshape(n, k)
+        if stop is None and not (sizes < 0).any() and np.isfinite(X).all():
+            return sizes, X
+    except (ValueError, OverflowError):  # a size or feature that does not parse, or a size beyond int64
+        pass
+    for i, lineno in enumerate(lines):
+        try:
+            size = int(size_strs[i])
+        except ValueError:
+            raise DataError(f"size must be an integer, got {size_strs[i]!r}", path, lineno) from None
+        if not 0 <= size < 2**63:
+            raise DataError(f"negative size {size}" if size < 0 else f"size {size} exceeds int64", path, lineno)
+        try:
+            features = list(map(float, feature_strs[i * k:(i + 1) * k]))
+        except ValueError:
+            raise DataError("malformed feature value", path, lineno) from None
+        if not all(map(math.isfinite, features)):
+            raise DataError("non-finite feature value", path, lineno)
+    raise stop
 
 
 def load_release_dir(directory) -> Release:
@@ -355,10 +359,9 @@ def write_release(release: Release, directory) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     with (directory / "metrics.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        width = len(release.artifacts[0].features) if release.artifacts else 0
-        writer.writerow(["artifact_id", "size"] + [f"feature_{i + 1}" for i in range(width)])
-        for a in release.artifacts:
-            writer.writerow([a.id, a.size] + [repr(v) for v in a.features])
+        writer.writerow(["artifact_id", "size"] + [f"feature_{i + 1}" for i in range(release.X.shape[1])])
+        for aid, size, features in zip(release.artifact_ids, release.sizes.tolist(), release.X.tolist()):
+            writer.writerow([aid, size] + [repr(v) for v in features])
     defects = [
         {
             "id": d.id,

@@ -36,7 +36,9 @@ def train_gaussian_nb(X, y) -> GaussianNB:
     for c in classes:
         rows = X[y == c]
         means.append(rows.mean(axis=0))
-        variances.append(rows.var(axis=0) + eps)
+        d = rows - means[-1]  # the steps of rows.var(axis=0) without its second mean: the same bits
+        d *= d
+        variances.append(d.sum(axis=0) / len(rows) + eps)
     return GaussianNB(
         classes=classes,
         priors=counts / len(y),

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .dataset import Artifact, Defect, Release
+from .dataset import Defect, Release
 
 
 @dataclass(frozen=True)
@@ -95,17 +95,8 @@ def _generate_release(spec: SynthSpec, project: str, release_id: str,
     shift[sorted(covered)] = spec.signal
     features = np.maximum(base + shift[:, None], 0.0)  # static metrics are non-negative
 
-    artifacts = tuple(
-        Artifact(id=f"f{i:04d}", size=int(sizes[i]), features=tuple(float(v) for v in features[i]))
-        for i in range(n)
-    )
-    return Release(
-        project=project,
-        release_id=release_id,
-        released_at=released_at,
-        artifacts=artifacts,
-        defects=tuple(defects),
-    )
+    ids = tuple(f"f{i:04d}" for i in range(n))
+    return Release(project, release_id, released_at, ids, sizes, features, tuple(defects))
 
 
 def generate_synthetic(spec: SynthSpec, seed: int) -> list[Release]:

@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 import pytest
 
 from defectcost.costmodel import classify_potential
-from defectcost.dataset import Artifact, Defect, Release
+from defectcost.dataset import Defect, Release
 from defectcost.experiments import EvaluationRecord
 from defectcost.metrics import METRIC_NAMES, Prediction, _inspection_order
 
@@ -36,19 +36,24 @@ def column_total(conf, level) -> int:
     return int(conf.matrix[:, int(level)].sum())
 
 
+def release_fields(release) -> tuple:
+    """A release's fields in a form ``==`` compares: its arrays as dtype, shape and bytes."""
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (release.sizes, release.X)]
+    return (release.project, release.release_id, release.released_at, release.artifact_ids, *arrays, release.defects)
+
+
 def make_release(sizes=None, defects=None, project="demo", release_id="r1",
                  released_at=None, features=None):
     sizes = T1_SIZES if sizes is None else sizes
     defects = T1_DEFECTS if defects is None else defects
-    artifacts = tuple(
-        Artifact(aid, size, tuple(features[aid]) if features else (0.0,))
-        for aid, size in sorted(sizes.items())
-    )
+    ids = sorted(sizes)
     return Release(
         project=project,
         release_id=release_id,
         released_at=released_at or datetime(2020, 1, 1, tzinfo=timezone.utc),
-        artifacts=artifacts,
+        artifact_ids=tuple(ids),
+        sizes=[sizes[aid] for aid in ids],
+        X=[tuple(features[aid]) if features else (0.0,) for aid in ids],
         defects=tuple(Defect(did, frozenset(arts)) for did, arts in sorted(defects.items())),
     )
 

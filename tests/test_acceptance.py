@@ -385,18 +385,19 @@ def test_c08_qualitative_reproduction():
 def test_c09_temporal_leakage_guard():
     from datetime import datetime, timedelta, timezone
 
-    from defectcost.dataset import Artifact, Defect, Release
+    from defectcost.dataset import Defect, Release
     from defectcost.experiments import CROSS_PROJECT_GAP_DAYS, cross_project_training_views
 
     def release(project, rid, date, late=()):
         released = datetime.fromisoformat(date).replace(tzinfo=timezone.utc)
-        artifacts = tuple(Artifact(f"f{i:03d}", 10 + i, (float(i),)) for i in range(110))
+        ids = tuple(f"f{i:03d}" for i in range(110))
+        sizes, X = [10 + i for i in range(110)], [(float(i),) for i in range(110)]
         defects = tuple(
             Defect(f"d{i}", frozenset({f"f{i:03d}"}),
                    released + timedelta(days=900 if f"f{i:03d}" in late else 4))
             for i in range(8)
         )
-        return Release(project, rid, released, artifacts, defects)
+        return Release(project, rid, released, ids, sizes, X, defects)
 
     releases = [
         release("A", "r0", "2019-06-01"),

@@ -38,8 +38,8 @@ def test_metrics_subcommand(corpus_dir, tmp_path, capsys):
     with pred_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["artifact_id", "score"])
-        for a in release.artifacts:
-            writer.writerow([a.id, 0.9 if a.id in release.defective_ids else 0.1])
+        for aid in release.artifact_ids:
+            writer.writerow([aid, 0.9 if aid in release.defective_ids else 0.1])
     out = tmp_path / "out"
     rc = main(["metrics", "--release", str(release_dir), "--pred", str(pred_path), "-o", str(out)])
     assert rc == 0

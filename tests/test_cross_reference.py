@@ -11,7 +11,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from defectcost.dataset import Artifact, Defect
+from defectcost.dataset import Defect
 from defectcost.experiments import (
     TRANSFER_KINDS,
     EvalConfig,
@@ -50,10 +50,10 @@ def edge_corpus(seed):
             else:
                 fixed_at = d.fixed_at
             defects.append(Defect(d.id, d.artifacts, fixed_at))
-        artifacts = r.artifacts
+        X = r.X
         if i % 3 == 0:  # a column with negative values
-            artifacts = tuple(Artifact(a.id, a.size, (a.features[0] - 3.5, *a.features[1:])) for a in artifacts)
-        out.append(replace(r, artifacts=artifacts, defects=tuple(defects)))
+            X = [(x[0] - 3.5, *x[1:]) for x in r.X.tolist()]
+        out.append(replace(r, X=X, defects=tuple(defects)))
     return out
 
 
@@ -65,8 +65,8 @@ def plain_training_set(release, as_of, config):
     count = len(defective) if config.count_mode == "defective_files" else len(kept)
     if release.n_artifacts < config.min_instances or count < config.min_defects:
         return None
-    X = np.array([a.features for a in release.artifacts], dtype=np.float64)
-    y = np.array([a.id in defective for a in release.artifacts], dtype=np.int64)
+    X = np.array(release.X.tolist(), dtype=np.float64)
+    y = np.array([aid in defective for aid in release.artifact_ids], dtype=np.int64)
     return X, y
 
 
@@ -138,7 +138,7 @@ def test_edge_corpus_has_the_edge_cases():
     fixes = [d.fixed_at for r in releases for d in r.defects]
     assert any(f is None for f in fixes)
     assert any(f in instants for f in fixes)
-    assert any(min(a.features) < 0 for r in releases for a in r.artifacts)
+    assert any(min(x) < 0 for r in releases for x in r.X.tolist())
 
 
 @pytest.mark.parametrize("scenario", sorted(RUNNERS))

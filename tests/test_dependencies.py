@@ -39,23 +39,36 @@ def test_every_export_resolves():
         assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
-@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x imports numpy.ma at import time")
-def test_runs_do_not_import_numpy_ma(tmp_path):
-    """``np.unique`` without return options imports numpy.ma on first use in
-    numpy 2.x, about 25 ms of a command, and so does np.median; no run path
-    should need it."""
+@pytest.fixture(scope="module")
+def modules_after_runs(tmp_path_factory):
+    """Modules loaded by one process after a serial bootstrap and a cross-project run."""
+    out = tmp_path_factory.mktemp("runs")
     script = f"""
 import sys
 from defectcost.cli import main
-out = {str(tmp_path)!r}
+out = {str(out)!r}
 main(["synth", "--seed", "3", "--projects", "2", "--releases", "3", "--artifacts", "60,80", "-o", out + "/corpus"])
 common = ["--data", out + "/corpus", "--min-instances", "10", "--min-defects", "2"]
-main(["bootstrap", *common, "--samples", "1", "--trees", "5", "-o", out + "/bootstrap"])
+main(["bootstrap", *common, "--samples", "1", "--trees", "5", "--jobs", "1", "-o", out + "/bootstrap"])
 main(["cross-project", *common, "--model", "gnb", "--transfer", "camargo_cruz", "-o", out + "/cross"])
-print(sorted(name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")))
+print(" ".join(sorted(sys.modules)))
 """
     env = {**os.environ, "PYTHONPATH": str(Path(defectcost.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert (tmp_path / "bootstrap" / "records.csv").is_file()
-    assert len((tmp_path / "cross" / "records.csv").read_text().splitlines()) > 1
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert (out / "bootstrap" / "records.csv").is_file()
+    assert len((out / "cross" / "records.csv").read_text().splitlines()) > 1
+    return set(run.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x imports numpy.ma at import time")
+def test_runs_do_not_import_numpy_ma(modules_after_runs):
+    """``np.unique`` without return options imports numpy.ma on first use in
+    numpy 2.x, about 25 ms of a command, and so does np.median; no run path
+    should need it."""
+    assert sorted(name for name in modules_after_runs if name == "numpy.ma" or name.startswith("numpy.ma.")) == []
+
+
+def test_serial_runs_do_not_import_the_process_pool(modules_after_runs):
+    """The process pool (15-20 ms to import) serves only ``--jobs`` above 1,
+    and ``statistics`` only the report's Q-Q points."""
+    assert {"concurrent.futures.process", "multiprocessing", "statistics"} & modules_after_runs == set()

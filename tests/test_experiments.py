@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from defectcost.dataset import Artifact, Defect, Release
+from defectcost.dataset import Defect, Release
 from defectcost.experiments import (
     BootstrapConfig,
     CROSS_PROJECT_GAP_DAYS,
@@ -38,9 +38,9 @@ def dated_release(project, release_id, released_at, n_artifacts=120, n_defective
     for leakage fixtures.
     """
     released = dt(released_at)
-    artifacts = tuple(
-        Artifact(f"f{i:03d}", 20 + i, (float(i % 7), float(i % 3))) for i in range(n_artifacts)
-    )
+    ids = tuple(f"f{i:03d}" for i in range(n_artifacts))
+    sizes = [20 + i for i in range(n_artifacts)]
+    X = [(float(i % 7), float(i % 3)) for i in range(n_artifacts)]
     defects = []
     for i in range(n_defective):
         aid = f"f{i:03d}"
@@ -52,7 +52,7 @@ def dated_release(project, release_id, released_at, n_artifacts=120, n_defective
                 fixed_at=released + timedelta(days=730 if late else fix_days_after),
             )
         )
-    return Release(project, release_id, released, artifacts, tuple(defects))
+    return Release(project, release_id, released, ids, sizes, X, tuple(defects))
 
 
 # --- bootstrap ---------------------------------------------------------------

@@ -24,6 +24,7 @@ from defectcost.learners import (
     spearman,
     spearman_matrix,
     train_cart,
+    train_gaussian_nb,
     train_random_forest,
     tree_depth,
     tune_smote,
@@ -226,6 +227,20 @@ def test_importance_sums_to_one():
 
 
 # --- differential evolution --------------------------------------------------
+
+
+def test_gnb_class_moments_match_numpy_bitwise():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 50_001)) if rng.random() < 0.1 else int(rng.integers(2, 2_000))
+        X = rng.lognormal(rng.normal(0, 3), rng.uniform(0.1, 2), size=(n, 8)).round(int(rng.integers(0, 4)))
+        y = rng.integers(0, int(rng.integers(1, 4)), size=n)
+        model = train_gaussian_nb(X, y)
+        eps = 1e-9 * max(float(X.var(axis=0).max()), 1.0)
+        for c, mean, var in zip(model.classes, model.means, model.variances):
+            rows = X[y == c]
+            assert mean.tobytes() == rows.mean(axis=0).tobytes()
+            assert var.tobytes() == (rows.var(axis=0) + eps).tobytes()
 
 
 def test_de_sphere():

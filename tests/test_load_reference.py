@@ -134,4 +134,5 @@ def test_duplicate_artifact_id_is_rejected(tmp_path):
     directory = write_files(tmp_path, "artifact_id,size,f1\na1,1,1.0\na2,2,1.0\na1,3,1.0\n")
     with pytest.raises(DataError) as info:
         load_release_dir(directory)
-    assert (str(info.value), info.value.path, info.value.line) == ("duplicate artifact id 'a1' in demo/r1", None, None)
+    metrics = directory / "metrics.csv"
+    assert (str(info.value), info.value.path, info.value.line) == (f"duplicate artifact id 'a1' [{metrics}:4]", metrics, 4)

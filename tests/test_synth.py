@@ -5,6 +5,8 @@ from defectcost.learners import train_gaussian_nb
 from defectcost.metrics import auc
 from defectcost.synth import SynthSpec, generate_synthetic
 
+from conftest import release_fields
+
 
 def test_generator_contract():
     spec = SynthSpec(n_projects=10, releases_per_project=5, artifacts_range=(180, 220),
@@ -23,8 +25,11 @@ def test_generator_contract():
 
 def test_deterministic_per_seed():
     spec = SynthSpec(n_projects=2, releases_per_project=2, artifacts_range=(50, 80))
-    assert generate_synthetic(spec, seed=9) == generate_synthetic(spec, seed=9)
-    assert generate_synthetic(spec, seed=9) != generate_synthetic(spec, seed=10)
+    def corpus(seed):
+        return [release_fields(r) for r in generate_synthetic(spec, seed)]
+
+    assert corpus(9) == corpus(9)
+    assert corpus(9) != corpus(10)
 
 
 def test_invalid_spec():
@@ -73,7 +78,7 @@ def test_lognormal_sizes_concentrate_volume():
     spec = SynthSpec(n_projects=5, releases_per_project=2, artifacts_range=(200, 250),
                      size_log_mean=4.0, size_log_sigma=1.0)
     sizes = np.concatenate(
-        [[a.size for a in r.artifacts] for r in generate_synthetic(spec, seed=2)]
+        [r.sizes.tolist() for r in generate_synthetic(spec, seed=2)]
     )
     top = np.sort(sizes)[::-1][: int(np.ceil(0.01 * len(sizes)))]
     assert top.sum() / sizes.sum() > 0.05

@@ -7,12 +7,12 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from defectcost.dataset import Artifact, Defect, Release, ReleaseView
+from defectcost.dataset import Defect, Release, ReleaseView
 
 
 def reference_view(release, ids=None, as_of=None):
     """Release.view as it was before it gathered from cached arrays."""
-    by_id = {a.id: a for a in release.artifacts}
+    by_id = dict(zip(release.artifact_ids, zip(release.sizes.tolist(), map(tuple, release.X.tolist()))))
     if ids is None:
         ids = release.artifact_ids
     rows = [by_id[i] for i in ids]
@@ -30,9 +30,9 @@ def reference_view(release, ids=None, as_of=None):
     return ReleaseView(
         release_key=release.key(),
         ids=tuple(ids),
-        sizes=np.array([a.size for a in rows], dtype=np.int64),
-        X=np.array([a.features for a in rows], dtype=np.float64),
-        y=np.array([1 if a.id in defective else 0 for a in rows], dtype=np.int64),
+        sizes=np.array([size for size, _ in rows], dtype=np.int64),
+        X=np.array([features for _, features in rows], dtype=np.float64),
+        y=np.array([1 if i in defective else 0 for i in ids], dtype=np.int64),
         defects=tuple(defects),
     )
 
@@ -43,16 +43,13 @@ T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 def random_release(rng):
     n, k = int(rng.integers(1, 61)), int(rng.integers(0, 4))
     ids = [f"f{j}" for j in rng.permutation(n * 2)[:n]]
-    artifacts = tuple(
-        Artifact(aid, int(rng.integers(0, 1000)), tuple(float(v) for v in rng.normal(size=k) * 10))
-        for aid in ids
-    )
+    rows = [(int(rng.integers(0, 1000)), tuple(float(v) for v in rng.normal(size=k) * 10)) for _ in ids]
     defects = []
     for j in range(int(rng.integers(0, 13))):
         touched = rng.choice(n, size=min(n, int(rng.integers(1, 5))), replace=False)
         fixed_at = None if rng.random() < 0.25 else T0 + timedelta(days=int(rng.integers(0, 20)))
         defects.append(Defect(f"d{j}", frozenset(ids[t] for t in touched), fixed_at))
-    return Release("p", "r", T0, artifacts, tuple(defects))
+    return Release("p", "r", T0, tuple(ids), [s for s, _ in rows], [x for _, x in rows], tuple(defects))
 
 
 def id_cases(release, rng):
@@ -104,13 +101,13 @@ def test_view_matches_reference(seed):
             for as_of in as_of_cases(release, rng):
                 want = reference_view(release, ids, as_of)
                 if not want.ids:  # the one intended change: (0, k) where the reference gave (0,)
-                    want = replace(want, X=want.X.reshape(0, len(release.artifacts[0].features)))
+                    want = replace(want, X=want.X.reshape(0, release.X.shape[1]))
                 assert_same_view(release.view(ids, as_of=as_of), want)
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_empty_view_keeps_feature_width(k):
-    release = Release("p", "r", T0, (Artifact("a", 1, (0.5,) * k),), (Defect("d", frozenset({"a"}), T0),))
+    release = Release("p", "r", T0, ("a",), [1], [(0.5,) * k], (Defect("d", frozenset({"a"}), T0),))
     view = release.view(())
     assert (view.X.shape, view.sizes.shape, view.y.shape, view.defects) == ((0, k), (0,), (0,), ())
 
@@ -118,7 +115,7 @@ def test_empty_view_keeps_feature_width(k):
 def test_views_share_the_release_arrays_read_only():
     rng = np.random.default_rng(7)
     release = random_release(rng)
-    while not release.artifacts[0].features:
+    while not release.X.shape[1]:
         release = random_release(rng)
     full, relabelled = release.view(), release.view(as_of=T0 + timedelta(days=5))
     assert np.shares_memory(full.X, relabelled.X)
