@@ -199,8 +199,10 @@ class SplitSample:
 
 def _first_repeat(values: Sequence) -> int | None:
     """Index of the first value equal to an earlier one, or None."""
+    if len(set(values)) == len(values):
+        return None
     seen: set = set()
-    return next((i for i, v in enumerate(values) if v in seen or seen.add(v)), None)
+    return next(i for i, v in enumerate(values) if v in seen or seen.add(v))
 
 
 def validate_release(release: Release) -> None:
