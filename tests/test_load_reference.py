@@ -67,7 +67,7 @@ FILES = {
                           "a3,+5,3,4,5,6,8\na4,١٢,0,0,0,0,0\na5,0,1,1,1,1,1\n",
     "quoted_ids": HEADER + '"x,1",3,1,2,3,4,5\n"y,""2""",4,1,2,3,4,5\n"z\n3",5,1,2,3,4,5\n',
     "blank_lines": HEADER + "\na1,1,1,2,3,4,5\n\n\na2,2,1,2,3,4,5\n\n",
-    "no_features": "artifact_id,size\na1,5\na2,0\na3,12\n",
+    "no_features": "artifact_id,size\na1,5\na2,0\na3,12\na4,9223372036854775807\n",
     "no_rows": HEADER,
     "no_rows_no_features": "artifact_id,size\n",
 }
@@ -103,6 +103,8 @@ BAD_FILES = {
     "short_row": ("a1,1,1.0,2.0\na2,4,1.0\n", "expected 4 columns, got 3", 3),
     "long_row": ("a1,1,1.0,2.0\na2,4,1.0,2.0,3.0\n", "expected 4 columns, got 5", 3),
     "huge_field": ("a1,1,1.0,2.0\na2,4,1.0," + HUGE + "\n", "malformed CSV: field larger than field limit (131072)", 3),
+    # a per-row loader let this one through, and its array conversion failed later
+    "size_beyond_int64": ("a1,1,1.0,2.0\na2,9223372036854775808,1.0,2.0\n", "size 9223372036854775808 exceeds int64", 3),
     # the first offending line wins, whatever its kind
     "feature_before_size": ("a1,1,1.0,x\na2,x,1.0,2.0\n", "malformed feature value", 2),
     "non_finite_before_short_row": ("a1,1,inf,2.0\na2,4\n", "non-finite feature value", 2),
