@@ -299,7 +299,8 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
     return Release(meta["project"], meta["release"], released_at, tuple(ids), sizes, X, tuple(defects))
 
 
-def _metric_columns(path: Path, size_strs: list[str], feature_strs: list[str], lines: list[int], stop):
+def _metric_columns(path: Path, size_strs: list[str], feature_strs: list[str], lines: list[int],
+                    stop: DataError | None) -> tuple[np.ndarray, np.ndarray]:
     """``sizes`` (n,) int64 and ``X`` (n, k) float64 of the n rows read before
     ``stop``, the error that ended reading (or None): each column is parsed by
     one ``int()`` or ``float()`` pass and checked at once. A bad file is read

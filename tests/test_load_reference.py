@@ -104,7 +104,8 @@ BAD_FILES = {
     "long_row": ("a1,1,1.0,2.0\na2,4,1.0,2.0,3.0\n", "expected 4 columns, got 5", 3),
     "huge_field": ("a1,1,1.0,2.0\na2,4,1.0," + HUGE + "\n", "malformed CSV: field larger than field limit (131072)", 3),
     # a per-row loader let this one through, and its array conversion failed later
-    "size_beyond_int64": ("a1,1,1.0,2.0\na2,9223372036854775808,1.0,2.0\n", "size 9223372036854775808 exceeds int64", 3),
+    "size_beyond_int64": ("a1,1,1.0,2.0\na2,9223372036854775808,1.0,2.0\n",
+                          "size 9223372036854775808 exceeds int64", 3),
     # the first offending line wins, whatever its kind
     "feature_before_size": ("a1,1,1.0,x\na2,x,1.0,2.0\n", "malformed feature value", 2),
     "non_finite_before_short_row": ("a1,1,inf,2.0\na2,4\n", "non-finite feature value", 2),
@@ -137,4 +138,5 @@ def test_duplicate_artifact_id_is_rejected(tmp_path):
     with pytest.raises(DataError) as info:
         load_release_dir(directory)
     metrics = directory / "metrics.csv"
-    assert (str(info.value), info.value.path, info.value.line) == (f"duplicate artifact id 'a1' [{metrics}:4]", metrics, 4)
+    want = (f"duplicate artifact id 'a1' [{metrics}:4]", metrics, 4)
+    assert (str(info.value), info.value.path, info.value.line) == want
