@@ -4,8 +4,10 @@ The reference below fits one (lambda, alpha) cell at a time with proximal
 gradient descent and a backtracking line search, evaluating the softmax twice
 per step, and walks the grid alpha-outer, lambda-ascending with warm starts.
 On a seeded sweep (8-120 rows, 1-30 features with a constant column, 2-5
-classes, grids from 1 x 1 to the default 11 x 6, iteration caps of 0, 1, 50,
-500 and 5000, warm-started single fits, a grid that selects no feature) and
+classes and, on both sides of the softmax's 8-class switch, 6-9 classes with an
+all-zero column, grids from 1 x 1 to the default 11 x 6, iteration caps of 0,
+1, 50, 500 and 5000, warm-started single fits, zero-penalty fits started at
+-0.0 on the zero column, a grid that selects no feature) and
 on the default grid over bootstrap records, the package must give
 bitwise-equal coefficients, intercepts and objectives, every grid cell, the
 selected features, the stage-2 refit and its goodness of fit.
@@ -182,18 +184,19 @@ def assert_model_matches(model, expected):
 
 def sweep_data(case: int):
     """A seeded classification problem: class-shifted, rounded features with
-    varied scales, sometimes a constant column."""
+    varied scales, sometimes a constant column. From case 40 on there are 6-9
+    classes and always a constant column, of zeros."""
     rng = np.random.default_rng([6007, case])
     n = int(rng.integers(8, 121))
     k = int(rng.integers(1, 31))
-    n_classes = int(rng.integers(2, 6))
+    n_classes = int(rng.integers(2, 6) if case < 40 else rng.integers(6, 10))
     y = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, n - n_classes)])
     rng.shuffle(y)
     shift = rng.normal(0.0, float(rng.choice([0.0, 0.5, 2.0])), size=(n_classes, k))
     X = (rng.normal(size=(n, k)) + shift[y]) * rng.choice([0.01, 1.0, 100.0], size=k)
     X = np.round(X, int(rng.integers(0, 3)))
-    if case % 3 == 0:
-        X[:, int(rng.integers(k))] = 7.0
+    if case % 3 == 0 or case >= 40:
+        X[:, int(rng.integers(k))] = 7.0 if case < 40 else 0.0
     return X, y, n_classes
 
 
@@ -203,6 +206,8 @@ GRID_CASES = [
     (5, 4, 5, 500), (6, 6, 2, 50), (7, 2, 6, 500), (8, 5, 3, 1), (9, 3, 7, 50),
     (10, 6, 1, 500), (11, 1, 11, 50), (12, 2, 2, 0), (13, 4, 3, 500), (14, 6, 4, 1),
     (15, 3, 3, 50), (16, 5, 2, 500), (17, 2, 9, 50), (18, 6, 11, 5000), (19, 4, 4, 0),
+    (40, 6, 11, 50), (41, 3, 11, 500), (42, 2, 5, 5000), (43, 4, 7, 50), (44, 6, 3, 500),
+    (45, 1, 11, 1), (46, 5, 9, 50), (55, 3, 6, 500),
 ]
 
 
@@ -214,7 +219,7 @@ def test_grid_matches_reference(case, n_lambdas, n_alphas, max_iter):
     assert_model_matches(model, ref_fit_grid(X, y, lambdas, alphas, max_iter=max_iter))
 
 
-@pytest.mark.parametrize("case", range(20, 30))
+@pytest.mark.parametrize("case", [*range(20, 30), *range(40, 44)])
 def test_warm_started_fits_match_reference(case):
     X, y, n_classes = sweep_data(case)
     rng = np.random.default_rng(case)
@@ -228,10 +233,13 @@ def test_warm_started_fits_match_reference(case):
             Xn, y, n_classes, lam, alpha, W0=warm_ref[0], b0=warm_ref[1], max_iter=max_iter)
         assert same_bits(W, W_ref) and same_bits(b, b_ref) and same_bits(obj, obj_ref)
         warm, warm_ref = (W, b), (W_ref, b_ref)
-    # an arbitrary start, as a caller may pass one
-    W0, b0 = rng.normal(size=W.shape), rng.normal(size=n_classes)
-    got = fit_penalized_softmax(Xn, y, n_classes, 1.0, alpha, W0=W0, b0=b0, max_iter=max_iter)
-    want = ref_fit_penalized_softmax(Xn, y, n_classes, 1.0, alpha, W0=W0, b0=b0, max_iter=max_iter)
+    # an arbitrary start, as a caller may pass one; from case 40 on a zero-penalty
+    # fit whose all-zero column starts at -0.0
+    W0, b0, lam = rng.normal(size=W.shape), rng.normal(size=n_classes), 1.0
+    if case >= 40:
+        W0[~Xn.any(axis=0)], lam = -0.0, 0.0
+    got = fit_penalized_softmax(Xn, y, n_classes, lam, alpha, W0=W0, b0=b0, max_iter=max_iter)
+    want = ref_fit_penalized_softmax(Xn, y, n_classes, lam, alpha, W0=W0, b0=b0, max_iter=max_iter)
     assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
