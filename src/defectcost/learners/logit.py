@@ -26,16 +26,30 @@ def one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[np.asarray(y_idx, dtype=np.int64)]
 
 
+def row_reduce(ufunc: np.ufunc, z: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(z, axis=-1, keepdims=True)`` for np.maximum or np.add,
+    bitwise. From 256 rows and for 0 < C < 8, C - 1 column passes beat numpy's
+    per-row loop; there numpy adds a row left to right onto +0.0."""
+    C = z.shape[-1]
+    if not (0 < C < 8 and z.size >= 256 * C):
+        return ufunc.reduce(z, axis=-1, keepdims=True)
+    out = z[..., :1] + 0.0 if ufunc is np.add else z[..., :1].copy()
+    for j in range(1, C):
+        ufunc(out, z[..., j:j + 1], out=out)
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.subtract(logits, logits.max(axis=-1, keepdims=True), dtype=np.float64)
+    z = np.subtract(logits, row_reduce(np.maximum, logits), dtype=np.float64)
     np.exp(z, out=z)  # in place: the grid's stacked arrays are (paths, n, C)
-    return np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
+    return np.divide(z, row_reduce(np.add, z), out=z)
 
 
 def _probs_nll(X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray):
     """Probabilities and summed NLL of coefficients W (..., k, C), b (..., C)."""
     probs = softmax(X @ W + b[..., None, :])
-    return probs, -(Y * np.log(np.clip(probs, PROB_FLOOR, 1.0))).sum(axis=(-2, -1))
+    terms = np.maximum(probs, PROB_FLOOR)  # as clip(probs, PROB_FLOOR, 1): softmax gives at most 1
+    return probs, -np.multiply(np.log(terms, out=terms), Y, out=terms).sum(axis=(-2, -1))
 
 
 def _grad(X: np.ndarray, Y: np.ndarray, probs: np.ndarray):
@@ -51,6 +65,12 @@ def softmax_nll_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray)
     """
     probs, nll = _probs_nll(X, Y, W, b)
     return float(nll), *_grad(X, Y, probs)
+
+
+def _smooth_and_objective(nll, W, ridge, l1, penalized):
+    """NLL plus ridge, and that plus L1, per path; unpenalized, both add +0.0."""
+    g = nll + (0.5 * ridge * (W * W).sum(axis=(1, 2)) if penalized else 0.0)
+    return g, (g + l1 * np.abs(W).sum(axis=(1, 2)) if penalized else g)
 
 
 def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
@@ -74,25 +94,29 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
     step = np.ones(len(alphas))
     while len(path):
         ridge, l1 = lams[lam_i] * (1.0 - alphas[path]), lams[lam_i] * alphas[path]
-        g = nll + 0.5 * ridge * (W * W).sum(axis=(1, 2))
-        obj = g + l1 * np.abs(W).sum(axis=(1, 2))
-        done = iters >= max_iter
-        while not done.any():
+        penalized = (ridge.view(np.int64) | l1.view(np.int64)).any()  # a weight other than +0.0
+        g, obj = _smooth_and_objective(nll, W, ridge, l1, penalized)
+        done, two_step, tiny = iters >= max_iter, 2.0 * step, step < 1e-12
+        while not np.count_nonzero(done):  # cheaper than any() and all() on a few paths
             gW, gb = _grad(X, Y, probs)
-            gW = gW + ridge[:, None, None] * W
-            V = W - step[:, None, None] * gW  # the proximal step soft-thresholds V
-            W_new = np.sign(V) * np.maximum(np.abs(V) - (step * l1)[:, None, None], 0.0)
+            gW = gW + ridge[:, None, None] * W if penalized else gW
+            V = W - step[:, None, None] * gW  # the proximal step soft-thresholds V; at 0 that is V + 0.0
+            W_new = np.sign(V) * np.maximum(np.abs(V) - (step * l1)[:, None, None], 0.0) if penalized else V + 0.0
             b_new = b - step[:, None] * gb
             dW, db = W_new - W, b_new - b
             probs_new, nll_new = _probs_nll(X, Y, W_new, b_new)
-            g_new = nll_new + 0.5 * ridge * (W_new * W_new).sum(axis=(1, 2))
+            g_new, obj_new = _smooth_and_objective(nll_new, W_new, ridge, l1, penalized)
             quad = g + (gW * dW).sum(axis=(1, 2)) + (gb * db).sum(axis=1) + (
-                (dW * dW).sum(axis=(1, 2)) + (db * db).sum(axis=1)) / (2.0 * step)
-            ok = (g_new <= quad + 1e-12) | (step < 1e-12)
-            obj_new = g_new + l1 * np.abs(W_new).sum(axis=(1, 2))
+                (dW * dW).sum(axis=(1, 2)) + (db * db).sum(axis=1)) / two_step
+            ok = (g_new <= quad + 1e-12) | tiny
             iters = iters + ok
-            done = ok & ((np.abs(obj - obj_new) <= tol * np.fmax(1.0, np.abs(obj))) | (iters >= max_iter))
+            done = (np.abs(obj - obj_new) <= tol * np.fmax(1.0, np.abs(obj))) | (iters >= max_iter)
+            if np.count_nonzero(ok) == len(ok):  # every trial accepted: no merge, same step
+                W, b, probs, nll, g, obj = W_new, b_new, probs_new, nll_new, g_new, obj_new
+                continue
+            done &= ok
             step = np.where(ok, step, step * 0.5)
+            two_step, tiny = 2.0 * step, step < 1e-12
             W, probs = np.where(ok[:, None, None], W_new, W), np.where(ok[:, None, None], probs_new, probs)
             b = np.where(ok[:, None], b_new, b)
             nll, g, obj = np.where(ok, nll_new, nll), np.where(ok, g_new, g), np.where(ok, obj_new, obj)

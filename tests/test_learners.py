@@ -375,6 +375,31 @@ def test_softmax_gradient_matches_central_differences():
             assert abs(fd - gb[j]) / max(1.0, abs(fd)) < 1e-5
 
 
+@pytest.mark.parametrize("n_classes", range(1, 10))
+def test_row_reductions_match_numpy_bitwise(n_classes):
+    """The softmax's class-axis max and sum give numpy's bits on both sides of
+    their switch (column passes for 1-7 classes and at least 256 rows): rows
+    with nan, +-inf and signed zeros, one magnitude per row from 1e-300 to
+    1e300 so that the order of the additions shows, and some rows spread over
+    that whole range."""
+    rng = np.random.default_rng([353, n_classes])
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    for shape in ((5, n_classes), (300, n_classes), (2, 7, n_classes), (3, 100, n_classes)):
+        row_shape = shape[:-1] + (1,)
+        spread = rng.uniform(-300, 300, size=shape) * (rng.random(row_shape) < 0.3)
+        z = rng.normal(size=shape) * 10.0 ** np.clip(rng.uniform(-300, 300, size=row_shape) + spread, -300, 300)
+        rows = z.reshape(-1, n_classes)
+        picked = rng.random(rows.shape) < 0.05
+        rows[picked] = rng.choice(specials, size=int(picked.sum()))
+        rows[::11] = -0.0
+        rows[5::13] = rng.choice([-0.0, 0.0], size=rows[5::13].shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = logit.row_reduce(np.maximum, z), logit.row_reduce(np.add, z)
+            want = z.max(axis=-1, keepdims=True), z.sum(axis=-1, keepdims=True)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_full_shrinkage_predicts_majority():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(60, 4))
