@@ -93,6 +93,11 @@ class Release:
             object.__setattr__(self, name, values)
         validate_release(self)
 
+    def __setstate__(self, state):
+        """Unpickling (a ``--jobs`` worker's copy) makes arrays writeable again."""
+        self.__dict__.update(state)
+        self.sizes.flags.writeable = self.X.flags.writeable = False
+
     @cached_property
     def _arrays(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
         """id -> row map, each defect's fix instant (``_NEVER`` without a

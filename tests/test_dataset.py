@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 from datetime import datetime, timezone
 
 import numpy as np
@@ -89,6 +90,16 @@ def test_round_trip(tmp_path):
     out2 = write_release(again, tmp_path / "copy2")
     for name in ("metrics.csv", "defects.json", "meta.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_pickled_release_keeps_arrays_read_only(t1_release):
+    # --jobs workers receive their releases pickled, and numpy's pickling drops the flag
+    again = pickle.loads(pickle.dumps(t1_release))
+    assert release_fields(again) == release_fields(t1_release)
+    for values in (again.sizes, again.X, again.view().sizes, again.view().X):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1
 
 
 def test_defective_clean_partition(t1_release):
