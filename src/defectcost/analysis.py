@@ -602,7 +602,8 @@ def write_report_bundle(
     paths["importances_logit"] = _write_json(
         outdir / "importances_logit.json",
         {"model": "logit", "coefficients": fit.logit_coefficients,
-         "lambda": logit.lam, "alpha": logit.alpha, "r2_adjusted": json_number(logit.goodness.r2_adjusted)},
+         "lambda": logit.lam, "alpha": logit.alpha, "r2_adjusted": json_number(logit.goodness.r2_adjusted),
+         "stage2": logit.stage2},
     )
     for name in ("tree", "forest"):
         paths[f"importances_{name}"] = _write_json(

@@ -15,12 +15,10 @@ from .logit import (
     GoodnessOfFit,
     LogitModel,
     fit_multinomial_logit_elastic_net,
-    fit_penalized_softmax,
     log_likelihood,
     mcfadden_adjusted_r2,
     null_log_likelihood,
     softmax,
-    softmax_nll_grad,
 )
 from .nb import GaussianNB, train_gaussian_nb
 from .smote import SmoteTuning, apply_smote, smote_oversample, tune_smote
@@ -28,10 +26,8 @@ from .stats import spearman, spearman_matrix
 from .tree import (
     Tree,
     apply_tree,
-    count_leaves,
     gini_importance,
     train_cart,
-    tree_depth,
 )
 
 __all__ = [
@@ -44,10 +40,8 @@ __all__ = [
     "Tree",
     "apply_smote",
     "apply_tree",
-    "count_leaves",
     "differential_evolution",
     "fit_multinomial_logit_elastic_net",
-    "fit_penalized_softmax",
     "forest_importance",
     "gini_importance",
     "log_likelihood",
@@ -58,13 +52,11 @@ __all__ = [
     "params_from_vector",
     "smote_oversample",
     "softmax",
-    "softmax_nll_grad",
     "spearman",
     "spearman_matrix",
     "train_cart",
     "train_gaussian_nb",
     "train_random_forest",
-    "tree_depth",
     "tune_forest_params",
     "tune_smote",
 ]

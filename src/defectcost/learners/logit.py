@@ -5,13 +5,16 @@ descent with the penalty lam * (alpha * ||W||_1 + (1 - alpha) / 2 * ||W||^2)
 for every cell of a (lambda, alpha) grid, selecting the cell with the best
 McFadden adjusted R^2. Each alpha is one lambda path with warm starts, and
 all paths step in lockstep on stacked coefficients. Stage 2 refits without
-penalty and without normalization on the features that survived stage 1 (any
-non-zero coefficient), so stage-2 coefficients are interpretable on the raw
-scales. Intercepts are never penalized.
+penalty on the features that survived stage 1 (any non-zero coefficient), by
+Newton's method, and reports raw-scale coefficients. Where those features
+separate the classes, no maximum-likelihood estimate exists (Albert &
+Anderson, Biometrika 71:1-10, 1984); stage 2 then reports the winning stage-1
+cell. Intercepts are never penalized.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +23,11 @@ import numpy as np
 PROB_FLOOR = 1e-12
 DEFAULT_LAMBDA_GRID = tuple(10.0**i for i in range(0, 6))
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(0, 11))
+NEWTON_TOL = 1e-12  # stop when every NLL gradient entry is at most this times the row count
+NEWTON_MAX_ITER = 50
+SEPARATED_PROB = 1.0 - 1e-10  # an own-class probability above this at the stop means separation
+
+log = logging.getLogger(__name__)
 
 
 def one_hot(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
@@ -58,19 +66,10 @@ def _grad(X: np.ndarray, Y: np.ndarray, probs: np.ndarray):
     return X.T @ diff, diff.sum(axis=-2)
 
 
-def softmax_nll_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray):
-    """Summed negative log-likelihood and its gradients w.r.t. W and b.
-
-    Y is one-hot (n, C); W is (k, C); b is (C,).
-    """
-    probs, nll = _probs_nll(X, Y, W, b)
-    return float(nll), *_grad(X, Y, probs)
-
-
-def _smooth_and_objective(nll, W, ridge, l1, penalized):
-    """NLL plus ridge, and that plus L1, per path; unpenalized, both add +0.0."""
-    g = nll + (0.5 * ridge * (W * W).sum(axis=(1, 2)) if penalized else 0.0)
-    return g, (g + l1 * np.abs(W).sum(axis=(1, 2)) if penalized else g)
+def _smooth_and_objective(nll, W, ridge, l1):
+    """NLL plus ridge, and that plus L1, per path."""
+    g = nll + 0.5 * ridge * (W * W).sum(axis=(1, 2))
+    return g, g + l1 * np.abs(W).sum(axis=(1, 2))
 
 
 def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
@@ -94,18 +93,17 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
     step = np.ones(len(alphas))
     while len(path):
         ridge, l1 = lams[lam_i] * (1.0 - alphas[path]), lams[lam_i] * alphas[path]
-        penalized = (ridge.view(np.int64) | l1.view(np.int64)).any()  # a weight other than +0.0
-        g, obj = _smooth_and_objective(nll, W, ridge, l1, penalized)
+        g, obj = _smooth_and_objective(nll, W, ridge, l1)
         done, two_step, tiny = iters >= max_iter, 2.0 * step, step < 1e-12
         while not np.count_nonzero(done):  # cheaper than any() and all() on a few paths
             gW, gb = _grad(X, Y, probs)
-            gW = gW + ridge[:, None, None] * W if penalized else gW
-            V = W - step[:, None, None] * gW  # the proximal step soft-thresholds V; at 0 that is V + 0.0
-            W_new = np.sign(V) * np.maximum(np.abs(V) - (step * l1)[:, None, None], 0.0) if penalized else V + 0.0
+            gW = gW + ridge[:, None, None] * W
+            V = W - step[:, None, None] * gW  # the proximal step soft-thresholds V
+            W_new = np.sign(V) * np.maximum(np.abs(V) - (step * l1)[:, None, None], 0.0)
             b_new = b - step[:, None] * gb
             dW, db = W_new - W, b_new - b
             probs_new, nll_new = _probs_nll(X, Y, W_new, b_new)
-            g_new, obj_new = _smooth_and_objective(nll_new, W_new, ridge, l1, penalized)
+            g_new, obj_new = _smooth_and_objective(nll_new, W_new, ridge, l1)
             quad = g + (gW * dW).sum(axis=(1, 2)) + (gb * db).sum(axis=1) + (
                 (dW * dW).sum(axis=(1, 2)) + (db * db).sum(axis=1)) / two_step
             ok = (g_new <= quad + 1e-12) | tiny
@@ -129,27 +127,55 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
             a[keep] for a in (path, lam_i, W, b, probs, nll, step, iters))
 
 
-def fit_penalized_softmax(
-    X: np.ndarray,
-    y_idx: np.ndarray,
-    n_classes: int,
-    lam: float,
-    alpha: float,
-    *,
-    W0: np.ndarray | None = None,
-    b0: np.ndarray | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-):
-    """Proximal gradient descent with backtracking line search.
+def _newton_mle(Z: np.ndarray, Y: np.ndarray):
+    """Softmax maximum likelihood by Newton's method with step halving, from
+    the class frequencies, with the last class as reference: (W, b) with a zero
+    last class, or None where the classes look separated. They do without a
+    gradient stop in NEWTON_MAX_ITER steps, when the Hessian solve fails, or
+    when an own-class probability at the stop exceeds SEPARATED_PROB; there the
+    NLL can meet the gradient stop while it falls towards 0."""
+    n, C = Y.shape
+    Z1 = np.column_stack([Z, np.ones(n)])  # the last row of theta holds the intercepts
+    p, m = Z1.shape[1], C - 1
+    theta = np.zeros((p, m))
+    log_freq = np.log(Y.mean(axis=0))
+    theta[-1] = log_freq[:m] - log_freq[m]
 
-    Returns (W, b, objective). The L1 part of the penalty is handled by the
-    proximal (soft-threshold) step, the ridge part by the smooth gradient.
-    This is the one-path, one-lambda case of the grid's path runner.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    W, b, obj, _ = next(_fit_paths(X, one_hot(y_idx, n_classes), (lam,), (alpha,), tol, max_iter, W0, b0))[2]
-    return W, b, obj
+    def nll_probs(theta):
+        logits = np.column_stack([Z1 @ theta, np.zeros(n)])
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        total = e.sum(axis=1, keepdims=True)
+        return float(np.log(total).sum() - (logits * Y).sum()), e / total
+
+    nll, probs = nll_probs(theta)
+    for i in range(NEWTON_MAX_ITER + 1):
+        G = Z1.T @ (probs - Y)
+        if np.abs(G).max() <= NEWTON_TOL * n:
+            break
+        if i == NEWTON_MAX_ITER:
+            return None
+        H = np.empty((m, p, m, p))  # Hessian blocks Z1' diag(p_j (delta_jl - p_l)) Z1
+        for j in range(m):
+            for l in range(j, m):
+                H[j, :, l] = H[l, :, j] = Z1.T @ ((probs[:, j] * (float(j == l) - probs[:, l]))[:, None] * Z1)
+        try:
+            d = np.linalg.solve(H.reshape(m * p, m * p), G[:, :m].T.ravel()).reshape(m, p).T
+        except np.linalg.LinAlgError:
+            return None
+        step, bound = 1.0, nll + 1e-12 * nll  # near the optimum the NLL's rounding hides its fall
+        while step >= 2.0**-50:  # a non-finite trial never passes
+            trial_nll, trial_probs = nll_probs(theta - step * d)
+            if trial_nll <= bound:
+                break
+            step *= 0.5
+        else:
+            return None
+        theta, nll, probs = theta - step * d, trial_nll, trial_probs
+    if (probs * Y).sum(axis=1).max() > SEPARATED_PROB:
+        return None
+    W = np.column_stack([theta, np.zeros(p)])
+    return W[:-1], W[-1]
 
 
 def log_likelihood(probs: np.ndarray, y_idx: np.ndarray) -> float:
@@ -210,14 +236,11 @@ class LogitModel:
     stage2_b: np.ndarray
     goodness: GoodnessOfFit
     grid: tuple[GridCell, ...] = field(default_factory=tuple)
+    stage2: str = "mle"  # "separated": the selected columns separate the classes; stage 2 is the stage-1 cell
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if self.selected:
-            logits = X[:, list(self.selected)] @ self.stage2_W + self.stage2_b
-        else:
-            logits = np.tile(self.stage2_b, (X.shape[0], 1))
-        return softmax(logits)
+        return softmax(X[:, list(self.selected)] @ self.stage2_W + self.stage2_b)
 
     def predict(self, X) -> np.ndarray:
         return np.asarray(self.classes)[np.argmax(self.predict_proba(X), axis=1)]
@@ -240,6 +263,7 @@ def fit_multinomial_logit_elastic_net(
 
     The grid cell maximizing McFadden's adjusted R^2 wins (first cell on
     ties, iterating alpha outer and lambda ascending with warm starts).
+    ``tol`` and ``max_iter`` bound each grid cell; the refit is Newton's.
     """
     X = np.asarray(X, dtype=np.float64)
     y_levels = list(y_levels)
@@ -252,46 +276,41 @@ def fit_multinomial_logit_elastic_net(
     y_idx = np.array([index[v] for v in y_levels], dtype=np.int64)
     n_classes = len(classes)
 
-    mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
+    mu, sigma = X.mean(axis=0), X.std(axis=0)
     sigma = np.where(sigma == 0, 1.0, sigma)
     Xn = (X - mu) / sigma
 
     # score each cell as it finishes, so that only open paths hold probabilities
+    Y = one_hot(y_idx, n_classes)
     scores = {}
-    for a, l, (W, _, _, probs) in _fit_paths(Xn, one_hot(y_idx, n_classes), lambda_grid, alpha_grid, tol, max_iter):
+    for a, l, (W, b, _, probs) in _fit_paths(Xn, Y, lambda_grid, alpha_grid, tol, max_iter):
         selected = np.flatnonzero(np.any(W != 0.0, axis=1))
-        scores[a, l] = (mcfadden_adjusted_r2(probs, y_idx, k=len(selected)), float(np.abs(W).sum()), selected)
+        scores[a, l] = (mcfadden_adjusted_r2(probs, y_idx, k=len(selected)), float(np.abs(W).sum()), selected, W, b)
     best = None
     cells = []
-    for (a, l), (r2, l1_norm, selected) in sorted(scores.items()):
+    for (a, l), (r2, l1_norm, selected, W, b) in sorted(scores.items()):
         lam, alpha = float(lambda_grid[l]), float(alpha_grid[a])
         cells.append(GridCell(lam=lam, alpha=alpha, r2_adjusted=r2, l1_norm=l1_norm, n_selected=len(selected)))
         if best is None or r2 > best[0]:
-            best = (r2, lam, alpha, tuple(int(i) for i in selected))
+            best = (r2, lam, alpha, tuple(int(i) for i in selected), W, b)
 
-    _, lam, alpha, selected = best
+    _, lam, alpha, selected, W, b = best
+    sel = list(selected)
 
-    # stage 2: unpenalized, unnormalized refit on the surviving features
-    X2 = X[:, list(selected)] if selected else np.zeros((len(y_idx), 0))
-    W2, b2, _ = fit_penalized_softmax(X2, y_idx, n_classes, lam=0.0, alpha=0.0, tol=tol, max_iter=max_iter)
+    # stage 2: the unpenalized estimate on the surviving columns, or the winning cell where none exists
+    mle = _newton_mle(Xn[:, sel], Y)
+    if mle is None:
+        log.warning("the %d columns selected by stage 1 separate the classes: no maximum-likelihood estimate "
+                    "exists, so stage 2 reports the stage-1 cell lambda=%g, alpha=%g", len(sel), lam, alpha)
+    Wn, bn = (W[sel], b) if mle is None else mle
+    W2 = Wn / sigma[sel][:, None]  # back to the raw scales
+    b2 = bn - mu[sel] @ W2
+    if mle is not None:
+        W2, b2 = W2 - W2.mean(axis=1, keepdims=True), b2 - b2.mean()
 
-    probs2 = softmax(X2 @ W2 + b2)
-    ll = log_likelihood(probs2, y_idx)
-    ll_null = null_log_likelihood(y_idx, n_classes)
-    goodness = GoodnessOfFit(
-        log_likelihood=ll,
-        log_likelihood_null=ll_null,
-        k=len(selected),
-        r2_adjusted=mcfadden_adjusted_r2(probs2, y_idx, k=len(selected)),
-    )
-    return LogitModel(
-        classes=classes,
-        lam=lam,
-        alpha=alpha,
-        selected=selected,
-        stage2_W=W2,
-        stage2_b=b2,
-        goodness=goodness,
-        grid=tuple(cells),
-    )
+    probs2 = softmax(X[:, sel] @ W2 + b2)
+    goodness = GoodnessOfFit(log_likelihood=log_likelihood(probs2, y_idx),
+                             log_likelihood_null=null_log_likelihood(y_idx, n_classes),
+                             k=len(sel), r2_adjusted=mcfadden_adjusted_r2(probs2, y_idx, k=len(sel)))
+    return LogitModel(classes=classes, lam=lam, alpha=alpha, selected=selected, stage2_W=W2, stage2_b=b2,
+                      goodness=goodness, grid=tuple(cells), stage2="separated" if mle is None else "mle")

@@ -283,21 +283,6 @@ def train_cart(X: np.ndarray, y: np.ndarray, *, rng: np.random.Generator | None 
     return grow_trees(X, y, [np.arange(len(X))], [np.random.default_rng(0) if rng is None else rng], **params)
 
 
-def tree_depth(tree: Tree) -> int:
-    """Depth of the deepest tree."""
-    depth, level = 0, tree.roots
-    while True:
-        level = level[tree.feature[level] >= 0]
-        if not level.size:
-            return depth
-        level = np.concatenate([tree.left[level], tree.right[level]])
-        depth += 1
-
-
-def count_leaves(tree: Tree) -> int:
-    return int(np.sum(tree.feature < 0))
-
-
 def apply_tree(tree: Tree, X: np.ndarray, voters: np.ndarray | None = None) -> np.ndarray:
     """(trees, rows) leaf ids: every (tree, row) pair still at an internal node
     moves down one level per step. A pair outside the optional (trees, rows)

@@ -1,11 +1,13 @@
 import math
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from defectcost.costmodel import classify_potential
 from defectcost.dataset import Defect, Release
 from defectcost.experiments import EvaluationRecord
+from defectcost.learners import logit
 from defectcost.metrics import METRIC_NAMES, Prediction, _inspection_order
 
 T1_SIZES = {"a1": 100, "a2": 50, "a3": 200, "a4": 10, "a5": 40, "a6": 600}
@@ -110,3 +112,36 @@ def assert_close(a, b, tol=1e-12):
     if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
         return
     assert a == pytest.approx(b, abs=tol), f"{a} != {b}"
+
+
+def softmax_nll_grad(W, b, X, Y):
+    """Summed negative log-likelihood and its gradients w.r.t. W and b.
+
+    Y is one-hot (n, C); W is (k, C); b is (C,).
+    """
+    probs, nll = logit._probs_nll(X, Y, W, b)
+    return float(nll), *logit._grad(X, Y, probs)
+
+
+def fit_penalized_softmax(X, y_idx, n_classes, lam, alpha, *, W0=None, b0=None, tol=1e-6, max_iter=5000):
+    """One elastic-net cell, (W, b, objective): the one-path, one-lambda case
+    of the grid's path runner."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = logit.one_hot(y_idx, n_classes)
+    W, b, obj, _ = next(logit._fit_paths(X, Y, (lam,), (alpha,), tol, max_iter, W0, b0))[2]
+    return W, b, obj
+
+
+def tree_depth(tree) -> int:
+    """Depth of the deepest tree of a node table."""
+    depth, level = 0, tree.roots
+    while True:
+        level = level[tree.feature[level] >= 0]
+        if not level.size:
+            return depth
+        level = np.concatenate([tree.left[level], tree.right[level]])
+        depth += 1
+
+
+def count_leaves(tree) -> int:
+    return int(np.sum(tree.feature < 0))

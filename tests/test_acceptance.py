@@ -34,11 +34,9 @@ from defectcost.experiments import (
 from defectcost.learners import (
     ForestParams,
     differential_evolution,
-    fit_penalized_softmax,
     mcfadden_adjusted_r2,
     oob_mcc,
     params_from_vector,
-    softmax_nll_grad,
     train_cart,
     train_random_forest,
 )
@@ -46,7 +44,7 @@ from defectcost.learners.logit import one_hot
 from defectcost.metrics import ConfusionCounts, Prediction, auc, confusion_metrics
 from defectcost.synth import SynthSpec, generate_synthetic
 
-from conftest import size_by_id
+from conftest import fit_penalized_softmax, size_by_id, softmax_nll_grad
 
 NAN = math.nan
 INF = math.inf

@@ -8,10 +8,8 @@ from defectcost.learners import (
     ForestParams,
     apply_smote,
     apply_tree,
-    count_leaves,
     differential_evolution,
     fit_multinomial_logit_elastic_net,
-    fit_penalized_softmax,
     forest_importance,
     gini_importance,
     mcfadden_adjusted_r2,
@@ -20,19 +18,17 @@ from defectcost.learners import (
     params_from_vector,
     smote_oversample,
     softmax,
-    softmax_nll_grad,
     spearman,
     spearman_matrix,
     train_cart,
     train_gaussian_nb,
     train_random_forest,
-    tree_depth,
     tune_smote,
 )
 from defectcost.learners import logit
 from defectcost.learners.logit import one_hot
 
-from conftest import assert_close, is_undefined
+from conftest import assert_close, count_leaves, fit_penalized_softmax, is_undefined, softmax_nll_grad, tree_depth
 
 
 # --- CART ------------------------------------------------------------------

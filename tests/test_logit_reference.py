@@ -9,8 +9,14 @@ all-zero column, grids from 1 x 1 to the default 11 x 6, iteration caps of 0,
 1, 50, 500 and 5000, warm-started single fits, zero-penalty fits started at
 -0.0 on the zero column, a grid that selects no feature) and
 on the default grid over bootstrap records, the package must give
-bitwise-equal coefficients, intercepts and objectives, every grid cell, the
-selected features, the stage-2 refit and its goodness of fit.
+bitwise-equal coefficients, intercepts and objectives, every grid cell and the
+selected features.
+
+Stage 2 is referenced by a record-by-record Newton fit with the same stop and
+separation rule. Where it finds the maximum-likelihood estimate, the package's
+coefficients, probabilities and goodness of fit must agree with it to within
+rounding; where it finds the classes separated, the package must report the
+winning stage-1 cell on raw scales and its goodness of fit bitwise.
 """
 
 from __future__ import annotations
@@ -21,11 +27,14 @@ import pytest
 from defectcost import GaussianNBModel, SynthSpec, filter_releases, generate_synthetic, run_bootstrap
 from defectcost.analysis import fit_imputer, records_matrix
 from defectcost.experiments import BootstrapConfig
-from defectcost.learners import fit_multinomial_logit_elastic_net, fit_penalized_softmax
+from defectcost.learners import fit_multinomial_logit_elastic_net
 from defectcost.learners.logit import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_LAMBDA_GRID,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     PROB_FLOOR,
+    SEPARATED_PROB,
     GoodnessOfFit,
     GridCell,
     log_likelihood,
@@ -33,6 +42,8 @@ from defectcost.learners.logit import (
     null_log_likelihood,
     one_hot,
 )
+
+from conftest import fit_penalized_softmax
 
 
 def ref_softmax(logits):
@@ -102,6 +113,67 @@ def ref_fit_penalized_softmax(X, y_idx, n_classes, lam, alpha, *, W0=None, b0=No
     return W, b, obj_prev
 
 
+def ref_newton(Z, y_idx, n_classes):
+    """Newton's method with step halving on the softmax NLL, the last class as
+    reference, accumulating the gradient and Hessian record by record. Returns
+    (W, b) with a zero last class, or None where the classes look separated."""
+    n, k = Z.shape
+    m = n_classes - 1
+    freq = np.bincount(y_idx, minlength=n_classes) / n
+    theta = np.zeros((m, k + 1))  # per free class: the column weights, then the intercept
+    theta[:, k] = np.log(freq[:m]) - np.log(freq[m])
+
+    def record(theta, i):
+        z = np.append(Z[i], 1.0)
+        logits = np.append(theta @ z, 0.0)
+        top = logits.max()
+        p = np.exp(logits - top) / np.exp(logits - top).sum()
+        return z, p, top + np.log(np.exp(logits - top).sum()) - logits[y_idx[i]]
+
+    def nll(theta):
+        return sum(record(theta, i)[2] for i in range(n))
+
+    for it in range(NEWTON_MAX_ITER + 1):
+        grad = np.zeros((n_classes, k + 1))
+        hess = np.zeros((m * (k + 1), m * (k + 1)))
+        own = []
+        for i in range(n):
+            z, p, _ = record(theta, i)
+            grad += np.outer(p - np.eye(n_classes)[y_idx[i]], z)
+            hess += np.kron(np.diag(p[:m]) - np.outer(p[:m], p[:m]), np.outer(z, z))
+            own.append(p[y_idx[i]])
+        if np.abs(grad).max() <= NEWTON_TOL * n:
+            return None if max(own) > SEPARATED_PROB else (
+                np.vstack([theta, np.zeros(k + 1)]).T[:k], np.append(theta[:, k], 0.0))
+        if it == NEWTON_MAX_ITER:
+            return None
+        try:
+            d = np.linalg.solve(hess, grad[:m].ravel()).reshape(m, k + 1)
+        except np.linalg.LinAlgError:
+            return None
+        here, step = nll(theta) * (1.0 + 1e-12), 1.0
+        while step >= 2.0**-50 and not nll(theta - step * d) <= here:
+            step /= 2
+        if step < 2.0**-50:
+            return None
+        theta = theta - step * d
+
+
+def ref_stage2(X, y_idx, n_classes, selected, W_cell, b_cell):
+    """Stage 2 on raw scales: the centred estimate, or the stage-1 cell."""
+    mu = X.mean(axis=0)
+    sigma = X.std(axis=0)
+    sigma = np.where(sigma == 0, 1.0, sigma)
+    sel = list(selected)
+    mle = ref_newton(((X - mu) / sigma)[:, sel], y_idx, n_classes)
+    Wn, bn = (W_cell[sel], b_cell) if mle is None else mle
+    W2 = Wn / sigma[sel][:, None]
+    b2 = bn - mu[sel] @ W2
+    if mle is not None:
+        W2, b2 = W2 - W2.mean(axis=1, keepdims=True), b2 - b2.mean()
+    return W2, b2, "separated" if mle is None else "mle"
+
+
 def ref_fit_grid(X, y_levels, lambda_grid, alpha_grid, *, tol=1e-6, max_iter=5000):
     """The grid walk and stage-2 refit; returns the fields of the model."""
     X = np.asarray(X, dtype=np.float64)
@@ -138,14 +210,12 @@ def ref_fit_grid(X, y_levels, lambda_grid, alpha_grid, *, tol=1e-6, max_iter=500
                 )
             )
             if best is None or r2 > best[0]:
-                best = (r2, float(lam), float(alpha), tuple(int(i) for i in selected))
+                best = (r2, float(lam), float(alpha), tuple(int(i) for i in selected), W, b)
 
-    _, lam, alpha, selected = best
+    _, lam, alpha, selected, W, b = best
 
-    X2 = X[:, list(selected)] if selected else np.zeros((len(y_idx), 0))
-    W2, b2, _ = ref_fit_penalized_softmax(
-        X2, y_idx, n_classes, lam=0.0, alpha=0.0, tol=tol, max_iter=max_iter
-    )
+    X2 = X[:, list(selected)]
+    W2, b2, stage2 = ref_stage2(X, y_idx, n_classes, selected, W, b)
 
     probs2 = ref_softmax(X2 @ W2 + b2)
     ll = log_likelihood(probs2, y_idx)
@@ -157,7 +227,7 @@ def ref_fit_grid(X, y_levels, lambda_grid, alpha_grid, *, tol=1e-6, max_iter=500
         r2_adjusted=mcfadden_adjusted_r2(probs2, y_idx, k=len(selected)),
     )
     return dict(classes=classes, lam=lam, alpha=alpha, selected=selected, stage2_W=W2, stage2_b=b2,
-                goodness=goodness, grid=tuple(cells))
+                stage2=stage2, X2=X2, probs=probs2, goodness=goodness, grid=tuple(cells))
 
 
 def same_bits(a, b) -> bool:
@@ -174,12 +244,27 @@ def assert_model_matches(model, expected):
         assert same_bits(got.r2_adjusted, want.r2_adjusted)
         assert same_bits(got.l1_norm, want.l1_norm)
     assert (model.lam, model.alpha, model.selected) == (expected["lam"], expected["alpha"], expected["selected"])
-    assert same_bits(model.stage2_W, expected["stage2_W"])
-    assert same_bits(model.stage2_b, expected["stage2_b"])
+    assert_stage2_matches(model, expected)
+
+
+def assert_stage2_matches(model, expected):
+    """Bitwise for the stage-1 cell of separated classes; for the estimate,
+    equal to within what rounding moves in a converged Newton fit."""
+    assert model.stage2 == expected["stage2"]
     got, want = model.goodness, expected["goodness"]
-    assert got.k == want.k
-    for name in ("log_likelihood", "log_likelihood_null", "r2_adjusted"):
-        assert same_bits(getattr(got, name), getattr(want, name))
+    assert got.k == want.k and same_bits(got.log_likelihood_null, want.log_likelihood_null)
+    if model.stage2 == "separated":
+        assert same_bits(model.stage2_W, expected["stage2_W"])
+        assert same_bits(model.stage2_b, expected["stage2_b"])
+        for name in ("log_likelihood", "r2_adjusted"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+        return
+    probs = ref_softmax(expected["X2"] @ model.stage2_W + model.stage2_b)
+    np.testing.assert_allclose(probs, expected["probs"], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(model.stage2_W, expected["stage2_W"], rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(model.stage2_b, expected["stage2_b"], rtol=1e-6, atol=1e-9)
+    for name in ("log_likelihood", "r2_adjusted"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9, abs=1e-12)
 
 
 def sweep_data(case: int):
