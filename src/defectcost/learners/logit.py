@@ -159,8 +159,8 @@ def _newton_mle(Z: np.ndarray, Y: np.ndarray):
         for j in range(m):
             for l in range(j, m):
                 H[j, :, l] = H[l, :, j] = Z1.T @ ((probs[:, j] * (float(j == l) - probs[:, l]))[:, None] * Z1)
-        try:
-            d = np.linalg.solve(H.reshape(m * p, m * p), G[:, :m].T.ravel()).reshape(m, p).T
+        try:  # least squares: collinear columns leave H singular, yet the estimate's probabilities exist
+            d = np.linalg.lstsq(H.reshape(m * p, m * p), G[:, :m].T.ravel(), rcond=None)[0].reshape(m, p).T
         except np.linalg.LinAlgError:
             return None
         step, bound = 1.0, nll + 1e-12 * nll  # near the optimum the NLL's rounding hides its fall

@@ -148,7 +148,7 @@ def ref_newton(Z, y_idx, n_classes):
         if it == NEWTON_MAX_ITER:
             return None
         try:
-            d = np.linalg.solve(hess, grad[:m].ravel()).reshape(m, k + 1)
+            d = np.linalg.lstsq(hess, grad[:m].ravel(), rcond=None)[0].reshape(m, k + 1)
         except np.linalg.LinAlgError:
             return None
         here, step = nll(theta) * (1.0 + 1e-12), 1.0

@@ -60,6 +60,23 @@ def test_stage2_meets_kkt_conditions_where_classes_overlap(case):
     assert abs(model.stage2_b.sum()) <= 1e-12 * max(1.0, np.abs(model.stage2_b).max())
 
 
+def test_collinear_columns_still_give_the_estimate():
+    """A column and an affine copy of it leave the Hessian singular, but the
+    estimate's probabilities exist and equal those without the copy."""
+    rng = np.random.default_rng(17)
+    y = rng.integers(0, 3, 300)
+    x = rng.normal(size=300) + 0.5 * y
+    X = np.column_stack([x, rng.normal(size=300)])
+    grid = dict(lambda_grid=(1.0,), alpha_grid=(0.0,))
+    plain = fit_multinomial_logit_elastic_net(X, y, **grid)
+    for copy in (x, 2.0 * x + 1.0):
+        Xc = np.column_stack([X, copy])
+        model = fit_multinomial_logit_elastic_net(Xc, y, **grid)
+        assert model.selected == (0, 1, 2) and model.stage2 == "mle"
+        assert np.abs(zscored_gradient(model, Xc, y)).max() <= NEWTON_TOL * len(y)
+        np.testing.assert_allclose(model.predict_proba(Xc), plain.predict_proba(X), rtol=0, atol=1e-9)
+
+
 def test_stage2_without_features_gives_centred_log_frequencies():
     rng = np.random.default_rng(31)
     X = rng.normal(size=(50, 3))
