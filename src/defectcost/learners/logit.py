@@ -129,11 +129,11 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
 
 def _newton_mle(Z: np.ndarray, Y: np.ndarray):
     """Softmax maximum likelihood by Newton's method with step halving, from
-    the class frequencies, with the last class as reference: (W, b) with a zero
-    last class, or None where the classes look separated. They do without a
-    gradient stop in NEWTON_MAX_ITER steps, when the Hessian solve fails, or
-    when an own-class probability at the stop exceeds SEPARATED_PROB; there the
-    NLL can meet the gradient stop while it falls towards 0."""
+    the class frequencies, with the last class as reference. Returns (W, b)
+    with a zero last class, or None where the classes look separated: no
+    gradient stop within NEWTON_MAX_ITER steps, a failed Hessian solve, or an
+    own-class probability above SEPARATED_PROB at the stop (under separation
+    the NLL falls towards 0 and can meet the gradient stop)."""
     n, C = Y.shape
     Z1 = np.column_stack([Z, np.ones(n)])  # the last row of theta holds the intercepts
     p, m = Z1.shape[1], C - 1
@@ -235,8 +235,8 @@ class LogitModel:
     stage2_W: np.ndarray  # (len(selected), C), raw feature scale
     stage2_b: np.ndarray
     goodness: GoodnessOfFit
+    stage2: str  # "mle", or "separated": no estimate exists, and stage 2 is the winning stage-1 cell
     grid: tuple[GridCell, ...] = field(default_factory=tuple)
-    stage2: str = "mle"  # "separated": the selected columns separate the classes; stage 2 is the stage-1 cell
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
