@@ -25,7 +25,8 @@ DEFAULT_LAMBDA_GRID = tuple(10.0**i for i in range(0, 6))
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(0, 11))
 NEWTON_TOL = 1e-12  # stop when every NLL gradient entry is at most this times the row count
 NEWTON_MAX_ITER = 50
-SEPARATED_PROB = 1.0 - 1e-10  # an own-class probability above this at the stop means separation
+SEPARATED_PROB = 1.0 - 1e-10  # an own-class probability above this at the stop means separation,
+SETTLED_STEP = 1e-3  # unless the last step moved no z-scored coefficient by more than this
 
 log = logging.getLogger(__name__)
 
@@ -132,8 +133,11 @@ def _newton_mle(Z: np.ndarray, Y: np.ndarray):
     the class frequencies, with the last class as reference. Returns (W, b)
     with a zero last class, or None where the classes look separated: no
     gradient stop within NEWTON_MAX_ITER steps, a failed Hessian solve, or an
-    own-class probability above SEPARATED_PROB at the stop (under separation
-    the NLL falls towards 0 and can meet the gradient stop)."""
+    own-class probability above SEPARATED_PROB at a stop whose last step still
+    moved a coefficient by more than SETTLED_STEP. Under separation the NLL
+    falls towards 0 and can meet the gradient stop while the steps stay long;
+    at an estimate they shrink quadratically, even where a record lies far
+    from the others' classes."""
     n, C = Y.shape
     Z1 = np.column_stack([Z, np.ones(n)])  # the last row of theta holds the intercepts
     p, m = Z1.shape[1], C - 1
@@ -148,7 +152,7 @@ def _newton_mle(Z: np.ndarray, Y: np.ndarray):
         total = e.sum(axis=1, keepdims=True)
         return float(np.log(total).sum() - (logits * Y).sum()), e / total
 
-    nll, probs = nll_probs(theta)
+    (nll, probs), moved = nll_probs(theta), 0.0
     for i in range(NEWTON_MAX_ITER + 1):
         G = Z1.T @ (probs - Y)
         if np.abs(G).max() <= NEWTON_TOL * n:
@@ -159,8 +163,10 @@ def _newton_mle(Z: np.ndarray, Y: np.ndarray):
         for j in range(m):
             for l in range(j, m):
                 H[j, :, l] = H[l, :, j] = Z1.T @ ((probs[:, j] * (float(j == l) - probs[:, l]))[:, None] * Z1)
-        try:  # least squares: collinear columns leave H singular, yet the estimate's probabilities exist
-            d = np.linalg.lstsq(H.reshape(m * p, m * p), G[:, :m].T.ravel(), rcond=None)[0].reshape(m, p).T
+        H = H.reshape(m * p, m * p)
+        H[np.diag_indices(m * p)] += 1e-13 * H.diagonal().max()  # collinear columns leave H singular
+        try:
+            d = np.linalg.solve(H, G[:, :m].T.ravel()).reshape(m, p).T
         except np.linalg.LinAlgError:
             return None
         step, bound = 1.0, nll + 1e-12 * nll  # near the optimum the NLL's rounding hides its fall
@@ -171,8 +177,8 @@ def _newton_mle(Z: np.ndarray, Y: np.ndarray):
             step *= 0.5
         else:
             return None
-        theta, nll, probs = theta - step * d, trial_nll, trial_probs
-    if (probs * Y).sum(axis=1).max() > SEPARATED_PROB:
+        theta, nll, probs, moved = theta - step * d, trial_nll, trial_probs, step * np.abs(d).max()
+    if (probs * Y).sum(axis=1).max() > SEPARATED_PROB and moved > SETTLED_STEP:
         return None
     W = np.column_stack([theta, np.zeros(p)])
     return W[:-1], W[-1]

@@ -35,6 +35,7 @@ from defectcost.learners.logit import (
     NEWTON_TOL,
     PROB_FLOOR,
     SEPARATED_PROB,
+    SETTLED_STEP,
     GoodnessOfFit,
     GridCell,
     log_likelihood,
@@ -133,6 +134,7 @@ def ref_newton(Z, y_idx, n_classes):
     def nll(theta):
         return sum(record(theta, i)[2] for i in range(n))
 
+    moved = 0.0
     for it in range(NEWTON_MAX_ITER + 1):
         grad = np.zeros((n_classes, k + 1))
         hess = np.zeros((m * (k + 1), m * (k + 1)))
@@ -143,7 +145,7 @@ def ref_newton(Z, y_idx, n_classes):
             hess += np.kron(np.diag(p[:m]) - np.outer(p[:m], p[:m]), np.outer(z, z))
             own.append(p[y_idx[i]])
         if np.abs(grad).max() <= NEWTON_TOL * n:
-            return None if max(own) > SEPARATED_PROB else (
+            return None if max(own) > SEPARATED_PROB and moved > SETTLED_STEP else (
                 np.vstack([theta, np.zeros(k + 1)]).T[:k], np.append(theta[:, k], 0.0))
         if it == NEWTON_MAX_ITER:
             return None
@@ -156,7 +158,7 @@ def ref_newton(Z, y_idx, n_classes):
             step /= 2
         if step < 2.0**-50:
             return None
-        theta = theta - step * d
+        theta, moved = theta - step * d, np.abs(step * d).max()
 
 
 def ref_stage2(X, y_idx, n_classes, selected, W_cell, b_cell):

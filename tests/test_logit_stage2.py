@@ -38,7 +38,9 @@ def zscored_gradient(model, X, y_idx):
 
 def overlapping_classes(case: int):
     """Class-shifted normal columns whose classes overlap, at scales 0.01 to
-    100 and with offsets, so that the maximum-likelihood estimate exists."""
+    100 and with offsets, so that the maximum-likelihood estimate exists. In
+    case 15 (2 classes) it puts 15 records above an own-class probability of
+    1 - 1e-10."""
     rng = np.random.default_rng([4711, case])
     n = int(rng.integers(200, 401))
     k = int(rng.integers(1, 7))
@@ -50,7 +52,7 @@ def overlapping_classes(case: int):
     return X, y, n_classes
 
 
-@pytest.mark.parametrize("case", range(12))
+@pytest.mark.parametrize("case", range(48))
 def test_stage2_meets_kkt_conditions_where_classes_overlap(case):
     X, y, n_classes = overlapping_classes(case)
     model = fit_multinomial_logit_elastic_net(X, y, lambda_grid=(1.0, 10.0), alpha_grid=(0.0, 0.5))
@@ -62,19 +64,23 @@ def test_stage2_meets_kkt_conditions_where_classes_overlap(case):
 
 def test_collinear_columns_still_give_the_estimate():
     """A column and an affine copy of it leave the Hessian singular, but the
-    estimate's probabilities exist and equal those without the copy."""
+    estimate's probabilities exist and equal those without the copy. A copy
+    with noise of 1e-6 makes the Hessian nearly singular; its estimate exists
+    too, with coefficients near 1e5 whose raw-scale logits round too coarsely
+    for the KKT bound."""
     rng = np.random.default_rng(17)
     y = rng.integers(0, 3, 300)
     x = rng.normal(size=300) + 0.5 * y
     X = np.column_stack([x, rng.normal(size=300)])
     grid = dict(lambda_grid=(1.0,), alpha_grid=(0.0,))
     plain = fit_multinomial_logit_elastic_net(X, y, **grid)
-    for copy in (x, 2.0 * x + 1.0):
+    for copy, exact in ((x, True), (2.0 * x + 1.0, True), (x + 1e-6 * rng.normal(size=300), False)):
         Xc = np.column_stack([X, copy])
         model = fit_multinomial_logit_elastic_net(Xc, y, **grid)
         assert model.selected == (0, 1, 2) and model.stage2 == "mle"
-        assert np.abs(zscored_gradient(model, Xc, y)).max() <= NEWTON_TOL * len(y)
-        np.testing.assert_allclose(model.predict_proba(Xc), plain.predict_proba(X), rtol=0, atol=1e-9)
+        if exact:
+            assert np.abs(zscored_gradient(model, Xc, y)).max() <= NEWTON_TOL * len(y)
+            np.testing.assert_allclose(model.predict_proba(Xc), plain.predict_proba(X), rtol=0, atol=1e-9)
 
 
 def test_stage2_without_features_gives_centred_log_frequencies():
