@@ -130,14 +130,10 @@ def _fit_paths(X, Y, lambda_grid, alpha_grid, tol, max_iter, W0=None, b0=None):
 
 def _newton_mle(Z: np.ndarray, Y: np.ndarray):
     """Softmax maximum likelihood by Newton's method with step halving, from
-    the class frequencies, with the last class as reference. Returns (W, b)
-    with a zero last class, or None where the classes look separated: no
-    gradient stop within NEWTON_MAX_ITER steps, a failed Hessian solve, or an
-    own-class probability above SEPARATED_PROB at a stop whose last step still
-    moved a coefficient by more than SETTLED_STEP. Under separation the NLL
-    falls towards 0 and can meet the gradient stop while the steps stay long;
-    at an estimate they shrink quadratically, even where a record lies far
-    from the others' classes."""
+    the class frequencies, with the last class as reference: (W, b) with a zero
+    last class, or None where the classes look separated. Under separation the
+    NLL falls towards 0 and can meet the gradient stop, but the steps stay long;
+    at an estimate they shrink quadratically."""
     n, C = Y.shape
     Z1 = np.column_stack([Z, np.ones(n)])  # the last row of theta holds the intercepts
     p, m = Z1.shape[1], C - 1

@@ -8,8 +8,8 @@ bounds were computed from arrays, and the last two (the output files of
 before records became flat rows, so any change to records, record files, RNG
 streams or tuned parameters shows here. The ``analyze`` pin was recorded again
 when the logit's stage 2 became a Newton fit with a separation rule; its
-records are separated, so the bundle reports the winning stage-1 cell. Each case runs on a tiny seeded synth
-corpus with few trees and a small DE budget.
+records are separated, so the bundle reports the winning stage-1 cell. Each
+case runs on a tiny seeded synth corpus with few trees and a small DE budget.
 """
 
 import hashlib
