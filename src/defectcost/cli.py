@@ -41,6 +41,7 @@ from .experiments import (
     EvalConfig,
     ForestModel,
     GaussianNBModel,
+    RunResult,
     evaluate_external_prediction,
     read_records,
     run_bootstrap,
@@ -271,11 +272,14 @@ def _scenario_config(args, config_type, **extra):
 
 
 def _write_outputs(result, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
+    """records.csv, records.jsonl and notices.txt, the last removed when there are no notices."""
     write_records_csv(result.records, outdir / "records.csv")
     write_records_jsonl(result.records, outdir / "records.jsonl")
+    notices = outdir / "notices.txt"
     if result.notices:
-        (outdir / "notices.txt").write_text("\n".join(result.notices) + "\n")
+        notices.write_text("\n".join(result.notices) + "\n")
+    else:
+        notices.unlink(missing_ok=True)
     log.info("wrote %d records to %s", len(result.records), outdir)
 
 
@@ -321,9 +325,7 @@ def cmd_metrics(args) -> int:
                                               boundaries=args.boundaries, effort_mode=args.effort_mode)
     except CoverageError as exc:
         raise DataError(str(exc), args.pred) from exc
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_records_csv([record], args.out / "records.csv")
-    write_records_jsonl([record], args.out / "records.jsonl")
+    _write_outputs(RunResult([record]), args.out)
     print(f"potential={record.potential.label} lower={record.lower} upper={record.upper} diff={record.diff}")
     return EXIT_OK
 
@@ -333,21 +335,19 @@ def cmd_bootstrap(args) -> int:
     if not kept:
         raise DataError("no releases pass the eligibility filter")
     config = _scenario_config(args, BootstrapConfig, n_samples=args.samples)
-    result = run_bootstrap(kept, config=config, jobs=args.jobs)
-    _write_outputs(result, args.out)
+    _write_outputs(run_bootstrap(kept, config, args.jobs), args.out)
     return EXIT_OK
 
 
 def cmd_cross_version(args) -> int:
     releases, _ = _load_filtered(args)
-    _write_outputs(run_cross_version(releases, seed=args.seed, config=_scenario_config(args, EvalConfig)), args.out)
+    _write_outputs(run_cross_version(releases, _scenario_config(args, EvalConfig)), args.out)
     return EXIT_OK
 
 
 def cmd_cross_project(args) -> int:
     releases, _ = _load_filtered(args)
-    result = run_cross_project(releases, seed=args.seed, config=_scenario_config(args, EvalConfig), gap_days=args.gap_days)
-    _write_outputs(result, args.out)
+    _write_outputs(run_cross_project(releases, _scenario_config(args, EvalConfig), args.gap_days), args.out)
     return EXIT_OK
 
 

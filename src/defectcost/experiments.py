@@ -18,8 +18,9 @@ import csv
 import json
 import logging
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from datetime import timedelta
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -310,15 +311,19 @@ OVERSAMPLE_MODES = ("off", "smote", "smote_tuned")
 
 @dataclass(frozen=True, kw_only=True)
 class RecordConfig:
-    """Settings that shape an evaluation record, shared by every scenario."""
+    """Settings that shape an evaluation record, shared by every scenario;
+    ``seed`` is the master seed every random draw of the run derives from."""
 
     model: object = ForestModel()
+    seed: int = 0
     oversample: str = "off"  # off | smote | smote_tuned
     threshold: float = 0.5
     boundaries: tuple[float, float] = DEFAULT_BOUNDARIES
     effort_mode: str = "defects"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.oversample not in OVERSAMPLE_MODES:
             raise ValueError(f"unknown oversample mode {self.oversample!r}")
         if not 0.0 <= self.threshold <= 1.0:  # also rejects nan
@@ -354,14 +359,13 @@ class BootstrapConfig(RecordConfig):
     defaults to SMOTE."""
 
     n_samples: int
-    seed: int
     max_redraws: int = 1000
     oversample: str = "smote"
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        if self.n_samples < 1 or self.max_redraws < 1:
+            raise ValueError("n_samples and max_redraws must be >= 1")
 
 
 def _fit_and_record(
@@ -445,32 +449,18 @@ def _bootstrap_release(args) -> tuple[list[EvaluationRecord], list[str]]:
     return records, notices
 
 
-def run_bootstrap(
-    releases: Sequence[Release],
-    n_samples: int | None = None,
-    seed: int | None = None,
-    *,
-    config: BootstrapConfig | None = None,
-    jobs: int = 1,
-) -> RunResult:
-    """Bootstrap experiment over pre-filtered releases.
-
-    Produces per release and sample one record on the plain training data and
-    one after oversampling (unless oversampling is off). Redraw exhaustion is
-    reported per release and the run continues. ``n_samples`` and ``seed``,
-    when given, override those of ``config``.
-    """
-    given = {k: v for k, v in (("n_samples", n_samples), ("seed", seed)) if v is not None}
-    config = replace(config, **given) if config is not None else BootstrapConfig(**given)
-    tasks = [(release, i, config) for i, release in enumerate(releases)]
-    results: list[tuple[list[EvaluationRecord], list[str]]] = []
+def _run(work, tasks, jobs: int = 1) -> RunResult:
+    """``work`` mapped over ``tasks``, each call giving one task's records and
+    notices, joined in task order; the notices are also logged. With ``jobs``
+    above 1, ``tasks`` is a sequence and more than one task runs in that many
+    worker processes; otherwise ``tasks`` is consumed one task at a time."""
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: it costs every serial run 15-20 ms
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bootstrap_release, tasks))
+            results = list(pool.map(work, tasks))
     else:
-        results = [_bootstrap_release(t) for t in tasks]
+        results = map(work, tasks)
     records: list[EvaluationRecord] = []
     notices: list[str] = []
     for recs, notes in results:
@@ -481,9 +471,14 @@ def run_bootstrap(
     return RunResult(records=records, notices=notices)
 
 
-def _cross_config(config: EvalConfig | None, model) -> EvalConfig:
-    config = config or EvalConfig()
-    return config if model is None else replace(config, model=model)
+def run_bootstrap(releases: Sequence[Release], config: BootstrapConfig, jobs: int = 1) -> RunResult:
+    """Bootstrap experiment over pre-filtered releases.
+
+    Produces per release and sample one record on the plain training data and
+    one after oversampling (unless oversampling is off). Redraw exhaustion is
+    reported per release and the run continues.
+    """
+    return _run(_bootstrap_release, [(release, i, config) for i, release in enumerate(releases)], jobs)
 
 
 def _cross_seeds(seed: int, scenario: str, target_idx: int):
@@ -494,153 +489,87 @@ def _ordered_by_time(releases: Sequence[Release]) -> list[Release]:
     return sorted(releases, key=lambda r: (r.released_at, r.release_id))
 
 
-def _eligible_train_view(
-    release: Release, as_of, min_instances: int, min_defects: int, mode: str
-) -> ReleaseView | None:
-    """View with leakage-cleaned labels if it passes the size/defect filter."""
-    view = release.view(as_of=as_of)
-    if view.n < min_instances or count_defects(view, mode) < min_defects:
-        return None
-    return view
+def _ordered_targets(releases: Sequence[Release]) -> list[Release]:
+    """The releases in the order the cross scenarios number their targets."""
+    return sorted(releases, key=lambda r: (r.project, r.released_at, r.release_id))
 
 
-def _prepare_targets(releases: Sequence[Release], kind: str) -> dict[int, tuple[ReleaseView, TransferSide]]:
-    """Each release's full view and its transfer side, by ``id(release)``:
-    everything of a release that no target changes, built once per run."""
+def _eligible_views(candidates, target: Release, config: EvalConfig):
+    """Lazily, (release, view with labels cleaned as of ``target``'s release)
+    for each of ``candidates`` that passes the size/defect filter of ``config``."""
+    for release in candidates:
+        view = release.view(as_of=target.released_at)
+        if view.n >= config.min_instances and count_defects(view, config.count_mode) >= config.min_defects:
+            yield release, view
+
+
+def _run_cross(releases: Sequence[Release], config: EvalConfig, scenario: str, missing: str, targets) -> RunResult:
+    """The records of one cross scenario. ``targets`` yields each target's
+    index, release and training (release, cleaned view) pairs lazily, so that
+    one target's pairs are held at a time; a target without pairs gets the
+    notice ``missing``. Each release's full view and transfer side are built
+    once per run."""
     views = {id(r): r.view() for r in releases}
-    return {key: (view, transfer_side(kind, view.X)) for key, view in views.items()}
+    sides = {key: transfer_side(config.transfer, view.X) for key, view in views.items()}
+
+    def work(task):
+        idx, target, train = task
+        if not train:
+            return [], [f"{scenario}: {missing} for {target.key()}"]
+        moved = transfer_transform(config.transfer, TransferSide.stack([sides[id(r)] for r, _ in train]),
+                                   sides[id(target)])
+        record = _fit_and_record(
+            config, config.oversample, _cross_seeds(config.seed, scenario, idx), scenario=scenario,
+            release=target, sample=0, train_X=moved.train_X, train_y=np.concatenate([v.y for _, v in train]),
+            test_view=views[id(target)], test_X=moved.target_X,
+        )
+        return [record], []
+
+    return _run(work, targets)
 
 
-def _transfer_record(config: EvalConfig, scenario: str, seeds, target: Release,
-                     train: list[tuple[Release, ReleaseView]], prepared) -> EvaluationRecord:
-    """The record of ``target`` for ``config.model`` trained on the stacked
-    (release, leakage-cleaned view) pairs of ``train`` after the transfer of
-    ``config``; ``prepared`` is the run's ``_prepare_targets``."""
-    test_view, target_side = prepared[id(target)]
-    moved = transfer_transform(
-        config.transfer, TransferSide.stack([prepared[id(r)][1] for r, _ in train]), target_side
-    )
-    return _fit_and_record(
-        config, config.oversample, seeds, scenario=scenario, release=target, sample=0,
-        train_X=moved.train_X, train_y=np.concatenate([v.y for _, v in train]),
-        test_view=test_view, test_X=moved.target_X,
-    )
-
-
-def run_cross_version(
-    releases: Sequence[Release],
-    model=None,
-    seed: int = 0,
-    *,
-    config: EvalConfig | None = None,
-) -> RunResult:
+def run_cross_version(releases: Sequence[Release], config: EvalConfig = EvalConfig()) -> RunResult:
     """Train on the closest eligible prior release of the same project.
 
     Targets are never filtered; training candidates must pass the size/defect
     filter of ``config`` after their labels are restricted to defects fixed
     before the target release (no future information enters training).
-    ``model`` overrides ``config.model``.
     """
-    config = _cross_config(config, model)
-    prepared = _prepare_targets(releases, config.transfer)
-    records: list[EvaluationRecord] = []
-    notices: list[str] = []
-    by_project: dict[str, list[Release]] = {}
-    for r in releases:
-        by_project.setdefault(r.project, []).append(r)
-    target_idx = 0
-    for project in sorted(by_project):
-        ordered = _ordered_by_time(by_project[project])
-        for i, target in enumerate(ordered):
-            target_idx += 1
-            train_view = None
-            for candidate in reversed(ordered[:i]):
-                train_view = _eligible_train_view(
-                    candidate, target.released_at, config.min_instances, config.min_defects, config.count_mode
-                )
-                if train_view is not None:
-                    break
-            if train_view is None:
-                notices.append(f"cross_version: no eligible prior release for {target.key()}")
-                continue
-            seeds = _cross_seeds(seed, "cross_version", target_idx)
-            train = [(candidate, train_view)]
-            records.append(_transfer_record(config, "cross_version", seeds, target, train, prepared))
-    for note in notices:
-        log.warning("%s", note)
-    return RunResult(records=records, notices=notices)
+    ordered = _ordered_targets(releases)
 
+    def targets():
+        for idx, target in enumerate(ordered, start=1):
+            prior = takewhile(lambda r: r.project == target.project, reversed(ordered[: idx - 1]))
+            yield idx, target, list(islice(_eligible_views(prior, target, config), 1))
 
-def cross_project_pool(
-    releases: Sequence[Release], target: Release, gap_days: int = CROSS_PROJECT_GAP_DAYS
-) -> list[Release]:
-    """Releases of other projects released at least ``gap_days`` before the target."""
-    cutoff = target.released_at - timedelta(days=gap_days)
-    return [
-        r
-        for r in _ordered_by_time(releases)
-        if r.project != target.project and r.released_at <= cutoff
-    ]
+    return _run_cross(releases, config, "cross_version", "no eligible prior release", targets())
 
 
 def cross_project_training_views(
     releases: Sequence[Release],
     target: Release,
-    *,
+    config: EvalConfig = EvalConfig(),
     gap_days: int = CROSS_PROJECT_GAP_DAYS,
-    min_instances: int = 100,
-    min_defects: int = 5,
-    count_mode: str = "defective_files",
 ) -> list[tuple[Release, ReleaseView]]:
-    """Eligible training views for one cross-project target.
-
-    Pool releases respect the temporal gap; their labels only reflect defects
-    fixed before the target's release date.
-    """
-    out = []
-    for candidate in cross_project_pool(releases, target, gap_days):
-        view = _eligible_train_view(candidate, target.released_at, min_instances, min_defects, count_mode)
-        if view is not None:
-            out.append((candidate, view))
-    return out
+    """Eligible training views for one cross-project target: releases of other
+    projects released at least ``gap_days`` before the target that pass the
+    size/defect filter of ``config``, in time order, their labels reflecting
+    only defects fixed before the target's release date."""
+    if gap_days < 0:
+        raise ValueError(f"gap_days must be >= 0, got {gap_days!r}")
+    cutoff = target.released_at - timedelta(days=gap_days)
+    pool = (r for r in _ordered_by_time(releases) if r.project != target.project and r.released_at <= cutoff)
+    return list(_eligible_views(pool, target, config))
 
 
 def run_cross_project(
-    releases: Sequence[Release],
-    model=None,
-    seed: int = 0,
-    *,
-    config: EvalConfig | None = None,
-    gap_days: int = CROSS_PROJECT_GAP_DAYS,
+    releases: Sequence[Release], config: EvalConfig = EvalConfig(), gap_days: int = CROSS_PROJECT_GAP_DAYS
 ) -> RunResult:
-    """Strict cross-project prediction with temporal-leakage removal.
-
-    The training pool contains releases of other projects released at least
-    ``gap_days`` before the target that pass the size/defect filter of
-    ``config``; training labels only reflect defects fixed before the
-    target's release date. ``model`` overrides ``config.model``.
-    """
-    config = _cross_config(config, model)
-    prepared = _prepare_targets(releases, config.transfer)
-    records: list[EvaluationRecord] = []
-    notices: list[str] = []
-    for idx, target in enumerate(sorted(releases, key=lambda r: (r.project, r.released_at, r.release_id))):
-        pool = cross_project_training_views(
-            releases,
-            target,
-            gap_days=gap_days,
-            min_instances=config.min_instances,
-            min_defects=config.min_defects,
-            count_mode=config.count_mode,
-        )
-        if not pool:
-            notices.append(f"cross_project: empty training pool for {target.key()}")
-            continue
-        seeds = _cross_seeds(seed, "cross_project", idx)
-        records.append(_transfer_record(config, "cross_project", seeds, target, pool, prepared))
-    for note in notices:
-        log.warning("%s", note)
-    return RunResult(records=records, notices=notices)
+    """Strict cross-project prediction with temporal-leakage removal: each
+    target trains on its ``cross_project_training_views``."""
+    targets = ((idx, target, cross_project_training_views(releases, target, config, gap_days))
+               for idx, target in enumerate(_ordered_targets(releases)))
+    return _run_cross(releases, config, "cross_project", "empty training pool", targets)
 
 
 def evaluate_external_prediction(

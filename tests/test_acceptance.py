@@ -324,11 +324,11 @@ def test_c07_pipeline_arithmetic(tmp_path):
     assert len(releases) == 5
 
     config = BootstrapConfig(n_samples=10, seed=13, model=ForestModel())
-    first = run_bootstrap(releases, 10, 13, config=config)
+    first = run_bootstrap(releases, config=config)
     assert len(first.records) == 2 * 5 * 10
     assert not first.notices
 
-    second = run_bootstrap(releases, 10, 13, config=config)
+    second = run_bootstrap(releases, config=config)
     a = write_records_csv(first.records, tmp_path / "a.csv")
     b = write_records_csv(second.records, tmp_path / "b.csv")
     assert a.read_bytes() == b.read_bytes()
@@ -346,7 +346,7 @@ def test_c08_qualitative_reproduction():
     corpus = generate_synthetic(spec_a, seed=100)
     assert len(corpus) == 20
     records = run_bootstrap(
-        corpus, 8, 11, config=BootstrapConfig(n_samples=8, seed=11, model=GaussianNBModel())
+        corpus, config=BootstrapConfig(n_samples=8, seed=11, model=GaussianNBModel())
     ).records
     levels = Counter(r.potential.label for r in records)
     assert len(levels) >= 2
@@ -362,7 +362,7 @@ def test_c08_qualitative_reproduction():
                        defect_ratio_range=(0.15, 0.3), n_features=6, signal=0.8,
                        size_log_mean=5.8, size_log_sigma=0.7)
     eval_records = run_bootstrap(
-        generate_synthetic(spec_b, seed=999), 6, 12,
+        generate_synthetic(spec_b, seed=999),
         config=BootstrapConfig(n_samples=6, seed=12, model=GaussianNBModel()),
     ).records
 
@@ -439,7 +439,7 @@ def test_c10_full_corpus_reproduction():
     assert len(kept) == 265
 
     assert 2 * 100 * 265 == 53000
-    result = run_bootstrap(kept, 100, 1, config=BootstrapConfig(n_samples=100, seed=1))
+    result = run_bootstrap(kept, config=BootstrapConfig(n_samples=100, seed=1))
     assert len(result.records) == 53000
 
     out = distribution_export(result.records)

@@ -94,6 +94,15 @@ def test_cross_version_subcommand(corpus_dir, tmp_path):
     assert (out / "records.csv").exists()
 
 
+def test_reused_out_dir_drops_stale_notices(corpus_dir, tmp_path):
+    out = tmp_path / "o"
+    assert main(["cross-version", "--data", str(corpus_dir), "--model", "gnb", "-o", str(out)]) == 0
+    assert len((out / "notices.txt").read_text().splitlines()) == 2
+    assert main(["bootstrap", "--data", str(corpus_dir), "--samples", "1", "--model", "gnb", "-o", str(out)]) == 0
+    assert len(list(csv.DictReader((out / "records.csv").open()))) == 8
+    assert not (out / "notices.txt").exists()
+
+
 def test_cross_project_subcommand(corpus_dir, tmp_path):
     out = tmp_path / "cp"
     rc = main(["cross-project", "--data", str(corpus_dir), "--seed", "2",

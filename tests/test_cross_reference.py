@@ -110,10 +110,7 @@ def reference_cross_version(releases, config, seed):
 def reference_cross_project(releases, config, seed):
     records, notices = [], []
     for idx, target in enumerate(sorted(releases, key=lambda r: (r.project, r.released_at, r.release_id))):
-        pool = cross_project_training_views(
-            releases, target, min_instances=config.min_instances,
-            min_defects=config.min_defects, count_mode=config.count_mode,
-        )
+        pool = cross_project_training_views(releases, target, config)
         for release, view in pool:
             plain = plain_training_set(release, target.released_at, config)
             assert plain is not None and plain[1].tobytes() == view.y.tobytes()
@@ -150,7 +147,7 @@ def test_runner_matches_plain_rebuild(scenario, transfer, count_mode, seed):
     config = EvalConfig(model=GaussianNBModel(), transfer=transfer, min_instances=40,
                         min_defects=3, count_mode=count_mode)
     run, reference = RUNNERS[scenario]
-    result = run(releases, seed=seed + 5, config=config)
+    result = run(releases, replace(config, seed=seed + 5))
     records, notices = reference(releases, config, seed + 5)
     assert records, "the corpus should give records"
     assert result.notices == notices
@@ -164,7 +161,7 @@ def test_runner_matches_plain_rebuild_with_smote(scenario):
                         min_instances=35, min_defects=3)
     run, reference = RUNNERS[scenario]
     records, notices = reference(releases, config, 11)
-    result = run(releases, seed=11, config=config)
+    result = run(releases, replace(config, seed=11))
     assert records and result.notices == notices
     assert repr(result.records) == repr(records)
 

@@ -7,9 +7,9 @@ from defectcost.dataset import Defect, Release
 from defectcost.experiments import (
     BootstrapConfig,
     CROSS_PROJECT_GAP_DAYS,
+    EvalConfig,
     ForestModel,
     GaussianNBModel,
-    cross_project_pool,
     cross_project_training_views,
     evaluate_external_prediction,
     read_records,
@@ -67,7 +67,7 @@ def small_corpus():
 
 def test_bootstrap_record_arithmetic(small_corpus):
     cfg = BootstrapConfig(n_samples=3, seed=2, model=GaussianNBModel())
-    result = run_bootstrap(small_corpus, 3, 2, config=cfg)
+    result = run_bootstrap(small_corpus, config=cfg)
     assert len(result.records) == 2 * 3 * len(small_corpus)
     assert not result.notices
     plain = [r for r in result.records if r.preprocessing == "plain"]
@@ -79,7 +79,7 @@ def test_bootstrap_record_arithmetic(small_corpus):
 
 def test_bootstrap_oversample_off(small_corpus):
     cfg = BootstrapConfig(n_samples=2, seed=2, model=GaussianNBModel(), oversample="off")
-    result = run_bootstrap(small_corpus, 2, 2, config=cfg)
+    result = run_bootstrap(small_corpus, config=cfg)
     assert len(result.records) == 2 * len(small_corpus)
     assert {r.preprocessing for r in result.records} == {"plain"}
 
@@ -99,8 +99,8 @@ def test_one_class_training_scores_every_artifact_with_its_class(tmp_path):
 
 def test_bootstrap_bit_identical_reruns(small_corpus, tmp_path):
     cfg = BootstrapConfig(n_samples=2, seed=9, model=GaussianNBModel())
-    a = run_bootstrap(small_corpus, 2, 9, config=cfg)
-    b = run_bootstrap(small_corpus, 2, 9, config=cfg)
+    a = run_bootstrap(small_corpus, config=cfg)
+    b = run_bootstrap(small_corpus, config=cfg)
     pa = write_records_csv(a.records, tmp_path / "a.csv")
     pb = write_records_csv(b.records, tmp_path / "b.csv")
     assert pa.read_bytes() == pb.read_bytes()
@@ -108,7 +108,7 @@ def test_bootstrap_bit_identical_reruns(small_corpus, tmp_path):
 
 def test_records_roundtrip(small_corpus, tmp_path):
     cfg = BootstrapConfig(n_samples=1, seed=4, model=GaussianNBModel())
-    records = run_bootstrap(small_corpus, 1, 4, config=cfg).records
+    records = run_bootstrap(small_corpus, config=cfg).records
     csv_path = write_records_csv(records, tmp_path / "r.csv")
     jsonl_path = write_records_jsonl(records, tmp_path / "r.jsonl")
     from_csv = read_records(csv_path)
@@ -125,7 +125,7 @@ def test_bootstrap_split_failure_recorded():
         project="bad", release_id="r0",
     )
     cfg = BootstrapConfig(n_samples=1, seed=0, model=GaussianNBModel(), max_redraws=20)
-    result = run_bootstrap([bad], 1, 0, config=cfg)
+    result = run_bootstrap([bad], config=cfg)
     assert result.records == []
     assert any("bad/r0" in n for n in result.notices)
 
@@ -137,16 +137,22 @@ def test_signal_free_data_mostly_none():
     cfg = BootstrapConfig(
         n_samples=4, seed=3, model=ForestModel(params=ForestParams(n_trees=15))
     )
-    result = run_bootstrap(releases, 4, 3, config=cfg)
+    result = run_bootstrap(releases, config=cfg)
     none_share = np.mean([r.potential.label == "none" for r in result.records])
     assert none_share > 0.5
 
 
 def test_bootstrap_jobs_parallel_matches_serial(small_corpus):
-    cfg = BootstrapConfig(n_samples=2, seed=6, model=GaussianNBModel())
-    serial = run_bootstrap(small_corpus, 2, 6, config=cfg, jobs=1)
-    parallel = run_bootstrap(small_corpus, 2, 6, config=cfg, jobs=2)
+    # an unsplittable release between the others gives notices to keep in order
+    bad = make_release(sizes={f"f{i}": 10 for i in range(20)}, defects={"d0": {"f0"}},
+                       project="bad", release_id="r0")
+    releases = [small_corpus[0], bad, *small_corpus[1:]]
+    cfg = BootstrapConfig(n_samples=2, seed=6, model=GaussianNBModel(), max_redraws=20)
+    serial = run_bootstrap(releases, config=cfg, jobs=1)
+    parallel = run_bootstrap(releases, config=cfg, jobs=2)
+    assert len(serial.notices) == 2 and serial.records
     assert serial.records == parallel.records
+    assert serial.notices == parallel.notices
 
 
 # --- cross-version -----------------------------------------------------------
@@ -158,7 +164,7 @@ def test_cross_version_picks_first_eligible_prior():
         dated_release("p", "r2", "2020-06-01", n_artifacts=120),
         dated_release("p", "r3", "2021-01-01", n_artifacts=110),
     ]
-    result = run_cross_version(releases, model=GaussianNBModel(), seed=1)
+    result = run_cross_version(releases, EvalConfig(model=GaussianNBModel(), seed=1))
     targets = {(r.project, r.release): r for r in result.records}
     assert set(targets) == {("p", "r3")}
     # trained on r2, the closest eligible prior release
@@ -169,7 +175,7 @@ def test_cross_version_picks_first_eligible_prior():
 
 def test_cross_version_single_release_project():
     releases = [dated_release("solo", "r1", "2020-01-01")]
-    result = run_cross_version(releases, model=GaussianNBModel(), seed=1)
+    result = run_cross_version(releases, EvalConfig(model=GaussianNBModel(), seed=1))
     assert result.records == []
     assert len(result.notices) == 1
 
@@ -181,7 +187,7 @@ def test_cross_version_skips_prior_with_late_fixes():
         dated_release("p", "r1", "2020-01-01", late_fix_ids=[f"f{i:03d}" for i in range(8)]),
         dated_release("p", "r2", "2020-06-01"),
     ]
-    result = run_cross_version(releases, model=GaussianNBModel(), seed=1)
+    result = run_cross_version(releases, EvalConfig(model=GaussianNBModel(), seed=1))
     assert result.records == []
 
 
@@ -202,8 +208,8 @@ def leakage_fixture():
 def test_cross_project_pool_respects_gap():
     releases = leakage_fixture()
     target = next(r for r in releases if r.key() == "A/r1")
-    pool = cross_project_pool(releases, target)
-    assert {r.key() for r in pool} == {"B/r0", "C/r0"}
+    pool = cross_project_training_views(releases, target)
+    assert {r.key() for r, _ in pool} == {"B/r0", "C/r0"}
 
 
 def test_cross_project_exhaustive_temporal_guard():
@@ -217,6 +223,13 @@ def test_cross_project_exhaustive_temporal_guard():
             for d in view.defects:
                 assert d.fixed_at is not None
                 assert d.fixed_at < target.released_at
+
+
+def test_cross_project_negative_gap_is_rejected():
+    releases = leakage_fixture()
+    target = next(r for r in releases if r.key() == "A/r1")
+    with pytest.raises(ValueError, match="gap_days must be >= 0"):
+        cross_project_training_views(releases, target, gap_days=-4000)
 
 
 def test_cross_project_late_fix_treated_clean():
@@ -237,7 +250,7 @@ def test_cross_project_late_fix_treated_clean():
 
 def test_cross_project_records_and_pool_size():
     releases = leakage_fixture()
-    result = run_cross_project(releases, model=GaussianNBModel(), seed=2)
+    result = run_cross_project(releases, EvalConfig(model=GaussianNBModel(), seed=2))
     by_target = {(r.project, r.release): r for r in result.records}
     # A/r1 trains on B/r0 + C/r0 (120 artifacts each)
     assert by_target[("A", "r1")].n_train == 240

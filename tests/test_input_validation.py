@@ -194,13 +194,16 @@ def test_config_threshold_outside_unit_interval_is_rejected(value):
     ("effort_mode", "bogus", "unknown effort counting mode 'bogus'"),
     ("min_instances", 0, "min_instances and min_defects must be >= 1"),
     ("min_defects", -1, "min_instances and min_defects must be >= 1"),
-], ids=["count_mode", "transfer", "effort_mode", "min_instances", "min_defects"])
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("max_redraws", 0, "n_samples and max_redraws must be >= 1"),
+], ids=["count_mode", "transfer", "effort_mode", "min_instances", "min_defects", "seed", "max_redraws"])
 def test_config_value_outside_its_domain_is_rejected(field, value, message):
-    with pytest.raises(ValueError, match=message):
-        EvalConfig(**{field: value})
-    if field == "effort_mode":
+    if field != "max_redraws":
         with pytest.raises(ValueError, match=message):
-            BootstrapConfig(n_samples=1, seed=0, effort_mode=value)
+            EvalConfig(**{field: value})
+    if field in ("effort_mode", "seed", "max_redraws"):
+        with pytest.raises(ValueError, match=message):
+            BootstrapConfig(n_samples=1, **{field: value})
 
 
 COUNT_OPTIONS = [("bootstrap", "trees"), ("bootstrap", "samples"), ("bootstrap", "jobs"),

@@ -67,20 +67,20 @@ def tuned_digest(params, values):
 
 def test_bootstrap_smote_tuned(kept, tmp_path):
     config = BootstrapConfig(n_samples=1, seed=3, model=SMALL_FOREST, oversample="smote_tuned")
-    result = run_bootstrap(kept[:1], 1, 3, config=config)
+    result = run_bootstrap(kept[:1], config=config)
     assert records_digest(result.records, tmp_path) == (
         2, "36d5fd87e0bf6a433cc40e2799ceeaeeed13a08740fa288421e8ca81cb6b15fe")
 
 
 def test_cross_version_smote(releases, tmp_path):
-    result = run_cross_version(releases, SMALL_FOREST, 4, config=EvalConfig(oversample="smote", **FILTER))
+    result = run_cross_version(releases, EvalConfig(model=SMALL_FOREST, seed=4, oversample="smote", **FILTER))
     assert records_digest(result.records, tmp_path) == (
         4, "436bb11fa032c64ebd1d00c05b209fb22334599130294d5a986d134f30f1171b")
 
 
 def test_cross_project_watanabe_smote_tuned(releases, tmp_path):
-    config = EvalConfig(transfer="watanabe", oversample="smote_tuned", **FILTER)
-    result = run_cross_project(releases, GaussianNBModel(), 6, config=config)
+    config = EvalConfig(model=GaussianNBModel(), seed=6, transfer="watanabe", oversample="smote_tuned", **FILTER)
+    result = run_cross_project(releases, config)
     assert records_digest(result.records, tmp_path) == (
         3, "6e26a7325ea1461c745a340a155b77f2b3bf62497b025eb2da015481ac4af8bd")
 
@@ -95,7 +95,7 @@ def test_forest_model_tuned(kept):
 
 def test_relationship_forest_tuned(kept):
     config = BootstrapConfig(n_samples=2, seed=9, model=GaussianNBModel())
-    records = run_bootstrap(kept, 2, 9, config=config).records
+    records = run_bootstrap(kept, config=config).records
     fit = fit_relationship_models(records, seed=2, forest_params=ForestParams(n_trees=5), tune_forest=True,
                                   tune_population=4, tune_generations=2,
                                   lambda_grid=(1.0, 10.0), alpha_grid=(0.5,))
@@ -112,7 +112,7 @@ def test_bootstrap_gnb_files_mode(kept, tmp_path):
 
 
 def test_cross_version_threshold(releases, tmp_path):
-    result = run_cross_version(releases, SMALL_FOREST, 13, config=EvalConfig(threshold=0.3, **FILTER))
+    result = run_cross_version(releases, EvalConfig(model=SMALL_FOREST, seed=13, threshold=0.3, **FILTER))
     assert records_digest(result.records, tmp_path) == (
         4, "2a205df24c8396e93c25e3720339c5cc18f8b1b711c7dabc3f3a6de92ca9c0d2")
 
