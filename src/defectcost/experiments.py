@@ -452,8 +452,9 @@ def _bootstrap_release(args) -> tuple[list[EvaluationRecord], list[str]]:
 def _run(work, tasks, jobs: int = 1) -> RunResult:
     """``work`` mapped over ``tasks``, each call giving one task's records and
     notices, joined in task order; the notices are also logged. With ``jobs``
-    above 1, ``tasks`` is a sequence and more than one task runs in that many
-    worker processes; otherwise ``tasks`` is consumed one task at a time."""
+    above 1, ``tasks`` must be a sequence, and if it holds more than one task
+    they run in that many worker processes; otherwise ``tasks`` is consumed
+    one task at a time."""
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: it costs every serial run 15-20 ms
 
