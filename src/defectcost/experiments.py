@@ -18,7 +18,7 @@ import csv
 import json
 import logging
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from datetime import timedelta
 from itertools import islice, takewhile
 from pathlib import Path
@@ -222,17 +222,21 @@ class TransferResult:
 TRANSFER_KINDS = ("none", "watanabe", "camargo_cruz")
 
 
-def _column_medians(X: np.ndarray) -> np.ndarray:
+def _column_medians(X: np.ndarray, part: np.ndarray | None = None) -> np.ndarray:
     """``np.median(X, axis=0)`` bit for bit from one partition of each column,
     copied contiguous, at the upper middle: the lower middle of an even count
     is the largest value below it, and a column holding NaN, which partitions
     last, has median NaN. Unlike np.median it needs no third partition index
-    for a NaN check and does not import numpy.ma."""
+    for a NaN check and does not import numpy.ma. The columns are copied into
+    ``part``, a C-ordered array shaped like ``X.T``, when one is given."""
     n = len(X)
     if n == 0:
         return np.full(X.shape[1], np.nan)
     half = n // 2
-    part = X.T.copy()
+    if part is None:
+        part = X.T.copy()
+    else:
+        np.copyto(part, X.T)
     part.partition(half, axis=1)
     upper = part[:, half:]
     median = upper[:, 0] if n % 2 else (part[:, :half].max(axis=1) + upper[:, 0]) / 2.0
@@ -244,18 +248,11 @@ class TransferSide:
     """Features made ready for one transfer kind: for camargo_cruz
     ``ln(max(x, 0) + 1)``, else ``X`` itself, and the columns that hold a
     negative value. Both are elementwise, so a release's side is prepared once
-    per run and a pool's side is its releases' sides stacked in pool order."""
+    per run and a pool's side is its releases' sides concatenated in pool order."""
 
     kind: str
     X: np.ndarray
     negative: np.ndarray  # (k,) bool
-
-    @staticmethod
-    def stack(sides: Sequence["TransferSide"]) -> "TransferSide":
-        if len(sides) == 1:
-            return sides[0]
-        return TransferSide(sides[0].kind, np.vstack([s.X for s in sides]),
-                            np.logical_or.reduce([s.negative for s in sides]))
 
 
 def transfer_side(kind: str, X: np.ndarray) -> TransferSide:
@@ -267,7 +264,7 @@ def transfer_side(kind: str, X: np.ndarray) -> TransferSide:
     return TransferSide(kind, np.log1p(np.maximum(X, 0.0)) if kind == "camargo_cruz" else X, negative)
 
 
-def transfer_transform(kind: str, train, target) -> TransferResult:
+def transfer_transform(kind: str, train, target, *, out=None, scratch=None) -> TransferResult:
     """Align training data with the target project.
 
     watanabe: scale each training feature by mean(target)/mean(train);
@@ -278,22 +275,49 @@ def transfer_transform(kind: str, train, target) -> TransferResult:
     negative value on either side are flagged.
 
     ``train`` and ``target`` are feature arrays, or sides that
-    ``transfer_side`` prepared for ``kind``.
+    ``transfer_side`` prepared for ``kind``. The moved training features are
+    written to ``out`` when it is given, an array shaped like them that may be
+    their own; camargo_cruz copies the training columns into ``scratch``, if
+    given, a C-ordered array shaped like their transpose, to take the medians.
     """
     train, target = (s if isinstance(s, TransferSide) else transfer_side(kind, s) for s in (train, target))
     if train.kind != kind or target.kind != kind:
         raise ValueError(f"sides prepared for {train.kind!r} and {target.kind!r}, not {kind!r}")
     if kind == "none":
-        return TransferResult(train.X, target.X)
+        if out is not None and out is not train.X:
+            np.copyto(out, train.X)
+        return TransferResult(train.X if out is None else out, target.X)
     if kind == "watanabe":
         train_mean = train.X.mean(axis=0)
         target_mean = target.X.mean(axis=0)
         flagged = tuple(int(i) for i in np.flatnonzero(train_mean == 0))
         scale = np.where(train_mean == 0, 1.0, target_mean / np.where(train_mean == 0, 1.0, train_mean))
-        return TransferResult(train.X * scale, target.X, flagged)
+        return TransferResult(np.multiply(train.X, scale, out=out), target.X, flagged)
     flagged = tuple(int(i) for i in np.flatnonzero(train.negative | target.negative))
-    shift = _column_medians(target.X) - _column_medians(train.X)
-    return TransferResult(train.X + shift, target.X, flagged)
+    shift = _column_medians(target.X) - _column_medians(train.X, scratch)
+    return TransferResult(np.add(train.X, shift, out=out), target.X, flagged)
+
+
+class _PoolWorkspace:
+    """The buffers of one run's training pools: the features, their transpose
+    for the pool medians, and the labels. A buffer grows only for a pool
+    larger than every earlier one, so it holds one pool's worth at most; the
+    arrays that ``pool`` returns are views into it, valid until its next call."""
+
+    def __init__(self):
+        self._X = self._T = np.empty(0)
+        self._y = np.empty(0, dtype=np.int64)
+
+    def pool(self, sides: Sequence[TransferSide], labels: Sequence[np.ndarray]):
+        """The pool's side, with its features copied into the workspace, the
+        workspace's (k, n) transpose buffer, and the pool's labels."""
+        n, k = sum(len(y) for y in labels), sides[0].X.shape[1]
+        if n > self._y.size or n * k > self._X.size:
+            self._X = self._T = self._y = None  # let the old buffers go before the new ones are taken
+            self._X, self._T, self._y = np.empty(n * k), np.empty(n * k), np.empty(n, dtype=np.int64)
+        X = np.concatenate([s.X for s in sides], out=self._X[: n * k].reshape(n, k))
+        side = TransferSide(sides[0].kind, X, np.logical_or.reduce([s.negative for s in sides]))
+        return side, self._T[: n * k].reshape(k, n), np.concatenate(labels, out=self._y[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +434,15 @@ def _record(pred, test_view, train_labels, train_prime_labels, *, effort_mode, b
     confounders = compute_confounders(train_labels, train_prime_labels, test_view)
     bounds = cost_bounds(test_view, pred)
     return EvaluationRecord(
-        **identity, **asdict(metrics), **asdict(confounders), **asdict(bounds),
+        **identity, **_field_values(metrics), **_field_values(confounders), **_field_values(bounds),
         potential=classify_potential(bounds.diff, boundaries),
     )
+
+
+def _field_values(obj) -> dict:
+    """A dataclass's fields by name, without the deep copy of ``asdict``:
+    the vectors that fill a record hold floats only."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _bootstrap_release(args) -> tuple[list[EvaluationRecord], list[str]]:
@@ -509,19 +539,21 @@ def _run_cross(releases: Sequence[Release], config: EvalConfig, scenario: str, m
     index, release and training (release, cleaned view) pairs lazily, so that
     one target's pairs are held at a time; a target without pairs gets the
     notice ``missing``. Each release's full view and transfer side are built
-    once per run."""
+    once per run, and each pool is assembled and moved in the run's one
+    ``_PoolWorkspace``."""
     views = {id(r): r.view() for r in releases}
     sides = {key: transfer_side(config.transfer, view.X) for key, view in views.items()}
+    workspace = _PoolWorkspace()
 
     def work(task):
         idx, target, train = task
         if not train:
             return [], [f"{scenario}: {missing} for {target.key()}"]
-        moved = transfer_transform(config.transfer, TransferSide.stack([sides[id(r)] for r, _ in train]),
-                                   sides[id(target)])
+        pool, columns, train_y = workspace.pool([sides[id(r)] for r, _ in train], [v.y for _, v in train])
+        moved = transfer_transform(config.transfer, pool, sides[id(target)], out=pool.X, scratch=columns)
         record = _fit_and_record(
             config, config.oversample, _cross_seeds(config.seed, scenario, idx), scenario=scenario,
-            release=target, sample=0, train_X=moved.train_X, train_y=np.concatenate([v.y for _, v in train]),
+            release=target, sample=0, train_X=moved.train_X, train_y=train_y,
             test_view=views[id(target)], test_X=moved.target_X,
         )
         return [record], []

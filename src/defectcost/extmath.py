@@ -3,12 +3,15 @@
 Metrics and cost bounds can be undefined (0/0) or infinite (x/0). Undefined
 values are carried as NaN markers, never raised as exceptions; exceptions are
 reserved for structural errors. All corner-case rules are written out here so
-they can be tested in one place.
+they can be tested in one place. ``column_sums`` is here for the same reason:
+its bit-for-bit contract with numpy has one reference test.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 UNDEFINED = math.nan
 INF = math.inf
@@ -72,3 +75,14 @@ def fmt_float(x) -> str:
     if math.isfinite(xf) and xf.is_integer() and abs(xf) < 1e15:
         return str(int(xf))
     return repr(xf)
+
+
+def column_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-2)`` bit for bit, and several times faster on C-ordered
+    arrays with at least 2 columns: there numpy adds the rows one after
+    another, as einsum does without the reduction's buffered loop. numpy sums
+    a single contiguous column pairwise and other layouts in other orders, so
+    those go to ``sum``."""
+    if a.ndim >= 2 and a.shape[-1] >= 2 and a.flags.c_contiguous:
+        return np.einsum("...ij->...j", a)
+    return a.sum(axis=-2)

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..extmath import column_sums
+
 PROB_FLOOR = 1e-12
 DEFAULT_LAMBDA_GRID = tuple(10.0**i for i in range(0, 6))
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(0, 11))
@@ -64,7 +66,7 @@ def _probs_nll(X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray):
 def _grad(X: np.ndarray, Y: np.ndarray, probs: np.ndarray):
     """NLL gradients w.r.t. W and b at the given probabilities."""
     diff = probs - Y
-    return X.T @ diff, diff.sum(axis=-2)
+    return X.T @ diff, column_sums(diff)
 
 
 def _smooth_and_objective(nll, W, ridge, l1):

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..extmath import column_sums
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianNB:
@@ -28,17 +30,24 @@ class GaussianNB:
 
 
 def train_gaussian_nb(X, y) -> GaussianNB:
+    """Class priors, and per class the feature means and variances plus
+    ``1e-9 * max(largest feature variance, 1)``. The moments are those of
+    numpy's ``mean`` and ``var`` bit for bit; the deviations of the whole pool
+    and then each class's rows go through one scratch array."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes, counts = np.unique(y, return_counts=True)  # with counts, np.unique skips its numpy.ma import
-    eps = 1e-9 * max(float(X.var(axis=0).max()), 1.0)
+    n, k = X.shape
+    scratch = np.empty_like(X)  # laid out as X - mean is, so that its sums add in X.var's order
+    dev = np.subtract(X, column_sums(X) / n, out=scratch)
+    eps = 1e-9 * max(float((column_sums(np.multiply(dev, dev, out=dev)) / n).max()), 1.0)
+    flat = scratch.ravel(order="K")  # a view, and C-ordered blocks of it are laid out as X[mask] is
     means, variances = [], []
-    for c in classes:
-        rows = X[y == c]
-        means.append(rows.mean(axis=0))
-        d = rows - means[-1]  # the steps of rows.var(axis=0) without its second mean: the same bits
-        d *= d
-        variances.append(d.sum(axis=0) / len(rows) + eps)
+    for c, count in zip(classes, counts):
+        rows = np.compress(y == c, X, axis=0, out=flat[: count * k].reshape(count, k))
+        means.append(column_sums(rows) / count)
+        d = np.subtract(rows, means[-1], out=rows)
+        variances.append(column_sums(np.multiply(d, d, out=d)) / count + eps)
     return GaussianNB(
         classes=classes,
         priors=counts / len(y),

@@ -8,6 +8,7 @@ from defectcost.costmodel import classify_potential
 from defectcost.dataset import Defect, Release
 from defectcost.experiments import EvaluationRecord
 from defectcost.learners import logit
+from defectcost.learners.nb import GaussianNB
 from defectcost.metrics import METRIC_NAMES, Prediction, _inspection_order
 
 T1_SIZES = {"a1": 100, "a2": 50, "a3": 200, "a4": 10, "a5": 40, "a6": 600}
@@ -145,3 +146,25 @@ def tree_depth(tree) -> int:
 
 def count_leaves(tree) -> int:
     return int(np.sum(tree.feature < 0))
+
+
+def train_gaussian_nb_reference(X, y) -> GaussianNB:
+    """The Gaussian NB fit with numpy's own axis-0 reductions and a fresh
+    array per step: the oracle of ``learners.nb.train_gaussian_nb``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    classes, counts = np.unique(y, return_counts=True)
+    eps = 1e-9 * max(float(X.var(axis=0).max()), 1.0)
+    means, variances = [], []
+    for c in classes:
+        rows = X[y == c]
+        means.append(rows.mean(axis=0))
+        d = rows - means[-1]
+        d *= d
+        variances.append(d.sum(axis=0) / len(rows) + eps)
+    return GaussianNB(
+        classes=classes,
+        priors=counts / len(y),
+        means=np.array(means),
+        variances=np.array(variances),
+    )

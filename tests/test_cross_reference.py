@@ -16,13 +16,16 @@ from defectcost.experiments import (
     TRANSFER_KINDS,
     EvalConfig,
     GaussianNBModel,
+    _PoolWorkspace,
     _column_medians,
     _cross_seeds,
     _ordered_by_time,
+    _ordered_targets,
     _record,
     cross_project_training_views,
     run_cross_project,
     run_cross_version,
+    transfer_side,
     transfer_transform,
 )
 from defectcost.learners import apply_smote
@@ -138,6 +141,19 @@ def test_edge_corpus_has_the_edge_cases():
     assert any(min(x) < 0 for r in releases for x in r.X.tolist())
 
 
+@pytest.mark.parametrize("seed, min_instances", [(0, 40), (1, 40), (2, 35)])
+def test_edge_corpus_pools_shrink_after_growing(seed, min_instances):
+    """In the rebuild tests below, the runner's pool workspace is reused by a
+    pool smaller than an earlier one, so it holds a stale tail, and some
+    pools hold one release, whose side the runner shares across targets."""
+    releases = edge_corpus(seed)
+    config = EvalConfig(min_instances=min_instances, min_defects=3)
+    sizes = [sum(v.n for _, v in cross_project_training_views(releases, t, config)) for t in _ordered_targets(releases)]
+    sizes = [n for n in sizes if n]
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert any(len(cross_project_training_views(releases, t, config)) == 1 for t in releases)
+
+
 @pytest.mark.parametrize("scenario", sorted(RUNNERS))
 @pytest.mark.parametrize("transfer", TRANSFER_KINDS)
 @pytest.mark.parametrize("count_mode", ["defective_files", "defects"])
@@ -195,3 +211,40 @@ def test_column_medians_match_numpy_median():
     before = X.copy()
     _column_medians(X)
     assert X.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("transfer", TRANSFER_KINDS)
+def test_cross_project_runs_share_no_state(transfer):
+    releases = edge_corpus(1)
+    config = EvalConfig(model=GaussianNBModel(), transfer=transfer, min_instances=40, min_defects=3, seed=4)
+    first = run_cross_project(releases, config)
+    assert first.records
+    assert repr(run_cross_project(releases, config).records) == repr(first.records)
+
+
+def test_pool_workspace_grows_only_for_a_larger_pool():
+    rng = np.random.default_rng(0)
+    sides = [transfer_side("camargo_cruz", rng.normal(size=(n, 3))) for n in (5, 7, 4)]
+    labels = [rng.integers(0, 2, size=len(s.X)) for s in sides]
+    workspace = _PoolWorkspace()
+    big, big_columns, big_y = workspace.pool(sides[:2], labels[:2])
+    assert big.X.tobytes() == np.vstack([s.X for s in sides[:2]]).tobytes()
+    assert big_y.tobytes() == np.concatenate(labels[:2]).tobytes()
+    assert big_columns.shape == (3, 12) and big_columns.flags.c_contiguous
+    assert big.negative.tolist() == (sides[0].negative | sides[1].negative).tolist()
+    small, small_columns, small_y = workspace.pool(sides[2:], labels[2:])
+    assert small.X.tobytes() == sides[2].X.tobytes() and small_y.tobytes() == labels[2].tobytes()
+    assert small_columns.shape == (3, 4)
+    for reused, earlier in ((small.X, big.X), (small_columns, big_columns), (small_y, big_y)):
+        assert np.shares_memory(reused, earlier)
+
+
+def test_pool_workspace_moves_a_one_release_pool_off_the_shared_side():
+    side = transfer_side("camargo_cruz", np.random.default_rng(1).normal(2.0, 1.0, size=(9, 3)))
+    target = transfer_side("camargo_cruz", np.random.default_rng(2).normal(5.0, 1.0, size=(6, 3)))
+    before = side.X.copy()
+    pool, columns, _ = _PoolWorkspace().pool([side], [np.zeros(9, dtype=np.int64)])
+    moved = transfer_transform("camargo_cruz", pool, target, out=pool.X, scratch=columns)
+    assert moved.train_X is pool.X and not np.shares_memory(pool.X, side.X)
+    assert side.X.tobytes() == before.tobytes()
+    assert moved.train_X.tobytes() == transfer_transform("camargo_cruz", side, target).train_X.tobytes()
