@@ -24,7 +24,7 @@ import numpy as np
 
 from .costmodel import DEFAULT_BOUNDARIES, Potential, classify_potential
 from .experiments import VARIABLE_NAMES, VARIABLES, EvaluationRecord, write_records_csv
-from .extmath import UNDEFINED, fmt_float, json_number
+from .extmath import UNDEFINED, column_medians, fmt_float, json_number
 from .learners import (
     Forest,
     ForestParams,
@@ -76,10 +76,13 @@ def fit_imputer(X: np.ndarray) -> Imputer:
     counts = {}
     for j, name in enumerate(VARIABLE_NAMES):
         col = X[:, j]
-        n_nan = int(np.isnan(col).sum())
-        if n_nan < len(col):
-            medians[j] = float(np.nanmedian(col))
-        if n_nan:
+        known = col[~np.isnan(col)]
+        if known.size:
+            # np.nanmedian bit for bit, without the numpy.ma import of its NaN
+            # check: its mean of the middle values starts from +0.0, so it
+            # never gives -0.0
+            medians[j] = column_medians(known[:, None])[0] + 0.0
+        if n_nan := len(col) - known.size:
             counts[name] = n_nan
     return Imputer(medians=medians, imputed_counts=counts)
 
@@ -337,6 +340,19 @@ def correlation_analysis(records: Sequence[EvaluationRecord], threshold: float =
     return CorrelationAnalysis(variables=VARIABLE_NAMES, matrix=matrix, groups=groups)
 
 
+def sorted_quantiles(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(a, q)`` bit for bit for a sorted ``a`` of two or more
+    values and ``q`` in [0, 1): numpy's linear interpolation between the
+    neighbours of ``(len(a) - 1) * q``, without the partition whose np.unique
+    call imports numpy.ma."""
+    virtual = (len(a) - 1) * q
+    below = np.floor(virtual)
+    i = below.astype(np.intp)
+    lo, hi, gamma = a[i], a[i + 1], virtual - below
+    diff = hi - lo
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
+
+
 def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_points: int = 256) -> dict:
     """Histogram and Q-Q data for lg(diff) plus exact corner-case tallies."""
     diffs = np.array([rec.diff for rec in records], dtype=np.float64)
@@ -384,7 +400,7 @@ def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_
         dist = NormalDist(mean, sd)
         n_points = min(qq_points, len(lg))
         probs = (np.arange(n_points) + 0.5) / n_points
-        sample_q = np.quantile(np.sort(lg), probs)
+        sample_q = sorted_quantiles(np.sort(lg), probs)
         out["qq"] = {
             "theoretical": [float(dist.inv_cdf(p)) for p in probs],
             "sample": [float(q) for q in sample_q],
@@ -548,7 +564,7 @@ def sensitivity_regression(
 
 def write_correlations_csv(analysis: CorrelationAnalysis, path) -> Path:
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variable", *analysis.variables])
         for i, name in enumerate(analysis.variables):
@@ -557,7 +573,7 @@ def write_correlations_csv(analysis: CorrelationAnalysis, path) -> Path:
 
 
 def _write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
+    path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 

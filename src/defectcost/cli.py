@@ -219,7 +219,7 @@ def build_parser() -> _Parser:
 
 def _read_config(path: Path) -> dict:
     try:
-        values = json.loads(path.read_text())
+        values = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config file: {exc}", path) from exc
     if not isinstance(values, dict):
@@ -277,7 +277,7 @@ def _write_outputs(result, outdir: Path) -> None:
     write_records_jsonl(result.records, outdir / "records.jsonl")
     notices = outdir / "notices.txt"
     if result.notices:
-        notices.write_text("\n".join(result.notices) + "\n")
+        notices.write_text("\n".join(result.notices) + "\n", encoding="utf-8")
     else:
         notices.unlink(missing_ok=True)
     log.info("wrote %d records to %s", len(result.records), outdir)
@@ -300,7 +300,7 @@ def cmd_metrics(args) -> int:
     release = load_release_dir(args.release)
     scores: dict[str, float] = {}
     try:
-        with args.pred.open(newline="") as fh:
+        with args.pred.open(encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["artifact_id", "score"]:
@@ -386,7 +386,7 @@ def cmd_sensitivity(args) -> int:
             raise DataError(str(exc), args.records if exc.role == "training" else args.eval_records) from exc
         payload["regression"] = {key: json_number(value) for key, value in reg.items()}
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "sensitivity.json").write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
+    (args.out / "sensitivity.json").write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n", encoding="utf-8")
     log.info("sensitivity report written to %s", args.out / "sensitivity.json")
     return EXIT_OK
 

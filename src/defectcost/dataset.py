@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
@@ -231,7 +233,7 @@ def validate_release(release: Release) -> None:
 
 def _read_json(path: Path):
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}", path) from exc
     except UnicodeDecodeError as exc:
@@ -252,29 +254,7 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
         if not isinstance(meta.get(key), str):
             raise DataError(f"meta field {key!r} must be a string, got {meta.get(key, 'nothing')!r}", meta_file)
 
-    ids, size_strs, feature_strs, lines = [], [], [], []
-    stop = None  # the error that ended reading; the rows read before it are checked first
-    with metrics_file.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if not header or header[:2] != ["artifact_id", "size"]:
-                raise DataError("header must start with 'artifact_id,size'", metrics_file, 1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    stop = DataError(f"expected {len(header)} columns, got {len(row)}", metrics_file, lineno)
-                    break
-                ids.append(row[0])
-                size_strs.append(row[1])
-                feature_strs += row[2:]
-                lines.append(lineno)
-        except csv.Error as exc:
-            stop = DataError(f"malformed CSV: {exc}", metrics_file, reader.line_num)
-        except UnicodeDecodeError as exc:
-            stop = DataError(f"not UTF-8 text: {exc.reason}", metrics_file)
-    sizes, X = _metric_columns(metrics_file, size_strs, feature_strs, lines, stop)
+    ids, sizes, X, lines = _loadtxt_metrics(metrics_file) or _csv_metrics(metrics_file)
 
     raw_defects = _read_json(defects_file)
     if not isinstance(raw_defects, list):
@@ -297,11 +277,84 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
         fixed_at = None if fixed_at is None else _parse_timestamp(fixed_at, defects_file)
         defects.append(Defect(entry["id"], frozenset(arts), fixed_at))
     if (i := _first_repeat(ids)) is not None:
+        lines = lines or _csv_metrics(metrics_file)[3]  # the C reader counts no lines
         raise DataError(f"duplicate artifact id {ids[i]!r}", metrics_file, lines[i])
     if (i := _first_repeat([d.id for d in defects])) is not None:
         raise DataError(f"duplicate defect id {defects[i].id!r}", defects_file)
     released_at = _parse_timestamp(meta["released_at"], meta_file)
     return Release(meta["project"], meta["release"], released_at, tuple(ids), sizes, X, tuple(defects))
+
+
+# A metrics.csv the C reader reads as the csv path does: its first line holds
+# no quote; each quote belongs to a quoted field that csv and loadtxt both
+# read whole, on one line, with doubled quotes for quotes; every CR ends a
+# CRLF; and it holds no NUL (csv rejects one before Python 3.11) and none of
+# the separators \x1c-\x1f, which loadtxt strips from numbers as whitespace
+# and int() and float() do not.
+_QUOTED_FIELD = re.compile(r'(?<![^,\n])"(?:[^"\r\n]|"")*"(?=,|\r?\n|\Z)')
+_LONE_CR = re.compile(r"\r(?!\n)")
+_DECLINED_CHARS = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_metrics(path: Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, None] | None:
+    """``(ids, sizes, X, None)`` of ``path`` from one ``np.loadtxt`` call, or
+    None where it may differ from ``_csv_metrics``: input outside the dialect
+    above, a line longer than csv's field limit, any error or warning of
+    loadtxt, no data row, a negative size or a non-finite feature. loadtxt
+    itself holds each row to the header's column count, and parses a subset
+    of what ``int()`` and ``float()`` accept, to the same values."""
+    try:
+        text = path.read_bytes().decode("utf-8")  # the text open(encoding="utf-8", newline="") reads, faster
+    except UnicodeDecodeError:
+        return None
+    head = text.partition("\n")[0]
+    header = head.removesuffix("\r").split(",")
+    if (header[:2] != ["artifact_id", "size"] or '"' in head or any(c in text for c in _DECLINED_CHARS)
+            or ("\r" in text and _LONE_CR.search(text)) or ('"' in text and '"' in _QUOTED_FIELD.sub("", text))):
+        return None
+    lines = text.split("\n")  # a list is read in C, a file object line by line through Python
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    dtype = np.dtype([("id", object), ("size", np.int64), ("X", np.float64, (len(header) - 2,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1)
+    except Exception:  # whatever loadtxt raises, on any numpy version: the csv path raises what is due
+        return None
+    sizes, X = rows["size"], rows["X"]
+    if not len(rows) or (sizes < 0).any() or not np.isfinite(X).all():
+        return None
+    return tuple(rows["id"].tolist()), sizes, X, None
+
+
+def _csv_metrics(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, list[int]]:
+    """``(ids, sizes, X, lines)`` of ``path`` read by the csv module, with the
+    line of each row; the reference reader, and the only one that raises."""
+    ids, size_strs, feature_strs, lines = [], [], [], []
+    stop = None  # the error that ended reading; the rows read before it are checked first
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if not header or header[:2] != ["artifact_id", "size"]:
+                raise DataError("header must start with 'artifact_id,size'", path, 1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    stop = DataError(f"expected {len(header)} columns, got {len(row)}", path, lineno)
+                    break
+                ids.append(row[0])
+                size_strs.append(row[1])
+                feature_strs += row[2:]
+                lines.append(lineno)
+        except csv.Error as exc:
+            stop = DataError(f"malformed CSV: {exc}", path, reader.line_num)
+        except UnicodeDecodeError as exc:
+            stop = DataError(f"not UTF-8 text: {exc.reason}", path)
+    return ids, *_metric_columns(path, size_strs, feature_strs, lines, stop), lines
 
 
 def _metric_columns(path: Path, size_strs: list[str], feature_strs: list[str], lines: list[int],
@@ -365,7 +418,7 @@ def write_release(release: Release, directory) -> Path:
     """Inverse of load_release_dir; load(write(r)) is content-identical to r."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "metrics.csv").open("w", newline="") as fh:
+    with (directory / "metrics.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["artifact_id", "size"] + [f"feature_{i + 1}" for i in range(release.X.shape[1])])
         for aid, size, features in zip(release.artifact_ids, release.sizes.tolist(), release.X.tolist()):
@@ -378,13 +431,13 @@ def write_release(release: Release, directory) -> Path:
         }
         for d in sorted(release.defects, key=lambda d: d.id)
     ]
-    (directory / "defects.json").write_text(json.dumps(defects, indent=1) + "\n")
+    (directory / "defects.json").write_text(json.dumps(defects, indent=1) + "\n", encoding="utf-8")
     meta = {
         "project": release.project,
         "release": release.release_id,
         "released_at": release.released_at.isoformat(),
     }
-    (directory / "meta.json").write_text(json.dumps(meta, indent=1) + "\n")
+    (directory / "meta.json").write_text(json.dumps(meta, indent=1) + "\n", encoding="utf-8")
     return directory
 
 

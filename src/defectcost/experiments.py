@@ -35,7 +35,7 @@ from .costmodel import (
     cost_bounds,
 )
 from .dataset import COUNT_MODES, DataError, Release, ReleaseView, SplitError, bootstrap_split, count_defects
-from .extmath import fmt_float, json_extended, json_number, parse_extended
+from .extmath import column_medians, fmt_float, json_extended, json_number, parse_extended
 from .learners import (
     Forest,
     ForestParams,
@@ -87,7 +87,7 @@ _PARSERS = (str, str, str, int, str, int, *[parse_extended] * len(CSV_COLUMNS[NU
 def write_records_csv(records: Sequence[EvaluationRecord], path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
@@ -98,7 +98,7 @@ def write_records_csv(records: Sequence[EvaluationRecord], path) -> Path:
 def write_records_jsonl(records: Sequence[EvaluationRecord], path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         for rec in records:
             obj = {name: getattr(rec, name) for name in IDENTITY_COLUMNS}
             for group, (names, codec) in _JSON_GROUPS.items():
@@ -128,7 +128,7 @@ def read_records_csv(path) -> list[EvaluationRecord]:
     in any order; other columns are ignored."""
     path = Path(path)
     records = []
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -149,7 +149,7 @@ def read_records_csv(path) -> list[EvaluationRecord]:
 def read_records_jsonl(path) -> list[EvaluationRecord]:
     """Records of a JSONL file in the layout of ``write_records_jsonl``."""
     records = []
-    with Path(path).open() as fh:
+    with Path(path).open(encoding="utf-8") as fh:
         for lineno, text in enumerate(fh, start=1):
             if not text.strip():
                 continue
@@ -222,27 +222,6 @@ class TransferResult:
 TRANSFER_KINDS = ("none", "watanabe", "camargo_cruz")
 
 
-def _column_medians(X: np.ndarray, part: np.ndarray | None = None) -> np.ndarray:
-    """``np.median(X, axis=0)`` bit for bit from one partition of each column,
-    copied contiguous, at the upper middle: the lower middle of an even count
-    is the largest value below it, and a column holding NaN, which partitions
-    last, has median NaN. Unlike np.median it needs no third partition index
-    for a NaN check and does not import numpy.ma. The columns are copied into
-    ``part``, a C-ordered array shaped like ``X.T``, when one is given."""
-    n = len(X)
-    if n == 0:
-        return np.full(X.shape[1], np.nan)
-    half = n // 2
-    if part is None:
-        part = X.T.copy()
-    else:
-        np.copyto(part, X.T)
-    part.partition(half, axis=1)
-    upper = part[:, half:]
-    median = upper[:, 0] if n % 2 else (part[:, :half].max(axis=1) + upper[:, 0]) / 2.0
-    return np.where(np.isnan(upper.max(axis=1)), np.nan, median)
-
-
 @dataclass(frozen=True, eq=False)
 class TransferSide:
     """Features made ready for one transfer kind: for camargo_cruz
@@ -294,7 +273,7 @@ def transfer_transform(kind: str, train, target, *, out=None, scratch=None) -> T
         scale = np.where(train_mean == 0, 1.0, target_mean / np.where(train_mean == 0, 1.0, train_mean))
         return TransferResult(np.multiply(train.X, scale, out=out), target.X, flagged)
     flagged = tuple(int(i) for i in np.flatnonzero(train.negative | target.negative))
-    shift = _column_medians(target.X) - _column_medians(train.X, scratch)
+    shift = column_medians(target.X) - column_medians(train.X, scratch)
     return TransferResult(np.add(train.X, shift, out=out), target.X, flagged)
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 from datetime import datetime, timezone
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from defectcost.costmodel import classify_potential
-from defectcost.dataset import Defect, Release
+from defectcost.dataset import DataError, Defect, Release
 from defectcost.experiments import EvaluationRecord
 from defectcost.learners import logit
 from defectcost.learners.nb import GaussianNB
@@ -168,3 +169,56 @@ def train_gaussian_nb_reference(X, y) -> GaussianNB:
         means=np.array(means),
         variances=np.array(variances),
     )
+
+
+def read_metrics_reference(path):
+    """``(ids, sizes, X)`` of a ``metrics.csv`` as the csv module and a
+    row-by-row check read it, or the DataError of its first offending line:
+    the loader before the C text reader, and the oracle of its fast path. A
+    repeated artifact id is the error of its second line."""
+    ids, size_strs, feature_strs, lines = [], [], [], []
+    stop = None
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if not header or header[:2] != ["artifact_id", "size"]:
+                raise DataError("header must start with 'artifact_id,size'", path, 1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    stop = DataError(f"expected {len(header)} columns, got {len(row)}", path, lineno)
+                    break
+                ids.append(row[0])
+                size_strs.append(row[1])
+                feature_strs += row[2:]
+                lines.append(lineno)
+        except csv.Error as exc:
+            stop = DataError(f"malformed CSV: {exc}", path, reader.line_num)
+        except UnicodeDecodeError as exc:
+            stop = DataError(f"not UTF-8 text: {exc.reason}", path)
+    n = len(lines)
+    k = len(feature_strs) // n if n else 0
+    for i, lineno in enumerate(lines):
+        try:
+            size = int(size_strs[i])
+        except ValueError:
+            raise DataError(f"size must be an integer, got {size_strs[i]!r}", path, lineno) from None
+        if not 0 <= size < 2**63:
+            raise DataError(f"negative size {size}" if size < 0 else f"size {size} exceeds int64", path, lineno)
+        try:
+            features = list(map(float, feature_strs[i * k:(i + 1) * k]))
+        except ValueError:
+            raise DataError("malformed feature value", path, lineno) from None
+        if not all(map(math.isfinite, features)):
+            raise DataError("non-finite feature value", path, lineno)
+    if stop is not None:
+        raise stop
+    first = {}
+    for aid, lineno in zip(ids, lines):
+        if first.setdefault(aid, lineno) != lineno:
+            raise DataError(f"duplicate artifact id {aid!r}", path, lineno)
+    sizes = np.array(list(map(int, size_strs)), dtype=np.int64)
+    X = np.array(list(map(float, feature_strs)), dtype=np.float64).reshape(n, k)
+    return tuple(ids), sizes, X

@@ -17,7 +17,6 @@ from defectcost.experiments import (
     EvalConfig,
     GaussianNBModel,
     _PoolWorkspace,
-    _column_medians,
     _cross_seeds,
     _ordered_by_time,
     _ordered_targets,
@@ -28,6 +27,7 @@ from defectcost.experiments import (
     transfer_side,
     transfer_transform,
 )
+from defectcost.extmath import column_medians
 from defectcost.learners import apply_smote
 from defectcost.metrics import Prediction
 from defectcost.synth import SynthSpec, generate_synthetic
@@ -202,14 +202,14 @@ def test_column_medians_match_numpy_median():
                 X[rng.integers(0, n, size=n // 2)] = X[0]  # ties
             for _ in range(2):
                 want = np.median(X, axis=0) if n else np.full(k, np.nan)
-                got = _column_medians(X)
+                got = column_medians(X)
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
                 assert got.tobytes() == want.tobytes()
                 if n and k:
                     X[int(rng.integers(n)), int(rng.integers(k))] = np.nan
     X = rng.normal(size=(9, 2))
     before = X.copy()
-    _column_medians(X)
+    column_medians(X)
     assert X.tobytes() == before.tobytes()
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import defectcost
+from defectcost.cli import main
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "defectcost"}
 
@@ -60,12 +61,36 @@ print(" ".join(sorted(sys.modules)))
     return set(run.stdout.splitlines()[-1].split())
 
 
+@pytest.fixture(scope="module")
+def modules_after_reports(tmp_path_factory):
+    """Modules loaded by one process after ``analyze`` and ``sensitivity`` on
+    records written beforehand."""
+    out = tmp_path_factory.mktemp("reports")
+    assert main(["synth", "--seed", "7", "--projects", "2", "--releases", "2", "--artifacts", "100,120",
+                 "--features", "4", "--signal", "1.5", "-o", str(out / "corpus")]) == 0
+    assert main(["bootstrap", "--data", str(out / "corpus"), "--samples", "3", "--seed", "5", "--model", "gnb",
+                 "-o", str(out / "run")]) == 0
+    script = f"""
+import sys
+from defectcost.cli import main
+out = {str(out)!r}
+assert main(["analyze", "--records", out + "/run/records.csv", "--trees", "10", "-o", out + "/report"]) == 0
+assert main(["sensitivity", "--records", out + "/run/records.csv", "--eval-records", out + "/run/records.jsonl",
+             "--trees", "10", "-o", out + "/sensitivity"]) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(defectcost.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(run.stdout.splitlines()[-1].split())
+
+
 @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 1.x imports numpy.ma at import time")
-def test_runs_do_not_import_numpy_ma(modules_after_runs):
+def test_runs_do_not_import_numpy_ma(modules_after_runs, modules_after_reports):
     """``np.unique`` without return options imports numpy.ma on first use in
-    numpy 2.x, about 25 ms of a command, and so does np.median; no run path
-    should need it."""
-    assert sorted(name for name in modules_after_runs if name == "numpy.ma" or name.startswith("numpy.ma.")) == []
+    numpy 2.x, about 25 ms of a command, and so do np.median and
+    np.nanmedian; no run or report path should need it."""
+    for modules in (modules_after_runs, modules_after_reports):
+        assert sorted(name for name in modules if name == "numpy.ma" or name.startswith("numpy.ma.")) == []
 
 
 def test_serial_runs_do_not_import_the_process_pool(modules_after_runs):

@@ -1,0 +1,80 @@
+"""Every text file the package reads or writes is UTF-8, whatever the locale:
+each test runs the package in a child process, with a locale or interpreter
+options under which a default encoding would show."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import defectcost
+
+SRC = str(Path(defectcost.__file__).parents[1])
+
+NON_ASCII_RUN = """
+import sys
+from dataclasses import replace
+
+from defectcost.cli import main
+from defectcost.dataset import Defect, load_release_dir, write_release
+from defectcost.experiments import read_records_csv, read_records_jsonl
+from defectcost.synth import SynthSpec, generate_synthetic
+
+out = sys.argv[1]
+base = generate_synthetic(SynthSpec(n_projects=1, releases_per_project=1, artifacts_range=(60, 60)), 2)[0]
+renamed = {aid: "é…" + aid for aid in base.artifact_ids}
+release = replace(
+    base, project="prøjekt", artifact_ids=tuple(renamed[aid] for aid in base.artifact_ids),
+    defects=tuple(Defect(d.id, frozenset(renamed[a] for a in d.artifacts), d.fixed_at) for d in base.defects))
+directory = write_release(release, out + "/corpus/p/r1")
+loaded = load_release_dir(directory)
+assert (loaded.project, loaded.artifact_ids) == (release.project, release.artifact_ids)
+assert main(["bootstrap", "--data", out + "/corpus", "--samples", "1", "--trees", "5",
+             "--min-instances", "10", "--min-defects", "2", "-o", out + "/run"]) == 0
+for records in (read_records_csv(out + "/run/records.csv"), read_records_jsonl(out + "/run/records.jsonl")):
+    assert len(records) == 2 and {r.project for r in records} == {"prøjekt"}, records
+print("done")
+"""
+
+EVERY_COMMAND = """
+import sys
+
+from defectcost.cli import main
+
+out = sys.argv[1]
+corpus = ["--data", out + "/corpus", "--min-instances", "10", "--min-defects", "2"]
+runs = [
+    ["synth", "--seed", "7", "--projects", "2", "--releases", "2", "--artifacts", "100,120", "--features", "4",
+     "--signal", "1.5", "-o", out + "/corpus"],
+    ["bootstrap", *corpus, "--samples", "3", "--seed", "5", "--model", "gnb", "-o", out + "/bootstrap"],
+    ["cross-project", *corpus, "--model", "gnb", "--transfer", "camargo_cruz", "-o", out + "/cross"],
+    ["analyze", "--records", out + "/bootstrap/records.csv", "--trees", "10", "-o", out + "/report"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+print("done")
+"""
+
+
+def run_child(script: Path, out: Path, *options: str, env=None) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
+    return subprocess.run([sys.executable, *options, str(script), str(out)], env=env, capture_output=True,
+                          encoding="utf-8", errors="replace")
+
+
+def write_script(tmp_path, text: str) -> Path:
+    script = tmp_path / "script.py"
+    script.write_text(text, encoding="utf-8")  # a source file is UTF-8 whatever the locale
+    return script
+
+
+def test_non_ascii_release_runs_under_the_c_locale(tmp_path):
+    run = run_child(write_script(tmp_path, NON_ASCII_RUN), tmp_path,
+                    env={"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"})
+    assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, ["done"]), run.stderr
+
+
+def test_commands_open_no_file_with_the_default_encoding(tmp_path):
+    run = run_child(write_script(tmp_path, EVERY_COMMAND), tmp_path,
+                    "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, ["done"]), run.stderr
