@@ -216,19 +216,28 @@ def validate_release(release: Release) -> None:
     ids, sizes, X = release.artifact_ids, release.sizes, release.X
     if sizes.shape != (len(ids),) or X.ndim != 2 or len(X) != len(ids):
         raise DataError(f"sizes {sizes.shape} and X {X.shape} do not fit {len(ids)} artifact ids in {release.key()}")
-    if (i := _first_repeat(ids)) is not None:
-        raise DataError(f"duplicate artifact id {ids[i]!r} in {release.key()}")
+    seen = set(ids)
+    if len(seen) != len(ids):
+        raise DataError(f"duplicate artifact id {ids[_first_repeat(ids)]!r} in {release.key()}")
     if (negative := np.flatnonzero(sizes < 0)).size:
         raise DataError(f"negative size for artifact {ids[negative[0]]!r} in {release.key()}")
-    seen = set(ids)
     if (i := _first_repeat([d.id for d in release.defects])) is not None:
         raise DataError(f"duplicate defect id {release.defects[i].id!r} in {release.key()}")
     for d in release.defects:
         if not d.artifacts:
             raise DataError(f"defect {d.id!r} has no artifacts in {release.key()}")
-        for aid in d.artifacts:
-            if aid not in seen:
-                raise DataError(f"unknown artifact id {aid!r} in defect {d.id!r} of {release.key()}")
+        if not seen.issuperset(d.artifacts):
+            aid = next(a for a in d.artifacts if a not in seen)
+            raise DataError(f"unknown artifact id {aid!r} in defect {d.id!r} of {release.key()}")
+
+
+def _all_known(values: list, known: set[str]) -> bool:
+    """Whether every JSON value in ``values`` is one of the ``known`` strings;
+    no other JSON value equals a string."""
+    try:
+        return known.issuperset(values)
+    except TypeError:  # a list or an object among them
+        return False
 
 
 def _read_json(path: Path):
@@ -267,16 +276,17 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
         arts = entry["artifacts"]
         if not isinstance(arts, list) or not arts:
             raise DataError(f"defect {entry['id']!r} needs a non-empty artifact list", defects_file)
-        for aid in arts:
+        if not _all_known(arts, known):
+            aid = next(a for a in arts if not isinstance(a, str) or a not in known)
             if not isinstance(aid, str):
                 raise DataError(f"artifact id {aid!r} in defect {entry['id']!r} must be a string", defects_file)
-            if aid not in known:
-                raise DataError(f"unknown artifact id {aid!r} in defect {entry['id']!r}, not in {metrics_file.name}",
-                                defects_file)
+            raise DataError(f"unknown artifact id {aid!r} in defect {entry['id']!r}, not in {metrics_file.name}",
+                            defects_file)
         fixed_at = entry.get("fixed_at")
         fixed_at = None if fixed_at is None else _parse_timestamp(fixed_at, defects_file)
         defects.append(Defect(entry["id"], frozenset(arts), fixed_at))
-    if (i := _first_repeat(ids)) is not None:
+    if len(known) != len(ids):
+        i = _first_repeat(ids)
         lines = lines or _csv_metrics(metrics_file)[3]  # the C reader counts no lines
         raise DataError(f"duplicate artifact id {ids[i]!r}", metrics_file, lines[i])
     if (i := _first_repeat([d.id for d in defects])) is not None:
@@ -285,15 +295,13 @@ def load_release(metrics_file, defects_file, meta_file) -> Release:
     return Release(meta["project"], meta["release"], released_at, tuple(ids), sizes, X, tuple(defects))
 
 
-# A metrics.csv the C reader reads as the csv path does: its first line holds
-# no quote; each quote belongs to a quoted field that csv and loadtxt both
-# read whole, on one line, with doubled quotes for quotes; every CR ends a
-# CRLF; and it holds no NUL (csv rejects one before Python 3.11) and none of
-# the separators \x1c-\x1f, which loadtxt strips from numbers as whitespace
-# and int() and float() do not.
-_QUOTED_FIELD = re.compile(r'(?<![^,\n])"(?:[^"\r\n]|"")*"(?=,|\r?\n|\Z)')
+# A metrics.csv the C reader reads as the csv path does: it holds no quote
+# (the csv path reads every quoted file); every CR ends a CRLF; and it holds
+# no NUL (csv rejects one before Python 3.11) and none of the separators
+# \x1c-\x1f, which loadtxt strips from numbers as whitespace and int() and
+# float() do not.
 _LONE_CR = re.compile(r"\r(?!\n)")
-_DECLINED_CHARS = "\x00\x1c\x1d\x1e\x1f"
+_DECLINED_CHARS = '"\x00\x1c\x1d\x1e\x1f'
 
 
 def _loadtxt_metrics(path: Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, None] | None:
@@ -307,10 +315,9 @@ def _loadtxt_metrics(path: Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarra
         text = path.read_bytes().decode("utf-8")  # the text open(encoding="utf-8", newline="") reads, faster
     except UnicodeDecodeError:
         return None
-    head = text.partition("\n")[0]
-    header = head.removesuffix("\r").split(",")
-    if (header[:2] != ["artifact_id", "size"] or '"' in head or any(c in text for c in _DECLINED_CHARS)
-            or ("\r" in text and _LONE_CR.search(text)) or ('"' in text and '"' in _QUOTED_FIELD.sub("", text))):
+    header = text.partition("\n")[0].removesuffix("\r").split(",")
+    if (header[:2] != ["artifact_id", "size"] or any(c in text for c in _DECLINED_CHARS)
+            or ("\r" in text and _LONE_CR.search(text))):
         return None
     lines = text.split("\n")  # a list is read in C, a file object line by line through Python
     limit = csv.field_size_limit()
@@ -320,7 +327,7 @@ def _loadtxt_metrics(path: Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarra
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1)
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
     except Exception:  # whatever loadtxt raises, on any numpy version: the csv path raises what is due
         return None
     sizes, X = rows["size"], rows["X"]

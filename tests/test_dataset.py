@@ -54,6 +54,11 @@ def test_unknown_artifact_in_defect(tmp_path):
         load_release_dir(tmp_path)
 
 
+def test_release_names_its_first_unknown_artifact():
+    with pytest.raises(DataError, match=r"^unknown artifact id 'zz' in defect 'd2' of demo/r1$"):
+        make_release(defects={"d1": {"a1"}, "d2": {"a3", "zz"}})
+
+
 def test_negative_size_reports_line(tmp_path):
     write_toy_release(tmp_path, size_a2=-5)
     with pytest.raises(DataError, match="negative size") as err:

@@ -96,6 +96,9 @@ def test_unreadable_metrics_csv_is_data_error(release_dir, capsys, name, replace
     ("meta.json", '["demo", "r1"]', "meta file must contain a JSON object"),
     ("defects.json", '[{"id": "d1", "artifacts": [["a1"]]}]', "artifact id ['a1'] in defect 'd1' must be a string"),
     ("defects.json", '[{"id": "d1", "artifacts": [7]}]', "artifact id 7 in defect 'd1' must be a string"),
+    ("defects.json", '[{"id": "d1", "artifacts": ["a1", "zz", 7]}]',
+     "unknown artifact id 'zz' in defect 'd1', not in metrics.csv"),
+    ("defects.json", '[{"id": "d1", "artifacts": ["a1", 7, "zz"]}]', "artifact id 7 in defect 'd1' must be a string"),
     ("meta.json", '{"project": null, "release": "r1", "released_at": "2020-01-01T00:00:00+00:00"}',
      "meta field 'project' must be a string, got None"),
     ("meta.json", '{"project": "demo", "release": {"x": 1}, "released_at": "2020-01-01T00:00:00+00:00"}',
@@ -107,7 +110,8 @@ def test_unreadable_metrics_csv_is_data_error(release_dir, capsys, name, replace
     ("defects.json", '[{"id": ["d", 1], "artifacts": ["a1"]}]', "defect #0 must be an object with a string 'id'"),
     ("defects.json", '[{"id": "d1", "artifacts": ["a1"]}, {"id": 4, "artifacts": ["a1"]}]',
      "defect #1 must be an object with a string 'id'"),
-], ids=["meta_int", "meta_null", "meta_bool", "meta_list", "artifact_list", "artifact_int", "project_null",
+], ids=["meta_int", "meta_null", "meta_bool", "meta_list", "artifact_list", "artifact_int",
+        "unknown_before_int", "int_before_unknown", "project_null",
         "release_object", "release_int", "project_missing", "defect_id_list", "defect_id_int"])
 def test_malformed_json_shape_is_data_error(release_dir, capsys, name, content, message):
     path = release_dir / name

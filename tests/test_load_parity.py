@@ -51,6 +51,7 @@ HAZARDS = {
     "number_after_a_closing_quote": HEADER + 'a1,"1"2,1.0,2.0\n',
     "unclosed_quote": HEADER + '"a,1,1.0,2.0\na2,2,1.0,2.0\n',
     "quoted_header": '"artifact_id",size,f1,f2\na1,1,1.0,2.0\n',
+    "comma_in_a_quoted_header_field": 'artifact_id,size,"f,1"\na1,1,1.0,2.0\n',
     "bom": "\ufeff" + HEADER + "a1,1,1.0,2.0\n",
     "bom_on_a_row": HEADER + "\ufeffa1,1,1.0,2.0\n",
     "non_ascii_id": HEADER + "é…😀,1,1.0,2.0\n",
@@ -174,7 +175,8 @@ def test_synth_corpus_loads_like_reference_on_the_fast_path(tmp_path, seed, fast
 
 def test_mutated_metrics_load_like_reference(tmp_path, fast_path_count):
     """256 seeds of one to three byte mutations each, of a synth release and
-    of a file with quoted ids; both paths must answer some of them."""
+    of a file with quoted ids (which the csv path reads); both paths must
+    answer some of them."""
     spec = SynthSpec(n_projects=1, releases_per_project=1, artifacts_range=(30, 30), n_features=3)
     synth = (write_release(generate_synthetic(spec, 5)[0], tmp_path / "synth") / "metrics.csv").read_bytes()
     quoted = (HEADER + '"x,1",3,1.0,2.0\n"y,""2""",4,1.5,2.5\nz3,5,1e3,-0.0\n"w",6,7,8\n').encode()
