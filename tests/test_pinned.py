@@ -9,7 +9,11 @@ before records became flat rows, so any change to records, record files, RNG
 streams or tuned parameters shows here. The ``analyze`` pin was recorded again
 when the logit's stage 2 became a Newton fit with a separation rule; its
 records are separated, so the bundle reports the winning stage-1 cell. Each
-case runs on a tiny seeded synth corpus with few trees and a small DE budget.
+of these cases runs on a tiny seeded synth corpus with few trees and a small
+DE budget. The node-table pins of two 100-tree forests at the bootstrap
+benchmark's fit shape were recorded before the grower took its children's
+class counts from the parent's cut and stopped partitioning splits whose
+children both stop.
 """
 
 import hashlib
@@ -34,7 +38,7 @@ from defectcost import (
 from defectcost.analysis import fit_relationship_models
 from defectcost.cli import main
 from defectcost.experiments import BootstrapConfig
-from defectcost.learners import ForestParams
+from defectcost.learners import ForestParams, apply_smote, train_random_forest
 
 SPEC = SynthSpec(n_projects=2, releases_per_project=3, artifacts_range=(30, 40),
                  defect_ratio_range=(0.15, 0.2), n_features=3, signal=1.5)
@@ -160,3 +164,39 @@ def test_sensitivity_command_eval_records(record_files, tmp_path):
     assert main(["sensitivity", "--records", str(train), "--eval-records", str(held_out), "--trees", "5",
                  "--seed", "1", "-o", str(tmp_path)]) == 0
     assert files_digest(tmp_path) == "2113828123d88a6747e0bccd5ce13568a94f5c67b808e4477dcd3b1518310f9a"
+
+
+PINNED_TREES = {
+    "plain": {"feature": "efcc07402728e6ce", "threshold": "3843773ffe1324fb", "left": "24de176b6efd79d7",
+              "right": "275f4675d341a371", "value": "1c80c1254a1c290c", "n": "b1440b09ef25a280",
+              "impurity": "5363a1eea769c3c6", "decrease": "75f1ae89a7129676", "roots": "a954427b88956ed5",
+              "in_bag": "99cc9368a64aced6"},
+    "smote": {"feature": "dda6e36d128d7f77", "threshold": "c235fd26e5eb9907", "left": "49a98d0b452aa710",
+              "right": "c3867a157edecd68", "value": "293459d4f4d4fa8b", "n": "2a2d2afe29318ea3",
+              "impurity": "c048f6eda24968fa", "decrease": "2c6fae71a1977420", "roots": "424db8957867667d",
+              "in_bag": "8c7477e9c3cf64ac"},
+}
+
+
+def tree_digests(forest):
+    """The first 16 hex digits of the sha256 of every column of a forest's node table, and of its bags."""
+    columns = {name: getattr(forest.trees, name) for name in forest.trees.__dataclass_fields__}
+    return {name: hashlib.sha256(np.ascontiguousarray(column).tobytes()).hexdigest()[:16]
+            for name, column in {**columns, "in_bag": forest.in_bag}.items()}
+
+
+@pytest.fixture(scope="module")
+def benchmark_shaped_view():
+    """One 200 × 8 release at a 10% defect ratio, the shape of the bootstrap benchmark's fits."""
+    spec = SynthSpec(n_projects=1, releases_per_project=1, artifacts_range=(200, 200), defect_ratio_range=(0.1, 0.1))
+    return generate_synthetic(spec, seed=702)[0].view()
+
+
+@pytest.mark.parametrize("variant", ["plain", "smote"])
+def test_forest_node_table_at_the_benchmark_shape(benchmark_shaped_view, variant):
+    """Every column of a 100-tree forest on the benchmark's fit shape, plain and after SMOTE."""
+    X, y = benchmark_shaped_view.X, benchmark_shaped_view.y
+    if variant == "smote":
+        X, y = apply_smote(X, y, seed=11)
+    assert (len(X), y.mean()) == ((200, 0.1) if variant == "plain" else (360, 0.5))
+    assert tree_digests(train_random_forest(X, y, ForestParams(), seed=31)) == PINNED_TREES[variant]

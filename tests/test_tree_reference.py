@@ -346,7 +346,38 @@ def _fixtures():
     cases.append(("constant_features", np.ones((10, 3)), np.arange(10) % 2, "classify", {}))
     cases.append(("single_row", np.array([[1.0, 2.0]]), np.array([1]), "classify", {"n_classes": 2}))
     cases.append(("pure", rng.normal(size=(20, 2)), np.zeros(20, dtype=int), "classify", {}))
+    cases += [(name, X, y, "classify", kwargs) for name, X, y, kwargs in STOPPING_SETS]
     return cases
+
+
+def _rare_positives(rng, n, k):
+    """n rows of k features with 10% positives, the defect ratio of the benchmark's releases."""
+    X = np.round(rng.normal(size=(n, k)), 2)
+    signal = X[:, 0] + 0.6 * X[:, 1] + rng.normal(0, 0.8, n)
+    return X, (signal >= np.sort(signal)[-n // 10]).astype(int)
+
+
+def _stopping_sets():
+    """(name, X, y, train_cart keyword arguments) of rare-positive sets on which
+    most splits have two children that stop: pure, below ``min_split`` or
+    ``2 * min_leaf``, or at the depth limit."""
+    rng = np.random.default_rng(70)
+    X, y = _rare_positives(rng, 200, 8)
+    Xs, ys = apply_smote(X, y, seed=4)
+    return [("rare_positives", X, y, {}),
+            ("rare_positives_min_leaf_min_split", X, y, {"min_leaf": 6, "min_split": 14}),
+            ("rare_positives_depth_limit", X, y, {"depth_limit": 2}),
+            ("rare_positives_smote_min_leaf", Xs, ys, {"min_leaf": 9, "max_features": 3}),
+            ("rare_positives_smote_depth_limit", Xs, ys, {"depth_limit": 3, "min_split": 20})]
+
+
+STOPPING_SETS = _stopping_sets()
+
+
+def _both_children_stop(root):
+    """Share of a reference tree's splits whose two children are leaves."""
+    splits = [node for node in ref_walk(root) if not node.is_leaf]
+    return sum(node.left.is_leaf and node.right.is_leaf for node in splits) / len(splits)
 
 
 FIXTURES = _fixtures()
@@ -567,3 +598,25 @@ def test_forest_sweep_with_one_segment_per_chunk(monkeypatch):
     # pairwise from 8 terms on
     X = np.round(np.random.default_rng(34).normal(size=(60, 4)), 1)
     _assert_forest_matches_reference((X, X[:, 0] - X[:, 3], "regress", None, ForestParams(n_trees=12), 7))
+
+
+@pytest.mark.parametrize("data", STOPPING_SETS, ids=[d[0] for d in STOPPING_SETS])
+def test_grown_trees_match_reference_where_most_children_stop(data, monkeypatch):
+    """Bagged trees on rare-positive sets, where the grower leaves unpartitioned
+    the splits whose children both stop, are the reference trees of their bags,
+    also with every segment its own chunk."""
+    from defectcost.learners import tree as tree_module
+
+    name, X, y, kwargs = data
+    seed = sum(map(ord, name))
+    bags = _bags(np.random.default_rng(seed), len(X), "bootstrap")
+    refs = [ref_train_cart(X[bag], y[bag], rng=np.random.default_rng([seed, t]), **kwargs)
+            for t, bag in enumerate(bags)]
+    assert np.mean([_both_children_stop(ref) for ref in refs]) > 0.35
+    for chunk in (tree_module._CHUNK_ELEMENTS, 1):
+        monkeypatch.setattr(tree_module, "_CHUNK_ELEMENTS", chunk)
+        trees = grow_trees(X, y, bags, [np.random.default_rng([seed, t]) for t in range(len(bags))], **kwargs)
+        for t, ref in enumerate(refs):
+            want, got = ref_nodes(ref), package_nodes(trees, t)
+            for field in want:
+                assert_same(got[field], want[field])
