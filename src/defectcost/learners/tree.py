@@ -8,10 +8,14 @@ the input order and the RNG stream, so a fixed seed gives a fixed tree.
 Classification sorts each feature once per fit, and a tree holds the distinct
 rows of its bag in that order (rows equal in every feature and the label are one
 row), weighted by their counts in the bag: a cut between distinct values has the
-integer class counts of the repeated rows.
+integer class counts of the repeated rows. These counts are exact, so a child
+takes its class counts from its parent's cut and never reads its own rows.
 Regression sorts each feature of each bag, ties in bag order, and keeps a row
-in bag order, as its float sums depend on that order. A node owns a segment of
-each sorted row, which a split partitions stably in place in one linear pass.
+in bag order, as its float sums depend on that order; a node's mean and
+variance come from that row, all nodes of one size in one block. A node owns a
+segment of each sorted row, which a split partitions stably in place in one
+linear pass. A split whose children both stop (pure, too light or at the depth
+limit) is not partitioned, bar regression's bag row.
 
 A forest is one node table: flat arrays indexed by node id, tree after tree,
 each tree in depth-first preorder from its root. The trees grow level by level,
@@ -69,39 +73,65 @@ def _chunks(lengths, padded=False):
         s0 = s1
 
 
-def _classify_cuts(xs, labels, weights, lengths, counts, min_leaf):
-    """(weighted child Gini, index, left weight) of the first best cut of every segment.
+def _classify_cuts(xs, sums, lengths, counts, min_leaf):
+    """(weighted child Gini, index, left sums) of the first best cut of every segment.
 
-    Each segment, back to back in ``xs``, ``labels`` and ``weights`` (used up),
-    holds one node's distinct rows in the sorted order of one candidate feature,
-    weighted by their counts in the bag; ``counts`` holds each segment's class
-    counts. Element j scores the cut with elements 0..j on the left. A cut inside
-    a run of equal values or leaving less than ``min_leaf`` weight on a side is
-    inf. Counts are sums of integers, so they are exact, also for the last class,
-    which has what the other classes leave.
+    Each segment, back to back in ``xs`` and in the rows of ``sums``, holds one
+    node's distinct rows in the sorted order of one candidate feature; row c < C - 1
+    of ``sums`` holds their weights in class c, the last row their weights (their
+    counts in the bag). ``counts`` holds each segment's class counts. Element j
+    scores the cut with elements 0..j on the left. A cut inside a run of equal
+    values or leaving less than ``min_leaf`` weight on a side is inf (the divisions
+    by a right weight of 0 at a segment's end are the caller's to silence). The left sums
+    are the columns of ``sums`` at the cuts, after ``sums`` is turned in place into
+    its cumsums within each segment. Counts are sums of integers, so they are
+    exact, also for the last class, which has what the other classes leave.
     """
     first = np.cumsum(lengths) - lengths
-
-    def left(w, total):  # w's cumsum within each segment, in place: each first element less the total before
-        w[first[1:]] -= total[:-1]
-        return w.cumsum()
-
-    cl = [left(weights * (labels == c), counts[:, c]) for c in range(counts.shape[1] - 1)]
-    nl = left(weights, counts.sum(axis=1))
-    nr = np.repeat(counts.sum(axis=1), lengths) - nl
-    cr = [np.repeat(counts[:, c], lengths) - left_c for c, left_c in enumerate(cl)]
-    cl, cr = cl + [nl - sum(cl)], cr + [nr - sum(cr)]
-    with np.errstate(divide="ignore", invalid="ignore"):  # nr is 0 at the end of a segment
-        # summed from 0 in class order, as numpy sums fewer than 8 terms
-        sum_l, sum_r = sum((c / nl) ** 2 for c in cl), sum((c / nr) ** 2 for c in cr)
-        weighted = (nl * (1.0 - sum_l) + nr * (1.0 - sum_r)) / (nl + nr)
-    valid = np.minimum(nl, nr) >= min_leaf
-    valid[:-1] &= xs[:-1] < xs[1:]
-    scores = np.where(valid, weighted, np.inf)
+    totals = counts.sum(axis=1)
+    # each segment's cumsum, in place: each first element less the total before
+    sums[:-1, first[1:]] -= counts[:-1, :-1].T
+    sums[-1, first[1:]] -= totals[:-1]
+    np.cumsum(sums, axis=1, out=sums)
+    cl, nl = sums[:-1], sums[-1]
+    node = np.repeat(totals, lengths)
+    nr = node - nl
+    cr = np.repeat(counts[:, :-1].T, lengths, axis=1)
+    cr -= cl
+    cl_last, cr_last = nl - cl[0] if len(cl) else nl.copy(), nr - cr[0] if len(cr) else nr.copy()
+    for c in range(1, len(cl)):
+        cl_last -= cl[c]
+        cr_last -= cr[c]
+    barred = np.empty(len(xs), dtype=bool)  # cuts in a run of equal values or at a segment's end
+    np.greater_equal(xs[:-1], xs[1:], out=barred[:-1])
+    barred[first + lengths - 1] = True
+    if min_leaf > 1:  # every element weighs at least 1
+        barred |= np.minimum(nl, nr) < min_leaf
+    # squared shares summed in class order, as numpy sums fewer than 8 terms
+    scores, right = _gini(cl, cl_last, nl, None), _gini(cr, cr_last, nr, cr)
+    right *= nr
+    scores *= nl
+    scores += right
+    scores /= node
+    np.copyto(scores, np.inf, where=barred)
     best = np.minimum.reduceat(scores, first)
     hits = np.flatnonzero(scores == np.repeat(best, lengths))
     cut = hits[np.searchsorted(hits, first)] - first
-    return best, cut, nl[first + cut]
+    return best, cut, sums[:, first + cut].T
+
+
+def _gini(counts, last, n, out):
+    """1 - the sum of the squared shares out of ``n`` of the counts in the rows
+    of ``counts`` and in ``last`` (the last class), in ``last``; the shares go to ``out``."""
+    shares = np.divide(counts, n, out=out)
+    shares *= shares
+    last /= n
+    last *= last
+    for row in shares[1:]:
+        shares[0] += row
+    if len(shares):  # a + b is b + a bit for bit
+        last += shares[0]
+    return np.subtract(1.0, last, out=last)
 
 
 def _regress_cuts(xs, ys, lengths, min_leaf):
@@ -116,58 +146,98 @@ def _regress_cuts(xs, ys, lengths, min_leaf):
     nr = m - nl
     sl1, sl2 = s1[:, :-1], s2[:, :-1]
     sr1, sr2 = s1[:, -1:] - sl1, s2[:, -1:] - sl2  # the padding adds zeros to each total
-    with np.errstate(divide="ignore", invalid="ignore"):  # nr is 0 or less in the padding
-        var_l = np.maximum(sl2 / nl - (sl1 / nl) ** 2, 0.0)
-        var_r = np.maximum(sr2 / nr - (sr1 / nr) ** 2, 0.0)
-        weighted = (nl * var_l + nr * var_r) / m
+    var_l = np.maximum(sl2 / nl - (sl1 / nl) ** 2, 0.0)
+    var_r = np.maximum(sr2 / nr - (sr1 / nr) ** 2, 0.0)  # nr is 0 or less in the padding
+    weighted = (nl * var_l + nr * var_r) / m
     valid = (xb[:, :-1] < xb[:, 1:]) & (np.minimum(nl, nr) >= min_leaf)
     scores = np.where(valid, weighted, np.inf)
     cut = scores.argmin(axis=1)
     return scores[segs, cut], cut
 
 
+def _moments(ys, lengths):
+    """(mean, variance) of each segment of ``ys``, back to back. The segments of
+    one length L are the rows of one C-contiguous (count, L) block, each summed
+    like L values alone, so these are numpy's ``mean()`` and ``var()`` of each."""
+    mean, var = np.empty(len(lengths)), np.empty(len(lengths))
+    first, by_len = np.cumsum(lengths) - lengths, np.argsort(lengths, kind="stable")
+    for at in np.split(by_len, np.flatnonzero(np.diff(lengths[by_len])) + 1):
+        length = lengths[at[0]]
+        block = ys.take(first[at, None] + np.arange(length))
+        mean[at] = block.sum(axis=1) / length
+        block -= mean[at, None]
+        block *= block
+        var[at] = block.sum(axis=1) / length
+    return mean, var
+
+
+def _held_ids(presort, held):
+    """Ids t * n + i of the rows i that tree t holds (``held[t, i]``), in the
+    sorted order of each feature (a row of ``presort``), tree after tree. Eight
+    trees at a time: a (trees, k, n) block of all ids would outweigh the result."""
+    k, n = presort.shape
+    ids, at = np.empty(k * int(held.sum()), dtype=np.int32), 0
+    for t in range(0, len(held), 8):
+        trees = held[t:t + 8]
+        keep = trees.take(presort, axis=1).ravel()
+        size = int(keep.sum())
+        np.compress(keep, presort + np.arange(t * n, (t + len(trees)) * n, n, dtype=np.int32)[:, None, None],
+                    out=ids[at:at + size])
+        at += size
+    return ids
+
+
 def _grow_group(X, XT, y, presort, bags, rngs, task, n_classes, min_split, min_leaf, depth_limit, max_features):
     (n, k), (n_trees, b) = X.shape, bags.shape
-    classify = task == "classify"
-    if classify:  # row f: the bag's distinct rows by feature f; row i of tree t weighs weight[t * n + i]
+    classify = task == "classify"  # id t * n + i: row i of tree t
+    if classify:  # row f: the ids of the bag's distinct rows by feature f; id j weighs weight[j]
         weight = np.bincount((bags + np.arange(n_trees)[:, None] * n).ravel(), minlength=n_trees * n)
-        held = (weight.reshape(n_trees, n) > 0)[:, presort]
-        order, width, rows = np.broadcast_to(presort, held.shape)[held], held[:, 0].sum(axis=1), k
-        weight = weight.astype(np.float64)
-    else:  # row f < k: the bag's rows by feature f, ties in bag order; row k: the bag
+        held = (weight > 0).reshape(n_trees, n)
+        order, width, rows = _held_ids(presort, held), held.sum(axis=1), k
+        # row c < C - 1: the weights in class c; row C - 1: the weights
+        weight = weight.reshape(n_trees, n)
+        sums = np.stack([weight * (y == c) for c in range(n_classes - 1)] + [weight]).astype(np.float64)
+        value = np.ascontiguousarray(sums.sum(axis=2).T)  # sums of integers: exact
+        value[:, -1] -= value[:, :-1].sum(axis=1)
+        sums = sums.reshape(n_classes, n_trees * n)
+    else:  # row f < k: the ids of the bag's rows by feature f, ties in bag order; row k: the bag
         order = np.empty((n_trees, k + 1, b), dtype=np.int32)
         for t, bag in enumerate(bags):
-            order[t, :k] = bag[np.argsort(X[bag], axis=0, kind="stable").T]
-            order[t, k] = bag
-        order, width, rows = order.ravel(), np.full(n_trees, b), k + 1
+            order[t, :k] = bag[np.argsort(X[bag], axis=0, kind="stable").T] + t * n
+            order[t, k] = bag + t * n
+        order, width, rows, y = order.ravel(), np.full(n_trees, b), k + 1, np.tile(y, n_trees)
     # ``order`` holds each tree's rows back to back, each ``width[t]`` ids long; a node of tree t owns
     # the m ids from start + f * width[t] of each row f and weighs w. The frontier holds the open nodes
     # of one depth, tree by tree and left to right; the j-th split's children are entries 2j, 2j + 1.
     tree, start = np.arange(n_trees), np.cumsum(rows * width) - rows * width
     m, w, levels = width, np.full(n_trees, b), []
+    goes_left = np.zeros(n_trees * n, dtype=bool)  # by id: goes left in the split at hand
+
+    def gini(value, w):
+        p = value / w[:, None]
+        return 1.0 - (p * p).sum(axis=1)
+
+    def stops(w, impurity, depth):
+        """Nodes that become leaves: by weight and depth, and by impurity where it is known."""
+        stop = (w < min_split) | (w < 2 * min_leaf)
+        if impurity is not None:
+            stop |= impurity <= 0.0
+        if depth_limit is not None:
+            stop |= depth >= depth_limit
+        return stop
+
+    if classify:  # later nodes take their class counts from their parent's cut
+        impurity = gini(value, w)
     while m.size:
         stride = width[tree]
-        # node statistics from each node's rows: its first row, or for regression its rows in bag order
-        value = np.empty((len(m), n_classes) if classify else len(m))
-        impurity = np.empty(len(m))
-        base = start if classify else start + k * stride
-        for s0, s1 in _chunks(m):
-            ids = order.take(_ragged(base[s0:s1], m[s0:s1]))
-            if classify:
-                seg = np.repeat(np.arange(s1 - s0) * n_classes, m[s0:s1])
-                weights = weight.take(np.repeat(tree[s0:s1] * n, m[s0:s1]) + ids)
-                value[s0:s1] = np.bincount(seg + y.take(ids), weights, (s1 - s0) * n_classes).reshape(-1, n_classes)
-            else:
-                for i, node_ys in enumerate(np.split(y.take(ids), np.cumsum(m[s0:s1])[:-1]), s0):
-                    value[i], impurity[i] = node_ys.mean(), np.maximum(node_ys.var(), 0.0)
-        if classify:
-            p = value / w[:, None]
-            impurity = 1.0 - (p * p).sum(axis=1)
+        if not classify:  # node statistics from each node's rows in bag order
+            value, impurity = np.empty(len(m)), np.empty(len(m))
+            base = start + k * stride
+            for s0, s1 in _chunks(m):
+                value[s0:s1], impurity[s0:s1] = _moments(y.take(order.take(_ragged(base[s0:s1], m[s0:s1]))),
+                                                         m[s0:s1])
         feature, threshold, decrease = np.full(len(m), -1), np.full(len(m), np.nan), np.zeros(len(m))
-        stop = (w < min_split) | (w < 2 * min_leaf) | (impurity <= 0.0)
-        if depth_limit is not None:
-            stop |= len(levels) >= depth_limit
-        split = np.flatnonzero(~stop)
+        split = np.flatnonzero(~stops(w, impurity, len(levels)))
         drawn = np.tile(np.arange(k), (split.size, 1))
         if max_features < k:  # each tree draws for its splitting nodes in one call, a row per node
             nodes = np.bincount(tree[split], minlength=n_trees).tolist()
@@ -176,16 +246,16 @@ def _grow_group(X, XT, y, presort, bags, rngs, task, n_classes, min_split, min_l
         seg_node, seg_feature = np.repeat(split, max_features), drawn.ravel()
         seg_len = m[seg_node]
         seg_base = start[seg_node] + seg_feature * stride[seg_node]
-        best, cut, w_left = np.empty(len(seg_node)), np.empty(len(seg_node), dtype=np.intp), np.empty(len(seg_node))
+        best, cut = np.empty(len(seg_node)), np.empty(len(seg_node), dtype=np.intp)
+        at_cut = np.empty((len(seg_node), n_classes)) if classify else None
         # padded blocks waste least on segments of similar length
         by_len = np.arange(len(seg_node)) if classify else np.argsort(seg_len, kind="stable")
         for s0, s1 in _chunks(seg_len[by_len], padded=not classify):
             s = by_len[s0:s1]
             ids = order.take(_ragged(seg_base[s], seg_len[s]))
-            xs = XT.take(np.repeat(seg_feature[s] * n, seg_len[s]) + ids)
+            xs = XT.take(np.repeat((seg_feature[s] - tree[seg_node[s]]) * n, seg_len[s]) + ids)
             if classify:
-                weights = weight.take(np.repeat(tree[seg_node[s]] * n, seg_len[s]) + ids)
-                best[s], cut[s], w_left[s] = _classify_cuts(xs, y.take(ids), weights, seg_len[s], value[seg_node[s]],
+                best[s], cut[s], at_cut[s] = _classify_cuts(xs, sums.take(ids, axis=1), seg_len[s], value[seg_node[s]],
                                                             min_leaf)
             else:
                 best[s], cut[s] = _regress_cuts(xs, y.take(ids), seg_len[s], min_leaf)
@@ -194,32 +264,46 @@ def _grow_group(X, XT, y, presort, bags, rngs, task, n_classes, min_split, min_l
         keep = gain > _MIN_DECREASE
         split, pick, gain = split[keep], pick[keep], gain[keep]
         f, at = seg_feature[pick], seg_base[pick] + cut[pick]
-        lo, hi = XT[f * n + order[at]], XT[f * n + order[at + 1]]
+        lo, hi = XT[(f - tree[split]) * n + order[at]], XT[(f - tree[split]) * n + order[at + 1]]
         thr = (lo + hi) / 2.0
         thr = np.where(thr >= hi, lo, thr)  # adjacent floats: keep the partition exactly at the sorted prefix
         feature[split], threshold[split], decrease[split] = f, thr, w[split] * gain
-        n_left = cut[pick] + 1
-        w_left = w_left[pick].astype(np.int64) if classify else n_left
-
-        # partition every row of every splitting node: the first n_left ids of feature f's
-        # row go left, in every row; a left id moves to its rank among the lefts, a right
-        # one to n_left plus its rank among the rights, so each side keeps its order
-        part_len, part_left = np.repeat(m[split], rows), np.repeat(n_left, rows)
-        part_base = (start[split, None] + np.arange(rows) * stride[split, None]).ravel()
-        part_f, part_thr = np.repeat(f * n, rows), np.repeat(thr, rows)
-        for s0, s1 in _chunks(part_len):
-            lengths = part_len[s0:s1]
-            at = _ragged(part_base[s0:s1], lengths)
-            ids = order.take(at)
-            goes_left = XT.take(np.repeat(part_f[s0:s1], lengths) + ids) <= np.repeat(part_thr[s0:s1], lengths)
-            lefts, first = goes_left.cumsum(), np.cumsum(lengths) - lengths
-            lefts -= np.repeat(lefts[first] - goes_left[first], lengths)
-            order[np.where(goes_left, np.repeat(part_base[s0:s1] - 1, lengths) + lefts,
-                           at + np.repeat(part_left[s0:s1], lengths) - lefts)] = ids
         levels.append((split, feature, threshold, value, w, impurity, decrease))
+        n_left = cut[pick] + 1
+        if classify:  # the children's class counts and weights: the left sums at the cut, and the rest
+            left = at_cut[pick]
+            w_left = left[:, -1].astype(np.int64)
+            left[:, -1] -= left[:, :-1].sum(axis=1)
+            value = np.stack([left, value[split] - left], axis=1).reshape(-1, n_classes)
+        else:
+            w_left = n_left
         tree, start = np.repeat(tree[split], 2), np.stack([start[split], start[split] + n_left], axis=1).ravel()
-        m = np.stack([n_left, m[split] - n_left], axis=1).ravel()
+        m_split, m = m[split], np.stack([n_left, m[split] - n_left], axis=1).ravel()
         w = np.stack([w_left, w[split] - w_left], axis=1).ravel()
+        if classify:
+            impurity = gini(value, w)
+        ends = stops(w, impurity if classify else None, len(levels))
+
+        # partition the rows of every split: the ids among the first n_left of feature f's row go
+        # left, in every row, each side in its order. Where both children stop, no later step
+        # reads their rows, bar the bag order of regression's node statistics.
+        both = ends[0::2] & ends[1::2]
+        count = np.where(both, 0 if classify else 1, rows)
+        row = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        row[np.repeat(both, count)] = k
+        part = np.repeat(np.arange(len(split)), count)
+        part_len, part_left = m_split[part], n_left[part]
+        part_base = start[2 * part] + row * stride[split][part]
+        moved = count > 0
+        marks = order[_ragged(seg_base[pick][moved], n_left[moved])] if moved.any() else []
+        goes_left[marks] = True
+        for s0, s1 in _chunks(part_len):
+            lengths, lefts, base = part_len[s0:s1], part_left[s0:s1], part_base[s0:s1]
+            ids = order.take(_ragged(base, lengths))
+            to_left = goes_left.take(ids)
+            order[_ragged(base, lefts)] = ids.compress(to_left)  # faster than a mask index on mixed masks
+            order[_ragged(base + lefts, lengths - lefts)] = ids.compress(~to_left)
+        goes_left[marks] = False
 
     # Renumber each tree into preorder: a left child follows its parent, and a right
     # child follows the left subtree, whose size is ``skip`` - 1 (subtree sizes go bottom up).
@@ -270,8 +354,9 @@ def grow_trees(X: np.ndarray, y: np.ndarray, bags, rngs, *, task: str = "classif
     XT = X.T.ravel()
     groups = -(-bags.size * (k + 1) // _GROUP_ELEMENTS)  # fewest equal groups
     group = -(-len(bags) // groups)
-    groups = [_grow_group(X, XT, y, presort, bags[g:g + group], rngs[g:g + group], task, n_classes, min_split, min_leaf,
-                          depth_limit, max_features) for g in range(0, len(bags), group)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the cut scores divide by a right weight of 0
+        groups = [_grow_group(X, XT, y, presort, bags[g:g + group], rngs[g:g + group], task, n_classes, min_split,
+                              min_leaf, depth_limit, max_features) for g in range(0, len(bags), group)]
     count, feature, threshold, value, m, impurity, decrease, skip = map(np.concatenate, zip(*groups))
     at = np.arange(len(feature))
     left, right = np.where(feature >= 0, at + 1, -1), np.where(feature >= 0, at + skip, -1)

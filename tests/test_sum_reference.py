@@ -11,6 +11,7 @@ import pytest
 
 from defectcost.extmath import column_sums
 from defectcost.learners import train_gaussian_nb
+from defectcost.learners.tree import _moments
 
 from conftest import train_gaussian_nb_reference
 
@@ -145,28 +146,14 @@ def test_gnb_leaves_its_input_unchanged():
     assert X.tobytes() == before.tobytes()
 
 
-def bucketed_moments(ys, lengths):
-    """(mean, variance) of the segments of ``ys``, back to back, with the
-    segments of each length L gathered into one C-contiguous (count, L) block."""
-    mean, var = np.empty(len(lengths)), np.empty(len(lengths))
-    first = np.cumsum(lengths) - lengths
-    for length in np.flatnonzero(np.bincount(lengths)):
-        at = np.flatnonzero(lengths == length)
-        block = ys[(first[at, None] + np.arange(length)).ravel()].reshape(len(at), length)
-        mean[at] = block.sum(axis=1) / length
-        d = block - mean[at, None]
-        d *= d
-        var[at] = d.sum(axis=1) / length
-    return mean, var
-
-
 LENGTHS = [*range(1, 300), 511, 512, 513, 1_000, 4_097]
 
 
 @pytest.mark.parametrize("dist", ["normal", "cauchy", "rounded"])
 def test_bucketed_moments_match_numpy(dist):
-    """Three segments of every length, shuffled, so that each block's rows lie
-    apart in ``ys``; values spread over 16 orders of magnitude or with many ties."""
+    """The regression grower's node statistics: three segments of every length,
+    shuffled, so that each block's rows lie apart in ``ys``; values spread over
+    16 orders of magnitude or with many ties."""
     rng = np.random.default_rng(len(dist))
     lengths = rng.permutation(np.repeat(LENGTHS, 3))
     ys = draws(rng, int(lengths.sum()), "cauchy" if dist == "cauchy" else "normal", 1.0)
@@ -174,7 +161,7 @@ def test_bucketed_moments_match_numpy(dist):
         ys = np.round(ys * 3)
     else:
         ys *= 10.0 ** rng.integers(-8, 9, size=len(ys))
-    mean, var = bucketed_moments(ys, lengths)
+    mean, var = _moments(ys, lengths)
     segments = np.split(ys, np.cumsum(lengths)[:-1])
     assert mean.tobytes() == np.array([segment.mean() for segment in segments]).tobytes()
     assert var.tobytes() == np.array([segment.var() for segment in segments]).tobytes()
