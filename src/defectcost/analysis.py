@@ -57,6 +57,8 @@ def records_matrix(records: Sequence[EvaluationRecord]) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class Imputer:
+    """Per-variable training medians that replace missing values, and how many each replaced."""
+
     medians: np.ndarray
     imputed_counts: dict[str, int]
 
@@ -101,6 +103,9 @@ class RelationshipModel:
 
 @dataclass(frozen=True, eq=False)
 class RelationshipFit:
+    """The fitted relationship models, the levels they were fitted on, their importances, the
+    logit's coefficients and the imputer they share."""
+
     models: dict[str, RelationshipModel]
     labels: np.ndarray  # the potential level of each record, as the models were fitted on
     importances: dict[str, dict[str, float]]
@@ -301,6 +306,8 @@ def classify_strength(conf: PotentialConfusion) -> StrengthVerdict:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationAnalysis:
+    """Spearman matrix over ``variables`` and the groups of strongly correlated ones."""
+
     variables: tuple[str, ...]
     matrix: np.ndarray
     groups: tuple[tuple[str, ...], ...]
@@ -410,6 +417,8 @@ def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_
 
 @dataclass(frozen=True, eq=False)
 class BoundaryShiftResult:
+    """The relationship forest refitted with the potential boundaries shifted by ``shift``."""
+
     shift: float
     boundaries: tuple[float, float]
     confusion: PotentialConfusion
@@ -419,6 +428,8 @@ class BoundaryShiftResult:
 
 @dataclass(frozen=True, eq=False)
 class SensitivityBoundaries:
+    """Every boundary shift's result, and the density of records near each boundary."""
+
     shifts: tuple[BoundaryShiftResult, ...]
     density: dict
 

@@ -19,7 +19,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import analysis
 from .costmodel import DEFAULT_BOUNDARIES
 from .learners import ForestParams
 from .metrics import EFFORT_MODES, CoverageError
@@ -359,6 +358,8 @@ def _read_records_checked(path):
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis  # only the report commands load it
+
     records = _read_records_checked(args.records)
     analysis.write_report_bundle(
         args.out,
@@ -374,6 +375,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    from . import analysis
+
     records = _read_records_checked(args.records)
     params = ForestParams(n_trees=args.trees)
     sens = analysis.sensitivity_boundaries(records, seed=args.seed, base=args.boundaries, forest_params=params)

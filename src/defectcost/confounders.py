@@ -19,6 +19,8 @@ from .extmath import UNDEFINED, safe_div
 
 @dataclass(frozen=True)
 class ConfounderVector:
+    """The ten confounders of one evaluation, in ``CONFOUNDER_NAMES`` order."""
+
     bias_train: float
     bias_train_prime: float
     bias_test: float

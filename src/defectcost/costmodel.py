@@ -54,12 +54,16 @@ DEFAULT_BOUNDARIES = (1000.0, 10000.0)
 
 @dataclass(frozen=True)
 class DefectOutcome:
+    """The ids of the defects whose every artifact is predicted defective, and of the rest."""
+
     predicted: frozenset[str]
     missed: frozenset[str]
 
 
 @dataclass(frozen=True)
 class CostBounds:
+    """The bounds on the cost ratio of one prediction, and ``diff = upper - lower``."""
+
     lower: float
     upper: float
     diff: float

@@ -70,6 +70,8 @@ def _parse_timestamp(value, path=None, line=None) -> datetime:
 
 @dataclass(frozen=True)
 class Defect:
+    """A defect: its id, the artifacts its fix touched and, if known, when it was fixed."""
+
     id: str
     artifacts: frozenset[str]
     fixed_at: datetime | None = None

@@ -214,6 +214,8 @@ class GaussianNBModel:
 
 @dataclass(frozen=True, eq=False)
 class TransferResult:
+    """Training and target features after a transfer, and the columns it left flagged."""
+
     train_X: np.ndarray
     target_X: np.ndarray
     flagged: tuple[int, ...] = ()
@@ -305,6 +307,8 @@ class _PoolWorkspace:
 
 @dataclass(frozen=True)
 class RunResult:
+    """The records of a run, in task order, and its notices about skipped targets or samples."""
+
     records: list[EvaluationRecord]
     notices: list[str] = field(default_factory=list)
 

@@ -26,6 +26,8 @@ MIN_LEAF_BOUNDS = (1, 20)
 
 @dataclass(frozen=True)
 class ForestParams:
+    """Forest hyperparameters; the first three are the tunable ones."""
+
     feature_ratio: float = 1.0
     min_split: int = 2
     min_leaf: int = 1
@@ -49,6 +51,8 @@ class ForestParams:
 
 @dataclass(frozen=True, eq=False)
 class Forest:
+    """A fitted forest: its trees in one node table and the bag each tree grew on."""
+
     task: str
     params: ForestParams
     trees: Tree  # every tree in one node table

@@ -213,6 +213,8 @@ def mcfadden_adjusted_r2(probs: np.ndarray, y_idx: np.ndarray, k: int) -> float:
 
 @dataclass(frozen=True)
 class GoodnessOfFit:
+    """Log-likelihoods of a fit and of the intercept-only model, its column count and McFadden's adjusted R²."""
+
     log_likelihood: float
     log_likelihood_null: float
     k: int
@@ -221,6 +223,8 @@ class GoodnessOfFit:
 
 @dataclass(frozen=True)
 class GridCell:
+    """One (lambda, alpha) cell of the stage-1 grid: its adjusted R², L1 norm and selected column count."""
+
     lam: float
     alpha: float
     r2_adjusted: float

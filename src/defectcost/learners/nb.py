@@ -11,6 +11,8 @@ from ..extmath import column_sums
 
 @dataclass(frozen=True, eq=False)
 class GaussianNB:
+    """A fitted Gaussian naive Bayes: per class its prior and its feature means and variances."""
+
     classes: np.ndarray
     priors: np.ndarray
     means: np.ndarray  # (C, k)

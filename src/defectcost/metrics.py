@@ -72,6 +72,8 @@ class ViewScores:
 
 @dataclass(frozen=True)
 class ConfusionCounts:
+    """Artifact counts of a thresholded prediction against the defect labels."""
+
     tp: int
     fp: int
     tn: int
@@ -84,6 +86,8 @@ class ConfusionCounts:
 
 @dataclass(frozen=True)
 class MetricVector:
+    """The twenty performance metrics of one prediction, in ``METRIC_NAMES`` order."""
+
     recall: float
     precision: float
     fpr: float

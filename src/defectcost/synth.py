@@ -23,6 +23,9 @@ from .dataset import Defect, Release
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Shape of a synthetic corpus: projects, releases, artifact and defect counts, size
+    distribution, feature signal, defect footprints and the release and fix calendar."""
+
     n_projects: int = 10
     releases_per_project: int = 5
     artifacts_range: tuple[int, int] = (150, 250)

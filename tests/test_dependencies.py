@@ -97,3 +97,29 @@ def test_serial_runs_do_not_import_the_process_pool(modules_after_runs):
     """The process pool (15-20 ms to import) serves only ``--jobs`` above 1,
     and ``statistics`` only the report's Q-Q points."""
     assert {"concurrent.futures.process", "multiprocessing", "statistics"} & modules_after_runs == set()
+
+
+def test_experiment_runs_do_not_import_analysis(modules_after_runs, modules_after_reports):
+    """``analysis`` (10-13 ms to import) serves only ``analyze`` and ``sensitivity``."""
+    assert "defectcost.analysis" not in modules_after_runs
+    assert "defectcost.analysis" in modules_after_reports
+
+
+def is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_every_dataclass_has_its_own_docstring():
+    """``dataclass`` gives a class without a docstring one built from
+    ``inspect.signature`` at import, which every process pays for."""
+    classes, missing = 0, []
+    for path in sorted(Path(defectcost.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list)):
+                classes += 1
+                if ast.get_docstring(node) is None:
+                    missing.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert classes > 30
+    assert missing == []
