@@ -429,6 +429,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    for stream in (sys.stdout, sys.stderr):  # text the locale's encoding cannot hold is escaped, not fatal
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(sys.argv[1:] if argv is None else argv)

@@ -56,6 +56,29 @@ print("done")
 """
 
 
+NON_ASCII_OUTPUT = """
+import json
+import sys
+from dataclasses import replace
+
+from defectcost.cli import main
+from defectcost.dataset import write_release
+from defectcost.synth import SynthSpec, generate_synthetic
+
+out = sys.argv[1]
+base = generate_synthetic(SynthSpec(n_projects=1, releases_per_project=1, artifacts_range=(60, 60)), 2)[0]
+write_release(replace(base, project="prøjekt"), out + "/corpus/p/r1")
+assert main(["validate", "--data", out + "/corpus", "--min-instances", "10", "--min-defects", "2"]) == 0
+meta = out + "/corpus/p/r1/meta.json"
+with open(meta, encoding="utf-8") as fh:
+    values = json.load(fh)
+with open(meta, "w", encoding="utf-8") as fh:
+    json.dump({**values, "release": ["ø"]}, fh, ensure_ascii=False)
+assert main(["validate", "--data", out + "/corpus"]) == 2
+print("done")
+"""
+
+
 def run_child(script: Path, out: Path, *options: str, env=None) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
     return subprocess.run([sys.executable, *options, str(script), str(out)], env=env, capture_output=True,
@@ -78,3 +101,13 @@ def test_commands_open_no_file_with_the_default_encoding(tmp_path):
     run = run_child(write_script(tmp_path, EVERY_COMMAND), tmp_path,
                     "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
     assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, ["done"]), run.stderr
+
+
+def test_command_output_survives_the_c_locale(tmp_path):
+    """Text the locale's encoding cannot hold reaches stdout and stderr as
+    backslash escapes instead of ending the command."""
+    run = run_child(write_script(tmp_path, NON_ASCII_OUTPUT), tmp_path,
+                    env={"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"})
+    assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, ["done"]), run.stderr
+    assert "pr\\xf8jekt/r0: artifacts=60 " in run.stdout
+    assert "meta field 'release' must be a string, got ['\\xf8']" in run.stderr
