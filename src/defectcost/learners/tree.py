@@ -284,12 +284,14 @@ def _grow_group(X, XT, y, presort, bags, rngs, task, n_classes, min_split, min_l
             impurity = gini(value, w)
         ends = stops(w, impurity if classify else None, len(levels))
 
-        # partition the rows of every split: the ids among the first n_left of feature f's row go
-        # left, in every row, each side in its order. Where both children stop, no later step
-        # reads their rows, bar the bag order of regression's node statistics.
+        # partition the rows of every split: the ids among the first n_left of feature f's row,
+        # which is in place, go left in every other row, each side in its order. Where both
+        # children stop, no later step reads their rows, bar the bag order of regression's node
+        # statistics.
         both = ends[0::2] & ends[1::2]
-        count = np.where(both, 0 if classify else 1, rows)
+        count = np.where(both, 0 if classify else 1, rows - 1)
         row = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        row += row >= np.repeat(f, count)
         row[np.repeat(both, count)] = k
         part = np.repeat(np.arange(len(split)), count)
         part_len, part_left = m_split[part], n_left[part]
