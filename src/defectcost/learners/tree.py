@@ -98,7 +98,7 @@ def _classify_cuts(xs, sums, lengths, counts, min_leaf):
     nr = node - nl
     cr = np.repeat(counts[:, :-1].T, lengths, axis=1)
     cr -= cl
-    cl_last, cr_last = nl - cl[0] if len(cl) else nl.copy(), nr - cr[0] if len(cr) else nr.copy()
+    cl_last, cr_last = nl - cl[0], nr - cr[0]  # two classes at least: a node of one is pure
     for c in range(1, len(cl)):
         cl_last -= cl[c]
         cr_last -= cr[c]
@@ -129,8 +129,7 @@ def _gini(counts, last, n, out):
     last *= last
     for row in shares[1:]:
         shares[0] += row
-    if len(shares):  # a + b is b + a bit for bit
-        last += shares[0]
+    last += shares[0]  # a + b is b + a bit for bit
     return np.subtract(1.0, last, out=last)
 
 
@@ -189,7 +188,7 @@ def _held_ids(presort, held):
 
 def _grow_group(X, XT, y, presort, bags, rngs, task, n_classes, min_split, min_leaf, depth_limit, max_features):
     (n, k), (n_trees, b) = X.shape, bags.shape
-    classify = task == "classify"  # id t * n + i: row i of tree t
+    classify = task == "classify"
     if classify:  # row f: the ids of the bag's distinct rows by feature f; id j weighs weight[j]
         weight = np.bincount((bags + np.arange(n_trees)[:, None] * n).ravel(), minlength=n_trees * n)
         held = (weight > 0).reshape(n_trees, n)
@@ -206,7 +205,8 @@ def _grow_group(X, XT, y, presort, bags, rngs, task, n_classes, min_split, min_l
             order[t, :k] = bag[np.argsort(X[bag], axis=0, kind="stable").T] + t * n
             order[t, k] = bag + t * n
         order, width, rows, y = order.ravel(), np.full(n_trees, b), k + 1, np.tile(y, n_trees)
-    # ``order`` holds each tree's rows back to back, each ``width[t]`` ids long; a node of tree t owns
+    # ``order`` holds each tree's rows back to back, each ``width[t]`` ids long, where id t * n + i is
+    # row i of tree t (its weights and goes_left's marks are at the id); a node of tree t owns
     # the m ids from start + f * width[t] of each row f and weighs w. The frontier holds the open nodes
     # of one depth, tree by tree and left to right; the j-th split's children are entries 2j, 2j + 1.
     tree, start = np.arange(n_trees), np.cumsum(rows * width) - rows * width
@@ -264,7 +264,8 @@ def _grow_group(X, XT, y, presort, bags, rngs, task, n_classes, min_split, min_l
         keep = gain > _MIN_DECREASE
         split, pick, gain = split[keep], pick[keep], gain[keep]
         f, at = seg_feature[pick], seg_base[pick] + cut[pick]
-        lo, hi = XT[(f - tree[split]) * n + order[at]], XT[(f - tree[split]) * n + order[at + 1]]
+        column = (f - tree[split]) * n  # XT[column + id] is feature f of the id's row
+        lo, hi = XT[column + order[at]], XT[column + order[at + 1]]
         thr = (lo + hi) / 2.0
         thr = np.where(thr >= hi, lo, thr)  # adjacent floats: keep the partition exactly at the sorted prefix
         feature[split], threshold[split], decrease[split] = f, thr, w[split] * gain
