@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import compress
 
 import numpy as np
 
@@ -72,17 +73,19 @@ class CostBounds:
 def defect_outcome(view: ReleaseView, pred: Prediction) -> DefectOutcome:
     """Partition the view's defects into predicted and missed sets."""
     hit = view.per_defect(np.minimum, pred.scores_for(view) > pred.threshold)
-    predicted = frozenset(d.id for d, h in zip(view.defects, hit) if h)
-    missed = frozenset(d.id for d in view.defects) - predicted
+    ids = [view.release.defects[j].id for j in view.defect_rows[2].tolist()]
+    predicted = frozenset(compress(ids, hit.tolist()))
+    missed = frozenset(ids) - predicted
     return DefectOutcome(predicted=predicted, missed=missed)
 
 
 def cost_bounds(view: ReleaseView, pred: Prediction) -> CostBounds:
     """lower = predicted size / |predicted defects|; upper = remaining size / |missed|."""
     labels = pred.scores_for(view) > pred.threshold
-    n_predicted = int(np.count_nonzero(view.per_defect(np.minimum, labels)))
+    hit = view.per_defect(np.minimum, labels)
+    n_predicted = int(np.count_nonzero(hit))
     lower = safe_div(float(view.sizes[labels].sum()), n_predicted)
-    upper = safe_div(float(view.sizes[~labels].sum()), len(view.defects) - n_predicted)
+    upper = safe_div(float(view.sizes[~labels].sum()), hit.size - n_predicted)
     return CostBounds(lower=lower, upper=upper, diff=ext_sub(upper, lower))
 
 

@@ -2,9 +2,9 @@
 
 A release holds its software artifacts (files) as array rows: ids, int64
 sizes and a float64 ``(n, k)`` matrix of static metrics, parsed straight from
-``metrics.csv``. Its defect map relates defects and artifacts n-to-m; an
-artifact's defectiveness is derived from it, never stored, so the two can not
-drift apart.
+``metrics.csv``. Its defect map relates defects and artifacts n-to-m, and an
+artifact's defectiveness is derived from it, never stored. Splits and views
+name artifacts by row; ids serve loading, writing and predictions only.
 
 On-disk format of one release (three files in one directory):
   metrics.csv  header ``artifact_id,size,<feature_1>,...,<feature_k>``
@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -103,23 +102,21 @@ class Release:
         self.sizes.flags.writeable = self.X.flags.writeable = False
 
     @cached_property
-    def _arrays(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
-        """id -> row map, each defect's fix instant (``_NEVER`` without a
-        timestamp), and the defect map as rows with their defect's fix instant
-        beside them; built once, since only labels vary by view."""
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The defect map as rows, built once since only labels vary by view:
+        each defect's fix instant (``_NEVER`` without a timestamp), then its
+        artifacts' rows defect after defect, each beside its defect's index."""
         row_of = {aid: i for i, aid in enumerate(self.artifact_ids)}
         fixed = np.array([_NEVER if d.fixed_at is None else _instant(d.fixed_at) for d in self.defects],
                          dtype=np.int64)
         rows = np.array([row_of[a] for d in self.defects for a in d.artifacts], dtype=np.int64)
-        row_fixed = np.repeat(fixed, [len(d.artifacts) for d in self.defects])
-        return row_of, fixed, rows, row_fixed
+        return fixed, rows, np.repeat(np.arange(len(fixed)), [len(d.artifacts) for d in self.defects])
 
     @cached_property
-    def defective_ids(self) -> frozenset[str]:
-        out: set[str] = set()
-        for d in self.defects:
-            out.update(d.artifacts)
-        return frozenset(out)
+    def id_rank(self) -> np.ndarray:
+        """Each artifact's position in Python's string order of the ids, the
+        ranking's tie-break; numpy's fixed-width strings drop trailing NULs."""
+        return np.argsort(sorted(range(self.n_artifacts), key=self.artifact_ids.__getitem__))
 
     @property
     def n_artifacts(self) -> int:
@@ -127,7 +124,7 @@ class Release:
 
     @property
     def n_defective(self) -> int:
-        return len(self.defective_ids)
+        return len(np.unique(self._arrays[1]))
 
     @property
     def defect_ratio(self) -> float:
@@ -136,73 +133,76 @@ class Release:
     def key(self) -> str:
         return f"{self.project}/{self.release_id}"
 
-    def view(self, ids: Sequence[str] | None = None, as_of: datetime | None = None) -> "ReleaseView":
-        """Evaluation/training view over a subset (or multiset) of artifacts.
+    def view(self, rows: Sequence[int] | None = None, as_of: datetime | None = None) -> "ReleaseView":
+        """Evaluation/training view over a subset (or multiset) of artifact rows.
 
-        ``ids`` may contain duplicates (in-bag bootstrap rows). ``as_of``
-        restricts the defect map to defects fixed strictly before that time;
-        defects without a fix timestamp are dropped, since their availability
-        at that date can not be verified. Without ``ids`` the view's ``sizes``
-        and ``X`` are the release's read-only arrays themselves.
-        """
-        row_of, fixed, rows, row_fixed = self._arrays
-        sizes, X = self.sizes, self.X
-        y = np.zeros(len(sizes), dtype=np.int64)
-        if as_of is None:
-            y[rows] = 1
-            defects = self.defects
-        else:
-            before = _instant(as_of)
-            y[rows[row_fixed < before]] = 1
-            defects = tuple(compress(self.defects, (fixed < before).tolist()))
-        if ids is None:
-            return ReleaseView(self.key(), self.artifact_ids, sizes, X, y, defects)
-        picked = np.array([row_of[i] for i in ids], dtype=np.int64)
-        distinct = set(ids)
-        feet = ((d, frozenset(a for a in d.artifacts if a in distinct)) for d in defects)
-        return ReleaseView(
-            self.key(), tuple(ids), sizes[picked], X[picked], y[picked],
-            tuple(Defect(d.id, foot, d.fixed_at) for d, foot in feet if foot),
-        )
+        ``rows`` may repeat (in-bag bootstrap rows); a row outside ``[0, n)``
+        raises IndexError. ``as_of`` keeps only the defects fixed strictly
+        before that time; defects without a fix timestamp are dropped, since
+        their availability at that date can not be verified. Without ``rows``
+        the view's ``sizes`` and ``X`` are the release's read-only arrays."""
+        fixed, entries, entry_defect = self._arrays
+        n = self.n_artifacts
+        kept = np.ones(len(fixed), dtype=bool) if as_of is None else fixed < _instant(as_of)
+        y = np.zeros(n, dtype=np.int64)
+        y[entries[kept[entry_defect]]] = 1
+        if rows is None:
+            return ReleaseView(self, np.arange(n), self.sizes, self.X, y, kept)
+        picked = np.array(rows, dtype=np.int64)  # a copy: the view must not change with its caller's array
+        if picked.ndim != 1 or (picked.size and not 0 <= picked.min() <= picked.max() < n):
+            raise IndexError(f"rows must be a sequence of rows in [0, {n}) of {self.key()}")
+        return ReleaseView(self, picked, self.sizes[picked], self.X[picked], y[picked], kept)
 
 
 @dataclass(frozen=True, eq=False)
 class ReleaseView:
-    """Immutable row-oriented view used by metrics, cost model and learners."""
+    """Rows ``rows`` of ``release`` with their sizes, features and labels, as metrics, cost model and
+    learners read them; its labels and defect map hold the release's defects marked in ``kept``."""
 
-    release_key: str
-    ids: tuple[str, ...]
+    release: Release
+    rows: np.ndarray
     sizes: np.ndarray
     X: np.ndarray
     y: np.ndarray
-    defects: tuple[Defect, ...]
+    kept: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return len(self.rows)
 
     @cached_property
-    def defect_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The n-to-m defect map as CSR row indices ``(indptr, rows)`` in the
-        order of ``defects``: defect j touches ``rows[indptr[j]:indptr[j + 1]]``."""
-        row_of = {aid: i for i, aid in enumerate(self.ids)}
-        rows = np.array([row_of[a] for d in self.defects for a in d.artifacts], dtype=np.int64)
-        return np.cumsum([0] + [len(d.artifacts) for d in self.defects]), rows
+    def ids(self) -> tuple[str, ...]:
+        return tuple(map(self.release.artifact_ids.__getitem__, self.rows.tolist()))
+
+    @cached_property
+    def defect_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The n-to-m defect map in view rows as CSR ``(indptr, rows, index)``:
+        the view's defect j is the release's defect ``index[j]`` and touches
+        ``rows[indptr[j]:indptr[j + 1]]``. A kept defect with no row in the
+        view is left out; a repeated row is taken at its last occurrence."""
+        fixed, entries, entry_defect = self.release._arrays
+        at = np.full(self.release.n_artifacts, -1, dtype=np.int64)
+        np.maximum.at(at, self.rows, np.arange(self.n))
+        at = at[entries]
+        present = (at >= 0) & self.kept[entry_defect]
+        counts = np.bincount(entry_defect[present], minlength=len(fixed))
+        index = np.flatnonzero(counts)
+        return np.append(0, np.cumsum(counts[index])), at[present], index
 
     def per_defect(self, reduce: np.ufunc, values: np.ndarray) -> np.ndarray:
         """``reduce`` (e.g. np.minimum) of ``values`` over each defect's rows."""
-        indptr, rows = self.defect_rows
-        if not self.defects:  # reduceat rejects empty input
+        indptr, rows, _ = self.defect_rows
+        if len(indptr) == 1:  # reduceat rejects empty input
             return values[:0]
         return reduce.reduceat(values[rows], indptr[:-1])
 
 
 @dataclass(frozen=True)
 class SplitSample:
-    """One bootstrap draw: in-bag multiset and the out-of-bag set."""
+    """One bootstrap draw as int64 release rows: the in-bag draw and the sorted out-of-bag rows."""
 
-    train: tuple[str, ...]
-    test: tuple[str, ...]
+    train: np.ndarray
+    test: np.ndarray
     seed: int
 
 
@@ -459,7 +459,7 @@ def count_defects(view: ReleaseView, mode: str = "defective_files") -> int:
     if mode == "defective_files":
         return int(np.count_nonzero(view.y))
     if mode == "defects":
-        return len(view.defects)
+        return len(view.defect_rows[2])
     raise ValueError(f"unknown defect counting mode {mode!r}")
 
 
@@ -492,17 +492,12 @@ def bootstrap_split(release: Release, seed: int, max_redraws: int = 1000) -> Spl
     """
     rng = np.random.default_rng(seed)
     n = release.n_artifacts
-    ids = release.artifact_ids
-    defective = release.defective_ids
+    y = np.bincount(release._arrays[1], minlength=n) > 0
     for _ in range(max_redraws):
         draw = rng.integers(0, n, size=n)
-        train = tuple(ids[i] for i in draw)
-        in_bag = set(train)
-        test = tuple(i for i in ids if i not in in_bag)
-        train_defective = sum(1 for i in train if i in defective)
-        test_defective = sum(1 for i in test if i in defective)
-        if train_defective >= 2 and test_defective >= 1:
-            return SplitSample(train=train, test=test, seed=seed)
+        test = np.flatnonzero(np.bincount(draw, minlength=n) == 0)
+        if y[draw].sum() >= 2 and y[test].sum() >= 1:
+            return SplitSample(train=draw, test=test, seed=seed)
     raise SplitError(
         f"no valid bootstrap sample for {release.key()} after {max_redraws} redraws "
         f"(needs >=2 defective in-bag instances and >=1 defective out-of-bag artifact)"

@@ -38,7 +38,7 @@ class Prediction:
         expected, given = set(view.ids), set(self.scores)
         if given != expected:
             raise CoverageError(
-                f"prediction does not cover the evaluation set of {view.release_key} "
+                f"prediction does not cover the evaluation set of {view.release.key()} "
                 f"(missing={sorted(expected - given)[:5]}, extra={sorted(given - expected)[:5]})"
             )
         return np.array([self.scores[a] for a in view.ids], dtype=np.float64)
@@ -66,7 +66,7 @@ class ViewScores:
 
     def scores_for(self, view: ReleaseView) -> np.ndarray:
         if view is not self.view:
-            raise CoverageError(f"scores were checked against another view than {view.release_key}")
+            raise CoverageError(f"scores were checked against another view than {view.release.key()}")
         return self.scores
 
 
@@ -191,8 +191,9 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _inspection_order(view: ReleaseView, scores: np.ndarray) -> np.ndarray:
-    """Row indices by descending score, then descending size, then id."""
-    return np.lexsort((np.array(view.ids), -view.sizes, -scores))
+    """Row indices by descending score, then descending size, then ascending
+    id, by the release's rank of the ids."""
+    return np.lexsort((view.release.id_rank[view.rows], -view.sizes, -scores))
 
 
 def auc_alberg(view: ReleaseView, pred: Prediction) -> float:

@@ -30,6 +30,34 @@ def truth_by_id(view) -> dict[str, int]:
     return {i: int(t) for i, t in zip(view.ids, view.y)}
 
 
+def defective_ids(release) -> frozenset[str]:
+    """The artifacts any defect of ``release`` touches."""
+    return frozenset().union(*(d.artifacts for d in release.defects))
+
+
+def ref_view_defects(view) -> list[Defect]:
+    """The defects of a view taken without ``as_of``, from its release's
+    Defects: each one that touches the view, narrowed to the ids it touches
+    there."""
+    present = set(view.ids)
+    return [Defect(d.id, d.artifacts & present, d.fixed_at) for d in view.release.defects if d.artifacts & present]
+
+
+def view_defects(view) -> list[Defect]:
+    """The defects of a view as its CSR holds them, each narrowed to the ids it
+    touches in the view."""
+    indptr, rows, index = view.defect_rows
+    defects = view.release.defects
+    return [Defect(defects[j].id, frozenset(view.ids[r] for r in rows[lo:hi]), defects[j].fixed_at)
+            for j, lo, hi in zip(index.tolist(), indptr[:-1].tolist(), indptr[1:].tolist())]
+
+
+def rows_of(release, ids) -> list[int]:
+    """The release rows of ``ids``, in order."""
+    row_of = {aid: i for i, aid in enumerate(release.artifact_ids)}
+    return [row_of[aid] for aid in ids]
+
+
 def ranking_order(view, pred) -> list[str]:
     """The package's inspection order as ids: descending score, then descending size, then id."""
     return [view.ids[i] for i in _inspection_order(view, pred.scores_for(view))]

@@ -44,7 +44,7 @@ from defectcost.learners.logit import one_hot
 from defectcost.metrics import ConfusionCounts, Prediction, auc, confusion_metrics
 from defectcost.synth import SynthSpec, generate_synthetic
 
-from conftest import fit_penalized_softmax, size_by_id, softmax_nll_grad
+from conftest import fit_penalized_softmax, ref_view_defects, size_by_id, softmax_nll_grad, view_defects
 
 NAN = math.nan
 INF = math.inf
@@ -125,8 +125,8 @@ def test_c02_cost_bound_oracle(t1_view):
         sizes = size_by_id(t1_view)
         predicted_size = sum(sizes[a] for a in t1_view.ids if a in positives)
         clean_size = sum(sizes[a] for a in t1_view.ids if a not in positives)
-        d_pred = sum(1 for d in t1_view.defects if set(d.artifacts) <= positives)
-        d_miss = len(t1_view.defects) - d_pred
+        d_pred = sum(1 for d in ref_view_defects(t1_view) if set(d.artifacts) <= positives)
+        d_miss = len(ref_view_defects(t1_view)) - d_pred
 
         def div(num, den):
             return (NAN if num == 0 else INF) if den == 0 else num / den
@@ -412,7 +412,7 @@ def test_c09_temporal_leakage_guard():
             assert rel.project != target.project
             assert rel.released_at < target.released_at
             assert (target.released_at - rel.released_at).days >= CROSS_PROJECT_GAP_DAYS
-            for d in view.defects:
+            for d in view_defects(view):
                 assert d.fixed_at is not None and d.fixed_at < target.released_at
     assert checked > 0
 

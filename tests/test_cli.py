@@ -6,6 +6,8 @@ import pytest
 from defectcost.cli import main
 from defectcost.dataset import load_corpus
 
+from conftest import defective_ids
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -39,7 +41,7 @@ def test_metrics_subcommand(corpus_dir, tmp_path, capsys):
         writer = csv.writer(fh)
         writer.writerow(["artifact_id", "score"])
         for aid in release.artifact_ids:
-            writer.writerow([aid, 0.9 if aid in release.defective_ids else 0.1])
+            writer.writerow([aid, 0.9 if aid in defective_ids(release) else 0.1])
     out = tmp_path / "out"
     rc = main(["metrics", "--release", str(release_dir), "--pred", str(pred_path), "-o", str(out)])
     assert rc == 0

@@ -13,7 +13,7 @@ from defectcost.costmodel import (
 from defectcost.extmath import ext_sub, safe_div
 from defectcost.metrics import Prediction
 
-from conftest import assert_close, is_undefined, make_release, size_by_id
+from conftest import assert_close, is_undefined, make_release, ref_view_defects, size_by_id
 
 INF = math.inf
 NAN = math.nan
@@ -28,8 +28,8 @@ def enumeration_oracle(view, positives):
     ids, sizes = list(view.ids), size_by_id(view)
     predicted_size = sum(sizes[a] for a in ids if a in positives)
     clean_size = sum(sizes[a] for a in ids if a not in positives)
-    d_pred = [d for d in view.defects if set(d.artifacts) <= set(positives)]
-    d_miss = [d for d in view.defects if d not in d_pred]
+    d_pred = [d for d in ref_view_defects(view) if set(d.artifacts) <= set(positives)]
+    d_miss = [d for d in ref_view_defects(view) if d not in d_pred]
 
     def div(num, den):
         if den == 0:
@@ -104,7 +104,7 @@ def test_enumeration_oracle_all_64(t1_view):
 
 
 def test_partition_property(t1_view):
-    all_ids = {d.id for d in t1_view.defects}
+    all_ids = {d.id for d in ref_view_defects(t1_view)}
     for bits in itertools.product((0, 1), repeat=6):
         positives = {a for a, b in zip(t1_view.ids, bits) if b}
         outcome = defect_outcome(t1_view, predict(t1_view, positives))

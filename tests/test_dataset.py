@@ -16,7 +16,7 @@ from defectcost.dataset import (
     write_release,
 )
 
-from conftest import make_release, release_fields
+from conftest import defective_ids, make_release, release_fields, rows_of, view_defects
 
 
 def write_toy_release(tmp_path, *, defect_artifacts=("a1",), size_a2=50):
@@ -44,7 +44,7 @@ def test_load_toy_release(tmp_path):
     release = load_release_dir(write_toy_release(tmp_path))
     assert release.n_artifacts == 6
     assert len(release.defects) == 2
-    assert release.defective_ids == {"a1", "a3", "a5"}
+    assert defective_ids(release) == {"a1", "a3", "a5"}
     assert release.project == "toy"
 
 
@@ -108,7 +108,7 @@ def test_pickled_release_keeps_arrays_read_only(t1_release):
 
 
 def test_defective_clean_partition(t1_release):
-    defective = t1_release.defective_ids
+    defective = defective_ids(t1_release)
     clean = set(t1_release.artifact_ids) - defective
     assert len(defective) + len(clean) == t1_release.n_artifacts
     assert defective | clean == set(t1_release.artifact_ids)
@@ -144,17 +144,18 @@ def test_filter_counting_modes():
 def test_bootstrap_split_deterministic(t1_release):
     a = bootstrap_split(t1_release, seed=1)
     b = bootstrap_split(t1_release, seed=1)
-    assert a == b
+    assert (a.train.tolist(), a.test.tolist(), a.seed) == (b.train.tolist(), b.test.tolist(), b.seed)
     assert len(a.train) == t1_release.n_artifacts
-    assert set(a.test) == set(t1_release.artifact_ids) - set(a.train)
+    assert set(a.test.tolist()) == set(range(t1_release.n_artifacts)) - set(a.train.tolist())
 
 
 def test_bootstrap_constraints(t1_release):
-    defective = t1_release.defective_ids
+    defective = defective_ids(t1_release)
+    ids = t1_release.artifact_ids
     for seed in range(50):
         split = bootstrap_split(t1_release, seed=seed)
-        assert sum(1 for a in split.train if a in defective) >= 2
-        assert sum(1 for a in split.test if a in defective) >= 1
+        assert sum(1 for r in split.train if ids[r] in defective) >= 2
+        assert sum(1 for r in split.test if ids[r] in defective) >= 1
 
 
 def test_oob_fraction():
@@ -171,7 +172,7 @@ def test_redraw_exhaustion_single_defective():
     # instances in-bag while keeping a defective artifact out of bag
     release = _release_with(3, 1)
     ids = release.artifact_ids
-    defective = release.defective_ids
+    defective = defective_ids(release)
     for draw in itertools.product(range(3), repeat=3):
         train = [ids[i] for i in draw]
         test = [i for i in ids if i not in set(train)]
@@ -185,18 +186,24 @@ def test_redraw_exhaustion_single_defective():
 
 
 def test_view_multiset_and_defect_restriction(t1_release):
-    view = t1_release.view(("a1", "a1", "a3"))
+    view = t1_release.view(rows_of(t1_release, ("a1", "a1", "a3")))
     assert view.n == 3
     assert list(view.sizes) == [100, 100, 200]
     # d2 loses a5 (outside the view) but keeps a3
-    foots = {d.id: set(d.artifacts) for d in view.defects}
+    foots = {d.id: set(d.artifacts) for d in view_defects(view)}
     assert foots == {"d1": {"a1"}, "d2": {"a3"}}
+
+
+@pytest.mark.parametrize("rows", [[-1], [0, 6], [6]])
+def test_view_rejects_rows_outside_the_release(t1_release, rows):
+    with pytest.raises(IndexError, match=r"rows must be .* in \[0, 6\) of demo/r1"):
+        t1_release.view(rows)
 
 
 def test_view_as_of_drops_unfixed_and_future(tmp_path):
     release = load_release_dir(write_toy_release(tmp_path))
     # d1 fixed 2020-03-01, d2 has no fix timestamp
     early = release.view(as_of=datetime(2020, 2, 1, tzinfo=timezone.utc))
-    assert [d.id for d in early.defects] == []
+    assert [d.id for d in view_defects(early)] == []
     late = release.view(as_of=datetime(2020, 4, 1, tzinfo=timezone.utc))
-    assert [d.id for d in late.defects] == ["d1"]
+    assert [d.id for d in view_defects(late)] == ["d1"]

@@ -23,7 +23,7 @@ from defectcost.experiments import (
 from defectcost.learners import ForestParams
 from defectcost.synth import SynthSpec, generate_synthetic
 
-from conftest import T1_SCORES, make_release
+from conftest import T1_SCORES, make_release, view_defects
 
 
 def dt(text):
@@ -220,7 +220,7 @@ def test_cross_project_exhaustive_temporal_guard():
             gap = (target.released_at - release.released_at).days
             assert gap >= CROSS_PROJECT_GAP_DAYS
             assert release.released_at < target.released_at
-            for d in view.defects:
+            for d in view_defects(view):
                 assert d.fixed_at is not None
                 assert d.fixed_at < target.released_at
 

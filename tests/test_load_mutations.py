@@ -10,6 +10,8 @@ import pytest
 from defectcost.dataset import DataError, load_release_dir, write_release
 from defectcost.synth import SynthSpec, generate_synthetic
 
+from conftest import defective_ids
+
 FILES = ("metrics.csv", "defects.json", "meta.json")
 
 
@@ -58,7 +60,7 @@ def test_faults_between_files_name_the_edited_file(fixture_release, tmp_path):
     an id given to a second row, and a defect id given to a second defect."""
     release = load_release_dir(fixture_release)
     needed = min(release.defects[0].artifacts)
-    other = next(aid for aid in release.artifact_ids if aid not in release.defective_ids)
+    other = next(aid for aid in release.artifact_ids if aid not in defective_ids(release))
     first, second = (d.id for d in release.defects[:2])
     edits = [
         ("metrics.csv", f"\n{needed},", "\nrenamed,", "unknown artifact id"),

@@ -5,7 +5,7 @@ from defectcost.learners import train_gaussian_nb
 from defectcost.metrics import auc
 from defectcost.synth import SynthSpec, generate_synthetic
 
-from conftest import release_fields
+from conftest import defective_ids, release_fields
 
 
 def test_generator_contract():
@@ -17,7 +17,7 @@ def test_generator_contract():
         assert 180 <= r.n_artifacts <= 220
         assert r.n_defective >= 1
         # construction validates invariants; spot-check the derived partition
-        assert r.defective_ids <= set(r.artifact_ids)
+        assert defective_ids(r) <= set(r.artifact_ids)
         for d in r.defects:
             assert 1 <= len(d.artifacts) <= 3
             assert d.fixed_at is not None and d.fixed_at > r.released_at

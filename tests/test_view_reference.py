@@ -1,17 +1,21 @@
 """Release.view against a plain per-artifact reference over a seeded sweep of
-random releases, multiset and partial id lists and every kind of ``as_of``."""
+random releases, multiset and partial row lists and every kind of ``as_of``."""
 
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from defectcost.dataset import Defect, Release, ReleaseView
+from defectcost.dataset import Defect, Release
+
+from conftest import rows_of, view_defects
 
 
 def reference_view(release, ids=None, as_of=None):
-    """Release.view as it was before it gathered from cached arrays."""
+    """Release.view as it was before it gathered from cached arrays: its
+    ids, arrays and defects, and each defect's rows at the last occurrence
+    of each of its ids."""
     by_id = dict(zip(release.artifact_ids, zip(release.sizes.tolist(), map(tuple, release.X.tolist()))))
     if ids is None:
         ids = release.artifact_ids
@@ -27,13 +31,14 @@ def reference_view(release, ids=None, as_of=None):
     defective = set()
     for d in defects:
         defective.update(d.artifacts)
-    return ReleaseView(
-        release_key=release.key(),
+    row_of = {aid: i for i, aid in enumerate(ids)}
+    return SimpleNamespace(
         ids=tuple(ids),
         sizes=np.array([size for size, _ in rows], dtype=np.int64),
         X=np.array([features for _, features in rows], dtype=np.float64),
         y=np.array([1 if i in defective else 0 for i in ids], dtype=np.int64),
         defects=tuple(defects),
+        defect_rows=[sorted(row_of[a] for a in d.artifacts) for d in defects],
     )
 
 
@@ -76,20 +81,21 @@ def assert_same_array(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_same_view(got, want):
-    assert got.release_key == want.release_key
+def assert_same_view(got, release, want):
+    assert got.release is release
     assert got.ids == want.ids
     for name in ("sizes", "X", "y"):
         assert_same_array(getattr(got, name), getattr(want, name))
-    assert [(d.id, d.artifacts, d.fixed_at) for d in got.defects] == [
+    assert [(d.id, d.artifacts, d.fixed_at) for d in view_defects(got)] == [
         (d.id, d.artifacts, d.fixed_at) for d in want.defects
     ]
     # Rows within one defect follow its frozenset's iteration order, which
     # varies with the string hash seed; every reduction over them is min/max.
-    (got_ptr, got_rows), (want_ptr, want_rows) = got.defect_rows, want.defect_rows
+    got_ptr, got_rows, _ = got.defect_rows
+    want_ptr = np.cumsum([0] + [len(rows) for rows in want.defect_rows])
     assert_same_array(np.asarray(got_ptr, dtype=np.int64), np.asarray(want_ptr, dtype=np.int64))
-    for lo, hi in zip(want_ptr[:-1], want_ptr[1:]):
-        assert_same_array(np.sort(got_rows[lo:hi]), np.sort(want_rows[lo:hi]))
+    for lo, hi, want_rows in zip(want_ptr[:-1], want_ptr[1:], want.defect_rows):
+        assert_same_array(np.sort(got_rows[lo:hi]), np.array(want_rows, dtype=np.int64))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -101,15 +107,16 @@ def test_view_matches_reference(seed):
             for as_of in as_of_cases(release, rng):
                 want = reference_view(release, ids, as_of)
                 if not want.ids:  # the one intended change: (0, k) where the reference gave (0,)
-                    want = replace(want, X=want.X.reshape(0, release.X.shape[1]))
-                assert_same_view(release.view(ids, as_of=as_of), want)
+                    want.X = want.X.reshape(0, release.X.shape[1])
+                rows = None if ids is None else rows_of(release, ids)
+                assert_same_view(release.view(rows, as_of=as_of), release, want)
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_empty_view_keeps_feature_width(k):
     release = Release("p", "r", T0, ("a",), [1], [(0.5,) * k], (Defect("d", frozenset({"a"}), T0),))
     view = release.view(())
-    assert (view.X.shape, view.sizes.shape, view.y.shape, view.defects) == ((0, k), (0,), (0,), ())
+    assert (view.X.shape, view.sizes.shape, view.y.shape, view_defects(view)) == ((0, k), (0,), (0,), [])
 
 
 def test_views_share_the_release_arrays_read_only():
