@@ -79,7 +79,10 @@ class Defect:
 @dataclass(frozen=True, eq=False)
 class Release:
     """Artifact ``i`` is ``artifact_ids[i]``, of size ``sizes[i]`` (int64) with
-    static metrics ``X[i]`` (float64); both arrays are read-only copies."""
+    static metrics ``X[i]`` (float64); both arrays are read-only copies. Construction
+    checks the release and, in one pass over ``defects``, builds the defect map its views
+    share: each defect's fix instant (``_NEVER`` without a timestamp), then its artifacts'
+    rows defect after defect, each beside its defect's index."""
 
     project: str
     release_id: str
@@ -94,23 +97,33 @@ class Release:
             values = np.array(getattr(self, name), dtype=dtype)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        validate_release(self)
+        ids, sizes, X = self.artifact_ids, self.sizes, self.X
+        if sizes.shape != (len(ids),) or X.ndim != 2 or len(X) != len(ids):
+            raise DataError(f"sizes {sizes.shape} and X {X.shape} do not fit {len(ids)} artifact ids in {self.key()}")
+        row_of = {aid: i for i, aid in enumerate(ids)}
+        if len(row_of) != len(ids):
+            raise DataError(f"duplicate artifact id {ids[_first_repeat(ids)]!r} in {self.key()}")
+        if (negative := np.flatnonzero(sizes < 0)).size:
+            raise DataError(f"negative size for artifact {ids[negative[0]]!r} in {self.key()}")
+        if (i := _first_repeat([d.id for d in self.defects])) is not None:
+            raise DataError(f"duplicate defect id {self.defects[i].id!r} in {self.key()}")
+        fixed, rows, lengths = [], [], []
+        for d in self.defects:
+            if not d.artifacts:
+                raise DataError(f"defect {d.id!r} has no artifacts in {self.key()}")
+            try:
+                rows += [row_of[a] for a in d.artifacts]
+            except KeyError as exc:
+                raise DataError(f"unknown artifact id {exc.args[0]!r} in defect {d.id!r} of {self.key()}") from None
+            fixed.append(_NEVER if d.fixed_at is None else _instant(d.fixed_at))
+            lengths.append(len(d.artifacts))
+        object.__setattr__(self, "_defect_map", (np.array(fixed, dtype=np.int64), np.array(rows, dtype=np.int64),
+                                                 np.repeat(np.arange(len(fixed)), lengths)))
 
     def __setstate__(self, state):
         """Unpickling (a ``--jobs`` worker's copy) makes arrays writeable again."""
         self.__dict__.update(state)
         self.sizes.flags.writeable = self.X.flags.writeable = False
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The defect map as rows, built once since only labels vary by view:
-        each defect's fix instant (``_NEVER`` without a timestamp), then its
-        artifacts' rows defect after defect, each beside its defect's index."""
-        row_of = {aid: i for i, aid in enumerate(self.artifact_ids)}
-        fixed = np.array([_NEVER if d.fixed_at is None else _instant(d.fixed_at) for d in self.defects],
-                         dtype=np.int64)
-        rows = np.array([row_of[a] for d in self.defects for a in d.artifacts], dtype=np.int64)
-        return fixed, rows, np.repeat(np.arange(len(fixed)), [len(d.artifacts) for d in self.defects])
 
     @cached_property
     def id_rank(self) -> np.ndarray:
@@ -124,7 +137,7 @@ class Release:
 
     @property
     def n_defective(self) -> int:
-        return len(np.unique(self._arrays[1]))
+        return len(np.unique(self._defect_map[1]))
 
     @property
     def defect_ratio(self) -> float:
@@ -136,21 +149,24 @@ class Release:
     def view(self, rows: Sequence[int] | None = None, as_of: datetime | None = None) -> "ReleaseView":
         """Evaluation/training view over a subset (or multiset) of artifact rows.
 
-        ``rows`` may repeat (in-bag bootstrap rows); a row outside ``[0, n)``
-        raises IndexError. ``as_of`` keeps only the defects fixed strictly
-        before that time; defects without a fix timestamp are dropped, since
-        their availability at that date can not be verified. Without ``rows``
-        the view's ``sizes`` and ``X`` are the release's read-only arrays."""
-        fixed, entries, entry_defect = self._arrays
+        ``rows`` may repeat (in-bag bootstrap rows); rows that are not
+        integers (a boolean mask) or lie outside ``[0, n)`` raise IndexError.
+        ``as_of`` keeps only the defects fixed strictly before that time;
+        defects without a fix timestamp are dropped, since their availability
+        at that date can not be verified. Without ``rows`` the view's
+        ``sizes`` and ``X`` are the release's read-only arrays."""
+        fixed, entries, entry_defect = self._defect_map
         n = self.n_artifacts
         kept = np.ones(len(fixed), dtype=bool) if as_of is None else fixed < _instant(as_of)
         y = np.zeros(n, dtype=np.int64)
         y[entries[kept[entry_defect]]] = 1
         if rows is None:
             return ReleaseView(self, np.arange(n), self.sizes, self.X, y, kept)
-        picked = np.array(rows, dtype=np.int64)  # a copy: the view must not change with its caller's array
-        if picked.ndim != 1 or (picked.size and not 0 <= picked.min() <= picked.max() < n):
-            raise IndexError(f"rows must be a sequence of rows in [0, {n}) of {self.key()}")
+        picked = np.array(rows)  # a copy: the view must not change with its caller's array
+        if picked.ndim != 1 or (picked.size and (picked.dtype.kind not in "iu"
+                                                 or not 0 <= picked.min() <= picked.max() < n)):
+            raise IndexError(f"rows must be a sequence of integer rows in [0, {n}) of {self.key()}")
+        picked = picked.astype(np.int64, copy=False)
         return ReleaseView(self, picked, self.sizes[picked], self.X[picked], y[picked], kept)
 
 
@@ -180,7 +196,7 @@ class ReleaseView:
         the view's defect j is the release's defect ``index[j]`` and touches
         ``rows[indptr[j]:indptr[j + 1]]``. A kept defect with no row in the
         view is left out; a repeated row is taken at its last occurrence."""
-        fixed, entries, entry_defect = self.release._arrays
+        fixed, entries, entry_defect = self.release._defect_map
         at = np.full(self.release.n_artifacts, -1, dtype=np.int64)
         np.maximum.at(at, self.rows, np.arange(self.n))
         at = at[entries]
@@ -212,25 +228,6 @@ def _first_repeat(values: Sequence) -> int | None:
         return None
     seen: set = set()
     return next(i for i, v in enumerate(values) if v in seen or seen.add(v))
-
-
-def validate_release(release: Release) -> None:
-    ids, sizes, X = release.artifact_ids, release.sizes, release.X
-    if sizes.shape != (len(ids),) or X.ndim != 2 or len(X) != len(ids):
-        raise DataError(f"sizes {sizes.shape} and X {X.shape} do not fit {len(ids)} artifact ids in {release.key()}")
-    seen = set(ids)
-    if len(seen) != len(ids):
-        raise DataError(f"duplicate artifact id {ids[_first_repeat(ids)]!r} in {release.key()}")
-    if (negative := np.flatnonzero(sizes < 0)).size:
-        raise DataError(f"negative size for artifact {ids[negative[0]]!r} in {release.key()}")
-    if (i := _first_repeat([d.id for d in release.defects])) is not None:
-        raise DataError(f"duplicate defect id {release.defects[i].id!r} in {release.key()}")
-    for d in release.defects:
-        if not d.artifacts:
-            raise DataError(f"defect {d.id!r} has no artifacts in {release.key()}")
-        if not seen.issuperset(d.artifacts):
-            aid = next(a for a in d.artifacts if a not in seen)
-            raise DataError(f"unknown artifact id {aid!r} in defect {d.id!r} of {release.key()}")
 
 
 def _all_known(values: list, known: set[str]) -> bool:
@@ -476,6 +473,8 @@ def filter_releases(
     """
     if min_instances < 1 or min_defects < 1:
         raise ValueError("min_instances and min_defects must be >= 1")
+    if mode not in COUNT_MODES:
+        raise ValueError(f"unknown defect counting mode {mode!r}")
     return [
         r
         for r in releases
@@ -492,7 +491,7 @@ def bootstrap_split(release: Release, seed: int, max_redraws: int = 1000) -> Spl
     """
     rng = np.random.default_rng(seed)
     n = release.n_artifacts
-    y = np.bincount(release._arrays[1], minlength=n) > 0
+    y = np.bincount(release._defect_map[1], minlength=n) > 0
     for _ in range(max_redraws):
         draw = rng.integers(0, n, size=n)
         test = np.flatnonzero(np.bincount(draw, minlength=n) == 0)

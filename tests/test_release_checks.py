@@ -3,9 +3,10 @@
 import re
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
-from defectcost.dataset import DataError, Defect, Release
+from defectcost.dataset import DataError, Defect, Release, filter_releases
 
 
 def _release(ids=("a1", "a2", "a3"), sizes=(10, 20, 30), X=((0.0,), (1.0,), (2.0,)),
@@ -41,3 +42,21 @@ def test_release_checks_in_order():
         _release(defects=(("d1", set()), ("d2", {"zz"})))
     with pytest.raises(DataError, match="^unknown artifact id 'zz' in defect 'd1'"):
         _release(defects=(("d1", {"zz"}), ("d2", set())))
+
+
+@pytest.mark.parametrize("rows", [np.array([True, False, True]), [0.9, 1.7], np.array([0.0])])
+def test_view_rejects_rows_that_are_not_integers(rows):
+    with pytest.raises(IndexError, match=r"^rows must be a sequence of integer rows in \[0, 3\) of demo/r1$"):
+        _release().view(rows)
+
+
+@pytest.mark.parametrize("rows", [[], (), np.array([], dtype=np.uint8), np.array([2, 0], dtype=np.uint16)])
+def test_view_accepts_empty_and_unsigned_rows(rows):
+    view = _release().view(rows)
+    assert view.rows.dtype == np.int64 and view.rows.tolist() == list(rows)
+
+
+@pytest.mark.parametrize("n_releases, min_instances", [(0, 100), (1, 10**6), (1, 1)])
+def test_filter_rejects_an_unknown_mode_whatever_it_filters(n_releases, min_instances):
+    with pytest.raises(ValueError, match="^unknown defect counting mode 'bogus'$"):
+        filter_releases([_release()] * n_releases, min_instances=min_instances, mode="bogus")
