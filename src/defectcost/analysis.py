@@ -402,7 +402,7 @@ def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_
     counts, edges = np.histogram(lg, bins=bins)
     out["histogram"] = {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
     if sd > 0 and len(lg) >= 2:
-        from statistics import NormalDist  # imported here: the CLI imports this module for every command
+        from statistics import NormalDist  # imported here: `sensitivity` loads this module but never needs it
 
         dist = NormalDist(mean, sd)
         n_points = min(qq_points, len(lg))

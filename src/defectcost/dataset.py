@@ -58,8 +58,10 @@ def _instant(ts: datetime) -> int:
 
 
 def _parse_timestamp(value, path=None, line=None) -> datetime:
+    if not isinstance(value, str):
+        raise DataError(f"timestamp must be an ISO-8601 string, got {value!r}", path, line)
     try:
-        ts = datetime.fromisoformat(str(value).replace("Z", "+00:00"))
+        ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     except ValueError as exc:
         raise DataError(f"invalid ISO-8601 timestamp {value!r}", path, line) from exc
     if ts.tzinfo is None:

@@ -34,7 +34,8 @@ from .costmodel import (
     classify_potential,
     cost_bounds,
 )
-from .dataset import COUNT_MODES, DataError, Release, ReleaseView, SplitError, bootstrap_split, count_defects
+from .dataset import (COUNT_MODES, DataError, Release, ReleaseView, SplitError, _first_repeat, bootstrap_split,
+                      count_defects)
 from .extmath import column_medians, fmt_float, json_extended, json_number, parse_extended
 from .learners import (
     Forest,
@@ -47,7 +48,7 @@ from .learners import (
     tune_forest_params,
     tune_smote,
 )
-from .metrics import EFFORT_MODES, METRIC_NAMES, Prediction, ViewScores, evaluate_metrics
+from .metrics import EFFORT_MODES, METRIC_NAMES, Prediction, evaluate_metrics
 
 log = logging.getLogger(__name__)
 
@@ -80,8 +81,10 @@ _JSON_GROUPS = {
     "confounders": (CONFOUNDER_NAMES, json_number),
     "bounds": (BOUND_NAMES, json_extended),
 }
-# how _parse_record reads each column of CSV_COLUMNS
+# how _parse_record reads each column of CSV_COLUMNS, and the JSON type of its
+# value in JSONL, where no boolean passes for a number; in CSV every value is text
 _PARSERS = (str, str, str, int, str, int, *[parse_extended] * len(CSV_COLUMNS[NUMBERS]), Potential.from_label)
+_JSON_TYPES = (str, str, str, int, str, int, *[object] * len(CSV_COLUMNS[NUMBERS]), str)
 
 
 def write_records_csv(records: Sequence[EvaluationRecord], path) -> Path:
@@ -108,15 +111,17 @@ def write_records_jsonl(records: Sequence[EvaluationRecord], path) -> Path:
     return path
 
 
-def _parse_record(columns, path, line) -> EvaluationRecord:
+def _parse_record(columns, path, line, types=(str,) * len(CSV_COLUMNS)) -> EvaluationRecord:
     """The record in ``columns``, a mapping from column name to the text of a
-    CSV cell or a JSON value; a missing or malformed column is a DataError
-    naming ``path`` and ``line``."""
+    CSV cell or a JSON value, each of its column's type in ``types``; a
+    missing or malformed column is a DataError naming ``path`` and ``line``."""
     values = []
-    for name, parse in zip(CSV_COLUMNS, _PARSERS):
+    for name, parse, kind in zip(CSV_COLUMNS, _PARSERS, types):
         if name not in columns:
             raise DataError(f"record lacks {name!r}", path, line)
         try:
+            if isinstance(columns[name], bool) or not isinstance(columns[name], kind):
+                raise TypeError(f"not a {kind.__name__}")
             values.append(parse(columns[name]))
         except (TypeError, ValueError):
             raise DataError(f"malformed {name!r} value {columns[name]!r}", path, line) from None
@@ -132,6 +137,8 @@ def read_records_csv(path) -> list[EvaluationRecord]:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
+            if (i := _first_repeat(header)) is not None:
+                raise DataError(f"records file names column {header[i]!r} twice", path, 1)
             missing = set(CSV_COLUMNS) - set(header)
             if missing:
                 raise DataError(f"records file lacks columns {sorted(missing)}", path, 1)
@@ -163,7 +170,7 @@ def read_records_jsonl(path) -> list[EvaluationRecord]:
             columns = dict(obj)
             for group in _JSON_GROUPS:
                 columns.update(obj[group])
-            records.append(_parse_record(columns, path, lineno))
+            records.append(_parse_record(columns, path, lineno, _JSON_TYPES))
     return records
 
 
@@ -402,20 +409,20 @@ def _fit_and_record(
     else:
         scores = config.model.fit(X, y, seed=model_seed).predict_proba(test_X)[:, 1]
     return _record(
-        ViewScores(test_view, np.array(scores, dtype=np.float64), config.threshold), test_view, train_y, y,
+        Prediction(test_view, scores, config.threshold), train_y, y,
         effort_mode=config.effort_mode, boundaries=config.boundaries,
         scenario=scenario, project=release.project, release=release.release_id, sample=sample,
         preprocessing="plain" if oversample == "off" else "oversampled", seed=model_seed,
     )
 
 
-def _record(pred, test_view, train_labels, train_prime_labels, *, effort_mode, boundaries, **identity):
-    """Evaluate ``pred``, scores checked against ``test_view``, on it:
-    metrics, confounders (training labels None when there was no training),
-    cost bounds and potential. ``identity`` holds the record's identity fields."""
-    metrics = evaluate_metrics(test_view, pred, effort_mode=effort_mode)
-    confounders = compute_confounders(train_labels, train_prime_labels, test_view)
-    bounds = cost_bounds(test_view, pred)
+def _record(pred, train_labels, train_prime_labels, *, effort_mode, boundaries, **identity):
+    """Evaluate ``pred`` on its view: metrics, confounders (training labels
+    None when there was no training), cost bounds and potential. ``identity``
+    holds the record's identity fields."""
+    metrics = evaluate_metrics(pred.view, pred, effort_mode=effort_mode)
+    confounders = compute_confounders(train_labels, train_prime_labels, pred.view)
+    bounds = cost_bounds(pred.view, pred)
     return EvaluationRecord(
         **identity, **_field_values(metrics), **_field_values(confounders), **_field_values(bounds),
         potential=classify_potential(bounds.diff, boundaries),
@@ -602,9 +609,8 @@ def evaluate_external_prediction(
     No training data exists here, so the training-side confounders carry the
     undefined marker and the training sizes are zero.
     """
-    view = release.view()
     return _record(
-        Prediction(dict(scores_by_id), threshold).for_view(view), view, None, None,
+        Prediction.from_ids(release.view(), scores_by_id, threshold), None, None,
         effort_mode=effort_mode, boundaries=boundaries,
         scenario="external", project=release.project, release=release.release_id, sample=0,
         preprocessing="plain", seed=seed,

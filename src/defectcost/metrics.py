@@ -1,9 +1,10 @@
 """Performance metrics: confusion-matrix based, ranking based, and effort aware.
 
-Twenty metrics are computed per evaluation. Division by zero never raises;
-the affected metric becomes the undefined marker (NaN) and is serialized as
-JSON null. Ranking metrics break score ties deterministically: descending
-score, then descending size, then ascending artifact id.
+Twenty metrics are computed per evaluation, each from one ``Prediction``: the
+scores of one view in its row order and a threshold. Division by zero never
+raises; the affected metric becomes the undefined marker (NaN) and is
+serialized as JSON null. Ranking metrics break score ties deterministically:
+descending score, then descending size, then ascending artifact id.
 """
 
 from __future__ import annotations
@@ -22,51 +23,40 @@ class CoverageError(Exception):
     """Prediction does not cover exactly the evaluation artifacts."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
-    """Per-artifact scores in [0,1] with a decision threshold.
+    """Scores in [0,1] in the row order of one view, with a decision threshold.
 
     An artifact is predicted defective iff its score > threshold (strict).
     """
-
-    scores: Mapping[str, float]
-    threshold: float = 0.5
-
-    def scores_for(self, view: ReleaseView) -> np.ndarray:
-        """The scores in ``view.ids`` order; raises CoverageError unless the
-        prediction covers exactly the artifacts of ``view``."""
-        expected, given = set(view.ids), set(self.scores)
-        if given != expected:
-            raise CoverageError(
-                f"prediction does not cover the evaluation set of {view.release.key()} "
-                f"(missing={sorted(expected - given)[:5]}, extra={sorted(given - expected)[:5]})"
-            )
-        return np.array([self.scores[a] for a in view.ids], dtype=np.float64)
-
-    def for_view(self, view: ReleaseView) -> "ViewScores":
-        """This prediction checked against ``view`` once, for every metric of a record."""
-        return ViewScores(view, self.scores_for(view), self.threshold)
-
-    @staticmethod
-    def from_arrays(ids: Sequence[str], scores: Sequence[float], threshold: float = 0.5) -> "Prediction":
-        if len(ids) != len(scores):
-            raise ValueError(f"{len(ids)} ids but {len(scores)} scores")
-        return Prediction(dict(zip(ids, (float(s) for s in scores))), threshold)
-
-
-@dataclass(frozen=True, eq=False)
-class ViewScores:
-    """Scores in the row order of one view, with the threshold: a Prediction
-    whose coverage of ``view`` is checked. The metric and cost functions take
-    it wherever they take a Prediction, so a record checks coverage once."""
 
     view: ReleaseView
     scores: np.ndarray
     threshold: float = 0.5
 
+    def __post_init__(self):
+        object.__setattr__(self, "scores", np.array(self.scores, dtype=np.float64))
+        if self.scores.shape != (self.view.n,):
+            raise ValueError(f"{self.scores.size} scores for the {self.view.n} rows of {self.view.release.key()}")
+
+    @staticmethod
+    def from_ids(view: ReleaseView, scores_by_id: Mapping[str, float], threshold: float = 0.5) -> "Prediction":
+        """The prediction of ``view`` from scores keyed by artifact id, the form
+        in which an external prediction arrives; raises CoverageError unless
+        the ids are exactly the artifacts of ``view``."""
+        expected, given = set(view.ids), set(scores_by_id)
+        if given != expected:
+            raise CoverageError(
+                f"prediction does not cover the evaluation set of {view.release.key()} "
+                f"(missing={sorted(expected - given)[:5]}, extra={sorted(given - expected)[:5]})"
+            )
+        return Prediction(view, [scores_by_id[a] for a in view.ids], threshold)
+
     def scores_for(self, view: ReleaseView) -> np.ndarray:
+        """The scores in the row order of ``view``; raises CoverageError if this
+        prediction was built for another view."""
         if view is not self.view:
-            raise CoverageError(f"scores were checked against another view than {view.release.key()}")
+            raise CoverageError(f"prediction was made for another view than {view.release.key()}")
         return self.scores
 
 

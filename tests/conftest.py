@@ -101,8 +101,8 @@ def t1_view(t1_release):
 
 
 @pytest.fixture
-def t1_prediction():
-    return Prediction(dict(T1_SCORES), 0.5)
+def t1_prediction(t1_view):
+    return Prediction.from_ids(t1_view, T1_SCORES, 0.5)
 
 
 _DEFAULT_VARS = {name: 0.5 for name in METRIC_NAMES}

@@ -146,7 +146,7 @@ def test_c02_cost_bound_oracle(t1_view):
     corners = set()
     for bits in itertools.product((0, 1), repeat=6):
         positives = {a for a, b in zip(t1_view.ids, bits) if b}
-        pred = Prediction({a: 1.0 if a in positives else 0.0 for a in t1_view.ids}, 0.5)
+        pred = Prediction.from_ids(t1_view, {a: 1.0 if a in positives else 0.0 for a in t1_view.ids}, 0.5)
         bounds = cost_bounds(t1_view, pred)
         lower, upper, diff = oracle(positives)
         assert _same(bounds.lower, lower, 0.0)

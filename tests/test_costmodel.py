@@ -20,7 +20,7 @@ NAN = math.nan
 
 
 def predict(view, positives):
-    return Prediction({a: 1.0 if a in positives else 0.0 for a in view.ids}, 0.5)
+    return Prediction.from_ids(view, {a: 1.0 if a in positives else 0.0 for a in view.ids}, 0.5)
 
 
 def enumeration_oracle(view, positives):

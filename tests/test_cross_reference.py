@@ -85,7 +85,7 @@ def reference_record(config, scenario, seed, idx, target, train_X, train_y):
     else:
         scores = config.model.fit(X, y, seed=model_seed).predict_proba(moved.target_X)[:, 1]
     return _record(
-        Prediction.from_arrays(test_view.ids, scores, config.threshold), test_view, train_y, y,
+        Prediction(test_view, scores, config.threshold), train_y, y,
         effort_mode=config.effort_mode, boundaries=config.boundaries,
         scenario=scenario, project=target.project, release=target.release_id, sample=0,
         preprocessing="plain" if config.oversample == "off" else "oversampled", seed=model_seed,

@@ -8,6 +8,7 @@ views without defects and views where every artifact is defective.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import asdict
 
 import numpy as np
@@ -28,6 +29,10 @@ from defectcost.metrics import (
 )
 
 from conftest import make_release, ranking_order, ref_view_defects, rows_of, size_by_id, truth_by_id
+
+# The scores the references read, keyed by artifact id, kept beside the
+# package's row-ordered Prediction of the same case.
+IdScores = namedtuple("IdScores", "scores threshold")
 
 
 def ref_label(pred, aid):
@@ -257,30 +262,30 @@ def evaluation_cases():
             kind = ("random", "tied", "constant")[int(rng.integers(0, 3))]
             scores = random_scores(rng, view.ids, kind)
             for threshold in (0.5, 0.3):
-                yield view, Prediction(scores, threshold)
+                yield view, Prediction.from_ids(view, scores, threshold), IdScores(scores, threshold)
 
 
 CASES = list(evaluation_cases())
 
 
 def test_cases_cover_edges():
-    assert any(not ref_view_defects(v) for v, _ in CASES)
-    assert any(v.n and v.y.all() for v, _ in CASES)
-    assert any(len(d.artifacts) > 1 for v, _ in CASES for d in ref_view_defects(v))
-    assert any(v.sizes.min() == 0 for v, _ in CASES if v.n)
+    assert any(not ref_view_defects(v) for v, _, _ in CASES)
+    assert any(v.n and v.y.all() for v, _, _ in CASES)
+    assert any(len(d.artifacts) > 1 for v, _, _ in CASES for d in ref_view_defects(v))
+    assert any(v.sizes.min() == 0 for v, _, _ in CASES if v.n)
 
 
 def test_ranking_and_confusion_match_reference():
-    for view, pred in CASES:
-        assert ranking_order(view, pred) == ref_ranking_order(view, pred)
+    for view, pred, ref in CASES:
+        assert ranking_order(view, pred) == ref_ranking_order(view, ref)
         c = confusion_counts(view, pred)
-        assert (c.tp, c.fp, c.tn, c.fn) == ref_confusion(view, pred)
+        assert (c.tp, c.fp, c.tn, c.fn) == ref_confusion(view, ref)
 
 
 def test_ranking_metrics_match_reference():
-    for view, pred in CASES:
-        scores = np.array([pred.scores[a] for a in view.ids], dtype=np.float64)
-        assert same(auc_alberg(view, pred), ref_auc_alberg(view, pred))
+    for view, pred, ref in CASES:
+        scores = np.array([ref.scores[a] for a in view.ids], dtype=np.float64)
+        assert same(auc_alberg(view, pred), ref_auc_alberg(view, ref))
         assert same(auc_recall_pf(view.y, scores), ref_auc_recall_pf(view.y, scores))
         if 0 < view.y.sum() < view.n:
             assert same(_roc_points(view.y, scores), ref_roc_points(view.y, scores))
@@ -288,28 +293,28 @@ def test_ranking_metrics_match_reference():
 
 @pytest.mark.parametrize("mode", ["defects", "files"])
 def test_effort_metrics_match_reference(mode):
-    for view, pred in CASES:
-        assert same(effort_metrics(view, pred, mode=mode), ref_effort(view, pred, mode))
+    for view, pred, ref in CASES:
+        assert same(effort_metrics(view, pred, mode=mode), ref_effort(view, ref, mode))
 
 
 def test_cost_model_matches_reference():
-    for view, pred in CASES:
+    for view, pred, ref in CASES:
         outcome = defect_outcome(view, pred)
-        assert (outcome.predicted, outcome.missed) == ref_defect_outcome(view, pred)
+        assert (outcome.predicted, outcome.missed) == ref_defect_outcome(view, ref)
         b = cost_bounds(view, pred)
-        assert same((b.lower, b.upper, b.diff), ref_cost_bounds(view, pred))
-        assert same(diff_simplified(view, pred), ref_diff_simplified(view, pred))
+        assert same((b.lower, b.upper, b.diff), ref_cost_bounds(view, ref))
+        assert same(diff_simplified(view, pred), ref_diff_simplified(view, ref))
 
 
 def test_evaluate_metrics_matches_reference():
-    for view, pred in CASES[::3]:
+    for view, pred, ref in CASES[::3]:
         for mode in ("defects", "files"):
             got = asdict(evaluate_metrics(view, pred, effort_mode=mode))
-            scores = np.array([pred.scores[a] for a in view.ids], dtype=np.float64)
+            scores = np.array([ref.scores[a] for a in view.ids], dtype=np.float64)
             assert same(got["auc"], auc(view.y, scores))
-            assert same(got["auc_alberg"], ref_auc_alberg(view, pred))
+            assert same(got["auc_alberg"], ref_auc_alberg(view, ref))
             assert same(got["auc_recall_pf"], ref_auc_recall_pf(view.y, scores))
-            assert same((got["cost"], got["nofb20"], got["nofc80"]), ref_effort(view, pred, mode))
+            assert same((got["cost"], got["nofb20"], got["nofc80"]), ref_effort(view, ref, mode))
 
 
 def test_average_ranks_match_reference():

@@ -110,9 +110,12 @@ def test_unreadable_metrics_csv_is_data_error(release_dir, capsys, name, replace
     ("defects.json", '[{"id": ["d", 1], "artifacts": ["a1"]}]', "defect #0 must be an object with a string 'id'"),
     ("defects.json", '[{"id": "d1", "artifacts": ["a1"]}, {"id": 4, "artifacts": ["a1"]}]',
      "defect #1 must be an object with a string 'id'"),
+    ("defects.json", '[{"id": "d1", "artifacts": ["a1"], "fixed_at": 20200101}]',
+     "timestamp must be an ISO-8601 string, got 20200101"),
 ], ids=["meta_int", "meta_null", "meta_bool", "meta_list", "artifact_list", "artifact_int",
         "unknown_before_int", "int_before_unknown", "project_null",
-        "release_object", "release_int", "project_missing", "defect_id_list", "defect_id_int"])
+        "release_object", "release_int", "project_missing", "defect_id_list", "defect_id_int",
+        "fixed_at_number"])
 def test_malformed_json_shape_is_data_error(release_dir, capsys, name, content, message):
     path = release_dir / name
     path.write_text(content)
@@ -324,6 +327,15 @@ BAD_RECORD_LINES = {
     "jsonl_list_number": (".jsonl", 1, _json_edit(lambda o: o["bounds"].update(upper=[600])),
                           "malformed 'upper' value [600]"),
     "jsonl_unknown_label": (".jsonl", 2, lambda t: t.replace('"medium"', '"huge"'), "malformed 'potential' value 'huge'"),
+    "jsonl_float_sample": (".jsonl", 2, _json_edit(lambda o: o.update(sample=1.5)), "malformed 'sample' value 1.5"),
+    "jsonl_bool_sample": (".jsonl", 1, _json_edit(lambda o: o.update(sample=True)), "malformed 'sample' value True"),
+    "jsonl_float_seed": (".jsonl", 3, _json_edit(lambda o: o.update(seed=2.7)), "malformed 'seed' value 2.7"),
+    "jsonl_null_project": (".jsonl", 2, _json_edit(lambda o: o.update(project=None)),
+                           "malformed 'project' value None"),
+    "jsonl_list_release": (".jsonl", 1, _json_edit(lambda o: o.update(release=["r", 1])),
+                           "malformed 'release' value ['r', 1]"),
+    "jsonl_bool_number": (".jsonl", 3, _json_edit(lambda o: o["metrics"].update(recall=True)),
+                          "malformed 'recall' value True"),
 }
 
 
@@ -339,6 +351,20 @@ def test_malformed_record_line_names_file_and_line(tmp_path, capsys, case):
     assert (info.value.path, info.value.line) == (path, line)
     assert main(["analyze", "--records", str(path), "-o", str(tmp_path / "r")]) == EXIT_DATA
     assert f"[{path}:{line}]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_records_csv_header_repeating_a_column_is_data_error(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    write_records_csv([make_record(sample=i, diff=500.0, recall=0.1667) for i in range(3)], path)
+    _edit_line(path, 1, lambda t: t + ",recall")
+    for line in (2, 3, 4):
+        _edit_line(path, line, lambda t: t + ",0.999")
+    with pytest.raises(DataError, match=re.escape("names column 'recall' twice")) as info:
+        read_records(path)
+    assert (info.value.path, info.value.line) == (path, 1)
+    assert main(["analyze", "--records", str(path), "-o", str(tmp_path / "r")]) == EXIT_DATA
+    assert f"[{path}:1]" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -25,11 +25,11 @@ trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy before 2.0 names
 
 
 def all_one(view):
-    return Prediction({a: 1.0 for a in view.ids}, 0.5)
+    return Prediction.from_ids(view, {a: 1.0 for a in view.ids}, 0.5)
 
 
 def all_zero(view):
-    return Prediction({a: 0.0 for a in view.ids}, 0.5)
+    return Prediction.from_ids(view, {a: 0.0 for a in view.ids}, 0.5)
 
 
 def test_t1_confusion(t1_view, t1_prediction):
@@ -46,22 +46,20 @@ def test_trivial_predictions(t1_view):
 
 def test_coverage_mismatch(t1_view):
     with pytest.raises(CoverageError):
-        confusion_counts(t1_view, Prediction({"a1": 1.0}, 0.5))
-    with pytest.raises(ValueError, match="ids but"):
-        Prediction.from_arrays(["a1", "a2"], [0.5])
+        Prediction.from_ids(t1_view, {"a1": 1.0}, 0.5)
+    with pytest.raises(ValueError, match="1 scores for the 6 rows"):
+        Prediction(t1_view, [0.5], 0.5)
 
 
 def test_checked_prediction_gives_the_same_metrics(t1_release, t1_view, t1_prediction):
-    checked = t1_prediction.for_view(t1_view)
-    assert repr(evaluate_metrics(t1_view, checked)) == repr(evaluate_metrics(t1_view, t1_prediction))
+    in_rows = Prediction(t1_view, np.array([T1_SCORES[a] for a in t1_view.ids]), 0.5)
+    assert repr(evaluate_metrics(t1_view, in_rows)) == repr(evaluate_metrics(t1_view, t1_prediction))
     with pytest.raises(CoverageError, match="another view"):
-        confusion_counts(t1_release.view(), checked)
-    with pytest.raises(CoverageError):
-        Prediction({"a1": 1.0}, 0.5).for_view(t1_view)
+        confusion_counts(t1_release.view(), t1_prediction)
 
 
 def test_threshold_is_strict(t1_view):
-    pred = Prediction({a: 0.5 for a in t1_view.ids}, 0.5)
+    pred = Prediction.from_ids(t1_view, {a: 0.5 for a in t1_view.ids}, 0.5)
     c = confusion_counts(t1_view, pred)
     assert c.tp + c.fp == 0  # score == threshold is not a defect prediction
 
@@ -200,8 +198,8 @@ def test_auc_alberg(t1_view, t1_prediction):
 
 def test_auc_alberg_extremes(t1_view):
     truth = truth_by_id(t1_view)
-    best = Prediction({a: float(truth[a]) for a in t1_view.ids}, 0.5)
-    worst = Prediction({a: 1.0 - truth[a] for a in t1_view.ids}, 0.5)
+    best = Prediction.from_ids(t1_view, {a: float(truth[a]) for a in t1_view.ids}, 0.5)
+    worst = Prediction.from_ids(t1_view, {a: 1.0 - truth[a] for a in t1_view.ids}, 0.5)
     n, d = 6, 3
     # ranking all defective artifacts first is maximal for this class balance
     assert_close(auc_alberg(t1_view, best), 1 - d / (2 * n))
@@ -211,7 +209,7 @@ def test_auc_alberg_extremes(t1_view):
 def test_auc_alberg_no_defects():
     release = make_release(sizes={"x": 5, "y": 6}, defects={})
     view = release.view()
-    assert is_undefined(auc_alberg(view, Prediction({"x": 0.9, "y": 0.1}, 0.5)))
+    assert is_undefined(auc_alberg(view, Prediction.from_ids(view, {"x": 0.9, "y": 0.1}, 0.5)))
 
 
 def test_ties_break_by_python_string_order_of_ids():
@@ -219,7 +217,7 @@ def test_ties_break_by_python_string_order_of_ids():
     release = Release("p", "r", datetime(2020, 1, 1, tzinfo=timezone.utc), ("b\x00", "b", "a"), [10, 10, 10],
                       [(0.0,)] * 3, (Defect("d", frozenset({"b"})),))
     view = release.view()
-    pred = Prediction({a: 0.5 for a in view.ids}, 0.5)
+    pred = Prediction.from_ids(view, {a: 0.5 for a in view.ids}, 0.5)
     assert ranking_order(view, pred) == ["a", "b", "b\x00"]
     assert_close(auc_alberg(view, pred), 0.5)
 
@@ -286,7 +284,7 @@ def test_effort_bounds_properties(t1_view):
     rng = np.random.default_rng(9)
     for _ in range(50):
         scores = {a: float(rng.random()) for a in t1_view.ids}
-        pred = Prediction(scores, 0.5)
+        pred = Prediction.from_ids(t1_view, scores, 0.5)
         _, nofb20, nofc80 = effort_metrics(t1_view, pred)
         assert nofb20 <= len(view_defects(t1_view))
         if not is_undefined(nofc80):
@@ -298,7 +296,7 @@ def test_nofc80_undefined_when_unreachable():
     # reach it; unreachable only without defects
     release = make_release(sizes={"x": 5, "y": 6}, defects={})
     view = release.view()
-    _, _, nofc80 = effort_metrics(view, Prediction({"x": 0.9, "y": 0.1}, 0.5))
+    _, _, nofc80 = effort_metrics(view, Prediction.from_ids(view, {"x": 0.9, "y": 0.1}, 0.5))
     assert is_undefined(nofc80)
 
 
@@ -312,5 +310,5 @@ def test_evaluate_metrics_serialization(t1_view, t1_prediction):
         "nofb20", "nofc80",
     }
     assert d["cost"] == 190.0
-    all_clean = evaluate_metrics(t1_view, Prediction({a: 0.0 for a in t1_view.ids}, 0.5))
+    all_clean = evaluate_metrics(t1_view, Prediction.from_ids(t1_view, {a: 0.0 for a in t1_view.ids}, 0.5))
     assert is_undefined(all_clean.precision)

@@ -11,47 +11,49 @@ import defectcost
 
 SRC = str(Path(defectcost.__file__).parents[1])
 
-NON_ASCII_RUN = """
+EVERY_COMMAND = """
 import sys
 from dataclasses import replace
 
 from defectcost.cli import main
-from defectcost.dataset import Defect, load_release_dir, write_release
+from defectcost.dataset import Defect, load_corpus, load_release_dir, write_release
 from defectcost.experiments import read_records_csv, read_records_jsonl
-from defectcost.synth import SynthSpec, generate_synthetic
 
 out = sys.argv[1]
-base = generate_synthetic(SynthSpec(n_projects=1, releases_per_project=1, artifacts_range=(60, 60)), 2)[0]
-renamed = {aid: "é…" + aid for aid in base.artifact_ids}
-release = replace(
-    base, project="prøjekt", artifact_ids=tuple(renamed[aid] for aid in base.artifact_ids),
-    defects=tuple(Defect(d.id, frozenset(renamed[a] for a in d.artifacts), d.fixed_at) for d in base.defects))
-directory = write_release(release, out + "/corpus/p/r1")
-loaded = load_release_dir(directory)
-assert (loaded.project, loaded.artifact_ids) == (release.project, release.artifact_ids)
-assert main(["bootstrap", "--data", out + "/corpus", "--samples", "1", "--trees", "5",
-             "--min-instances", "10", "--min-defects", "2", "-o", out + "/run"]) == 0
-for records in (read_records_csv(out + "/run/records.csv"), read_records_jsonl(out + "/run/records.jsonl")):
-    assert len(records) == 2 and {r.project for r in records} == {"prøjekt"}, records
-print("done")
-"""
+assert main(["synth", "--seed", "7", "--projects", "2", "--releases", "2", "--artifacts", "100,120",
+             "--features", "4", "--signal", "1.5", "-o", out + "/synth"]) == 0
+# the names are non-ASCII, the directories ASCII: under the C locale a
+# non-ASCII path cannot be made
+for p, base in enumerate(load_corpus(out + "/synth")):
+    renamed = {aid: "é…" + aid for aid in base.artifact_ids}
+    release = replace(
+        base, project="prøjekt-" + base.project, release_id="rélease-" + base.release_id,
+        artifact_ids=tuple(renamed[aid] for aid in base.artifact_ids),
+        defects=tuple(Defect(d.id, frozenset(renamed[a] for a in d.artifacts), d.fixed_at) for d in base.defects))
+    directory = write_release(release, f"{out}/corpus/{p}")
+    loaded = load_release_dir(directory)
+    assert (loaded.project, loaded.release_id, loaded.artifact_ids) == (
+        release.project, release.release_id, release.artifact_ids)
+with open(out + "/pred.csv", "w", encoding="utf-8") as fh:
+    fh.write("artifact_id,score\\n" + "".join(f"{aid},0.75\\n" for aid in loaded.artifact_ids))
 
-EVERY_COMMAND = """
-import sys
-
-from defectcost.cli import main
-
-out = sys.argv[1]
 corpus = ["--data", out + "/corpus", "--min-instances", "10", "--min-defects", "2"]
 runs = [
-    ["synth", "--seed", "7", "--projects", "2", "--releases", "2", "--artifacts", "100,120", "--features", "4",
-     "--signal", "1.5", "-o", out + "/corpus"],
+    ["validate", *corpus],
+    ["metrics", "--release", str(directory), "--pred", out + "/pred.csv", "-o", out + "/metrics"],
     ["bootstrap", *corpus, "--samples", "3", "--seed", "5", "--model", "gnb", "-o", out + "/bootstrap"],
+    ["cross-version", *corpus, "--model", "gnb", "-o", out + "/version"],
     ["cross-project", *corpus, "--model", "gnb", "--transfer", "camargo_cruz", "-o", out + "/cross"],
     ["analyze", "--records", out + "/bootstrap/records.csv", "--trees", "10", "-o", out + "/report"],
+    ["sensitivity", "--records", out + "/bootstrap/records.jsonl", "--eval-records", out + "/cross/records.csv",
+     "--trees", "10", "-o", out + "/sensitivity"],
 ]
 for argv in runs:
     assert main(argv) == 0, argv
+for run in ("metrics", "bootstrap", "version", "cross"):
+    for records in (read_records_csv(f"{out}/{run}/records.csv"), read_records_jsonl(f"{out}/{run}/records.jsonl")):
+        assert records and all(r.project.startswith("prøjekt-") and r.release.startswith("rélease-")
+                               for r in records), (run, records)
 print("done")
 """
 
@@ -92,7 +94,7 @@ def write_script(tmp_path, text: str) -> Path:
 
 
 def test_non_ascii_release_runs_under_the_c_locale(tmp_path):
-    run = run_child(write_script(tmp_path, NON_ASCII_RUN), tmp_path,
+    run = run_child(write_script(tmp_path, EVERY_COMMAND), tmp_path,
                     env={"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"})
     assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, ["done"]), run.stderr
 
