@@ -6,8 +6,10 @@ them through 4x4 confusion matrices, applies the 90% strength criteria,
 groups correlated variables, exports the diff distribution, and runs the
 boundary-shift and diff-regression sensitivity analyses.
 
-Undefined variable values are imputed by the training-set median before any
-model fitting; every imputation is counted and reported.
+Every analysis function reads a record set as the ``RecordsMatrix`` of
+``records_matrix(records)``, built once per record set. Undefined variable
+values are imputed by the training-set median before any model fitting; every
+imputation is counted and reported.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .costmodel import DEFAULT_BOUNDARIES, Potential, classify_potential
-from .experiments import VARIABLE_NAMES, VARIABLES, EvaluationRecord, write_records_csv
+from .costmodel import DEFAULT_BOUNDARIES, Potential
+from .experiments import CSV_COLUMNS, NUMBERS, VARIABLE_NAMES, write_records_csv
 from .extmath import UNDEFINED, column_medians, fmt_float, json_number
 from .learners import (
-    Forest,
     ForestParams,
     fit_multinomial_logit_elastic_net,
     forest_importance,
@@ -34,25 +35,40 @@ from .learners import (
     train_random_forest,
     tune_forest_params,
 )
+from .learners.logit import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID
 
 log = logging.getLogger(__name__)
 
 POTENTIAL_LABELS = tuple(level.label for level in Potential)
 SAVING_LEVELS = (Potential.MEDIUM, Potential.LARGE, Potential.EXTRA_LARGE)
-
-# predictions counting as "correct or neighboring cost-saving level"
-_NEIGHBOR_OK = {
-    Potential.MEDIUM: {Potential.MEDIUM, Potential.LARGE},
-    Potential.LARGE: {Potential.MEDIUM, Potential.LARGE, Potential.EXTRA_LARGE},
-    Potential.EXTRA_LARGE: {Potential.LARGE, Potential.EXTRA_LARGE},
-}
+TREE_DEPTH = 5  # of the depth-limited relationship tree
+QQ_POINTS = 256  # most points of the lg(diff) Q-Q data
+BOUNDARY_SHIFTS = (0.9, 1.0, 1.1)  # factors of both potential boundaries in the sensitivity refits
+DENSITY_WINDOW = 0.1  # the relative half-width of the window around each boundary
+DENSITY_FLAG = 0.2  # a level's share of diff values in a window above which it is flagged
 
 
-def records_matrix(records: Sequence[EvaluationRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """(X, y): the 30 variables (metrics then confounders) and potential levels."""
-    X = np.array([rec[VARIABLES] for rec in records])
-    y = np.array([int(rec.potential) for rec in records], dtype=np.int64)
-    return X, y
+@dataclass(frozen=True, eq=False)
+class RecordsMatrix:
+    """The columns of a record set that the analysis reads: ``X``, the (n, 30)
+    variables (metrics, then confounders), ``diff`` and ``levels``, the
+    potential levels. Unpacks as ``X, levels``, the models' inputs and targets."""
+
+    X: np.ndarray
+    diff: np.ndarray
+    levels: np.ndarray
+
+    def __iter__(self):
+        return iter((self.X, self.levels))
+
+
+def records_matrix(records: Sequence) -> RecordsMatrix:
+    """The analysed columns of EvaluationRecords, read in one pass over the
+    records' numbers and potential."""
+    width = len(CSV_COLUMNS) - NUMBERS.start  # the 30 variables, lower, upper, diff and potential
+    table = np.array([rec[NUMBERS.start:] for rec in records], dtype=np.float64).reshape(len(records), width)
+    return RecordsMatrix(X=np.ascontiguousarray(table[:, :len(VARIABLE_NAMES)]),
+                         diff=table[:, -2].copy(), levels=table[:, -1].astype(np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,44 +119,37 @@ class RelationshipModel:
 
 @dataclass(frozen=True, eq=False)
 class RelationshipFit:
-    """The fitted relationship models, the levels they were fitted on, their importances, the
-    logit's coefficients and the imputer they share."""
+    """The fitted relationship models, their importances, the logit's coefficients and the
+    imputer they share."""
 
     models: dict[str, RelationshipModel]
-    labels: np.ndarray  # the potential level of each record, as the models were fitted on
     importances: dict[str, dict[str, float]]
     logit_coefficients: dict[str, list[float]]
     imputer: Imputer
 
 
 def fit_relationship_models(
-    records: Sequence[EvaluationRecord],
+    records: RecordsMatrix,
     seed: int = 0,
     *,
-    depth: int = 5,
     forest_params: ForestParams = ForestParams(),
     tune_forest: bool = False,
     tune_population: int = 20,
     tune_generations: int = 30,
-    lambda_grid=None,
-    alpha_grid=None,
+    lambda_grid=DEFAULT_LAMBDA_GRID,
+    alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> RelationshipFit:
     """Fit logit, depth-limited tree, and forest on potential ~ 30 variables."""
-    X, y = records_matrix(records)
+    X, y = records
     if len(set(y.tolist())) < 2:
         raise ValueError("relationship models need at least two potential levels in the records")
     imputer = fit_imputer(X)
     Xi = imputer.transform(X)
 
-    logit_kwargs = {}
-    if lambda_grid is not None:
-        logit_kwargs["lambda_grid"] = lambda_grid
-    if alpha_grid is not None:
-        logit_kwargs["alpha_grid"] = alpha_grid
-    logit = fit_multinomial_logit_elastic_net(Xi, y.tolist(), **logit_kwargs)
+    logit = fit_multinomial_logit_elastic_net(Xi, y.tolist(), lambda_grid, alpha_grid)
 
     # the depth-limited tree is a one-tree forest on all rows and all features
-    tree = train_random_forest(Xi, y, ForestParams(n_trees=1, depth_limit=depth, bootstrap=False),
+    tree = train_random_forest(Xi, y, ForestParams(n_trees=1, depth_limit=TREE_DEPTH, bootstrap=False),
                                seed=seed, n_classes=len(Potential))
 
     params = forest_params
@@ -159,13 +168,7 @@ def fit_relationship_models(
     }
     models = {name: RelationshipModel(imputer, predictor)
               for name, predictor in (("logit", logit), ("tree", tree), ("forest", forest))}
-    return RelationshipFit(
-        models=models,
-        labels=y,
-        importances=importances,
-        logit_coefficients=coefficients,
-        imputer=imputer,
-    )
+    return RelationshipFit(models=models, importances=importances, logit_coefficients=coefficients, imputer=imputer)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +195,9 @@ def confusion_from_predictions(predicted: Sequence[int], true: Sequence[int]) ->
     return PotentialConfusion(matrix=np.bincount(cell, minlength=k * k).reshape(k, k))
 
 
-def evaluate_confusion(model: RelationshipModel, records: Sequence[EvaluationRecord]):
+def evaluate_confusion(model: RelationshipModel, records: RecordsMatrix):
     """(confusion, per-class over/underprediction summary)."""
-    X, y = records_matrix(records)
-    predicted = model.predict_levels(X)
-    conf = confusion_from_predictions(predicted, y)
+    conf = confusion_from_predictions(model.predict_levels(records.X), records.levels)
     return conf, confusion_summary(conf)
 
 
@@ -266,9 +267,8 @@ def classify_strength(conf: PotentialConfusion) -> StrengthVerdict:
     saving_total = m[:, saving_cols].sum()
     saving_as_saving = _frac(m[np.ix_(saving_cols, saving_cols)].sum(), saving_total)
 
-    neighbor_hits = sum(
-        m[int(p), int(t)] for t in SAVING_LEVELS for p in _NEIGHBOR_OK[t]
-    )
+    # a saving level predicted as itself or a neighbouring saving level
+    neighbor_hits = sum(m[p, t] for t in saving_cols for p in saving_cols if abs(p - t) <= 1)
     neighbor_pct = _frac(neighbor_hits, saving_total)
 
     level_accuracies = [
@@ -313,37 +313,22 @@ class CorrelationAnalysis:
     groups: tuple[tuple[str, ...], ...]
 
 
-def correlation_analysis(records: Sequence[EvaluationRecord], threshold: float = 0.8) -> CorrelationAnalysis:
+def correlation_analysis(records: RecordsMatrix, threshold: float = 0.8) -> CorrelationAnalysis:
     """Spearman matrix over the 30 variables; groups are connected components
     of the |rho| > threshold graph (singletons included)."""
-    if len(records) < 3:
+    if len(records.levels) < 3:
         raise ValueError("correlation analysis needs at least three records")
     from .learners import spearman_matrix
 
-    X, _ = records_matrix(records)
-    matrix = spearman_matrix(X)
+    matrix = spearman_matrix(records.X)
     k = len(VARIABLE_NAMES)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            rho = matrix[i, j]
-            if not math.isnan(rho) and abs(rho) > threshold:
-                parent[find(i)] = find(j)
-    components: dict[int, list[str]] = {}
-    for i in range(k):
-        components.setdefault(find(i), []).append(VARIABLE_NAMES[i])
-    groups = tuple(
-        tuple(members) for _, members in sorted(
-            components.items(), key=lambda kv: VARIABLE_NAMES.index(kv[1][0])
-        )
-    )
+    linked = np.abs(np.triu(matrix, 1)) > threshold  # NaN compares false
+    reach = linked | linked.T | np.eye(k, dtype=bool)
+    for _ in range(k.bit_length()):  # each squaring doubles the path length reach covers
+        reach = reach @ reach
+    # one group per variable that no earlier variable reaches, in variable order
+    groups = tuple(tuple(VARIABLE_NAMES[j] for j in np.flatnonzero(reach[i]))
+                   for i in range(k) if not reach[i, :i].any())
     return CorrelationAnalysis(variables=VARIABLE_NAMES, matrix=matrix, groups=groups)
 
 
@@ -360,9 +345,9 @@ def sorted_quantiles(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
 
 
-def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_points: int = 256) -> dict:
+def distribution_export(records: RecordsMatrix, bins: int = 20) -> dict:
     """Histogram and Q-Q data for lg(diff) plus exact corner-case tallies."""
-    diffs = np.array([rec.diff for rec in records], dtype=np.float64)
+    diffs = records.diff
     nan_count = int(np.isnan(diffs).sum())
     pos_inf = int(np.sum(diffs == np.inf))
     neg_inf = int(np.sum(diffs == -np.inf))
@@ -371,13 +356,10 @@ def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_
     zero = int(np.sum(finite == 0))
     positive = finite[finite > 0]
 
-    potential_counts = {label: 0 for label in POTENTIAL_LABELS}
-    for rec in records:
-        potential_counts[rec.potential.label] += 1
-
+    level_counts = np.bincount(records.levels, minlength=len(Potential)).tolist()
     out = {
         "counts": {
-            "total": len(records),
+            "total": len(diffs),
             "positive_finite": int(len(positive)),
             "negative": negative,
             "zero": zero,
@@ -385,7 +367,7 @@ def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_
             "neg_inf": neg_inf,
             "nan": nan_count,
         },
-        "potential_counts": potential_counts,
+        "potential_counts": dict(zip(POTENTIAL_LABELS, level_counts)),
         "lg_mean": None,
         "lg_sd": None,
         "histogram": {"edges": [], "counts": []},
@@ -405,7 +387,7 @@ def distribution_export(records: Sequence[EvaluationRecord], bins: int = 20, qq_
         from statistics import NormalDist  # imported here: `sensitivity` loads this module but never needs it
 
         dist = NormalDist(mean, sd)
-        n_points = min(qq_points, len(lg))
+        n_points = min(QQ_POINTS, len(lg))
         probs = (np.arange(n_points) + 0.5) / n_points
         sample_q = sorted_quantiles(np.sort(lg), probs)
         out["qq"] = {
@@ -449,71 +431,54 @@ class SensitivityBoundaries:
         }
 
 
-def boundary_density(records: Sequence[EvaluationRecord],
-                     base: tuple[float, float] = DEFAULT_BOUNDARIES,
-                     window: float = 0.1,
-                     flag_threshold: float = 0.2) -> dict:
-    """Per level: share of its finite diff values within +-window of each boundary."""
+def boundary_density(records: RecordsMatrix, base: tuple[float, float] = DEFAULT_BOUNDARIES) -> dict:
+    """Per level: share of its finite diff values within +-DENSITY_WINDOW of each boundary."""
     out = {}
-    level_values: dict[Potential, np.ndarray] = {}
-    for level in Potential:
-        vals = np.array(
-            [r.diff for r in records if r.potential == level and math.isfinite(r.diff)]
-        )
-        level_values[level] = vals
+    finite = np.isfinite(records.diff)
+    level_values = [records.diff[finite & (records.levels == level)] for level in Potential]
     for b in base:
-        lo, hi = (1 - window) * b, (1 + window) * b
+        lo, hi = (1 - DENSITY_WINDOW) * b, (1 + DENSITY_WINDOW) * b
         levels = {}
         flagged = []
-        for level in Potential:
-            vals = level_values[level]
+        for level, vals in zip(Potential, level_values):
             frac = float(np.mean((vals >= lo) & (vals <= hi))) if len(vals) else 0.0
             levels[level.label] = frac
-            if frac > flag_threshold:
+            if frac > DENSITY_FLAG:
                 flagged.append(level.label)
         out[fmt_float(b)] = {"window": [lo, hi], "levels": levels, "flagged": flagged}
     return out
 
 
 def sensitivity_boundaries(
-    records: Sequence[EvaluationRecord],
+    records: RecordsMatrix,
     seed: int = 0,
     *,
-    shifts: Sequence[float] = (0.9, 1.0, 1.1),
     base: tuple[float, float] = DEFAULT_BOUNDARIES,
     forest_params: ForestParams = ForestParams(),
-    fitted: tuple[np.ndarray, Forest] | None = None,
+    fitted: RelationshipModel | None = None,
 ) -> SensitivityBoundaries:
-    """Re-bin potential under shifted boundaries, refit the forest, and compare.
-    A shift that gives the labels of ``fitted``, (labels, forest) of a forest fitted on
-    these records with ``forest_params`` and ``seed``, takes that forest instead of a refit."""
-    X, _ = records_matrix(records)
-    imputer = fit_imputer(X)
-    Xi = imputer.transform(X)
+    """Re-bin potential under each of BOUNDARY_SHIFTS, refit the forest, and compare.
+    ``fitted``, the relationship forest of these records (fitted with ``forest_params`` and
+    ``seed``), lends its imputer to every shift, and its forest to a shift that gives the
+    records' own levels."""
+    imputer = fit_imputer(records.X) if fitted is None else fitted.imputer
+    Xi = imputer.transform(records.X)
+    diff = records.diff
     results = []
-    for shift in shifts:
+    for shift in BOUNDARY_SHIFTS:
         boundaries = (shift * base[0], shift * base[1])
-        y = np.array(
-            [int(classify_potential(rec.diff, boundaries)) for rec in records],
-            dtype=np.int64,
-        )
+        # classify_potential of each diff; NaN compares false, so it is none
+        y = (diff > 0).astype(np.int64) + (diff > boundaries[0]) + (diff > boundaries[1])
         if len(set(y.tolist())) < 2:
             log.warning("boundary shift %.2f leaves a single level; skipping refit", shift)
             continue
-        reuse = fitted is not None and np.array_equal(y, fitted[0])
-        forest = fitted[1] if reuse else train_random_forest(Xi, y, forest_params, seed=seed, n_classes=len(Potential))
+        reuse = fitted is not None and np.array_equal(y, records.levels)
+        forest = fitted.predictor if reuse else train_random_forest(Xi, y, forest_params, seed=seed,
+                                                                    n_classes=len(Potential))
         predicted = forest.predict(Xi)
         conf = confusion_from_predictions(predicted, y)
-        accuracy = float(np.mean(predicted == y))
-        results.append(
-            BoundaryShiftResult(
-                shift=float(shift),
-                boundaries=boundaries,
-                confusion=conf,
-                verdict=classify_strength(conf),
-                accuracy=accuracy,
-            )
-        )
+        results.append(BoundaryShiftResult(shift=float(shift), boundaries=boundaries, confusion=conf,
+                                           verdict=classify_strength(conf), accuracy=float(np.mean(predicted == y))))
     return SensitivityBoundaries(shifts=tuple(results), density=boundary_density(records, base))
 
 
@@ -537,8 +502,8 @@ class NoUsableRecords(ValueError):
 
 
 def sensitivity_regression(
-    train_records: Sequence[EvaluationRecord],
-    eval_records: Sequence[EvaluationRecord],
+    train_records: RecordsMatrix,
+    eval_records: RecordsMatrix,
     seed: int = 0,
     *,
     forest_params: ForestParams = ForestParams(),
@@ -550,10 +515,10 @@ def sensitivity_regression(
     """
 
     def subset(records, role):
-        keep = [r for r in records if math.isfinite(r.diff) and r.diff > 0]
-        if not keep:
+        keep = np.isfinite(records.diff) & (records.diff > 0)
+        if not keep.any():
             raise NoUsableRecords(role)
-        return records_matrix(keep)[0], np.log10(np.array([r.diff for r in keep]))
+        return records.X[keep], np.log10(records.diff[keep])
 
     X_train, y_train = subset(train_records, "training")
     X_eval, y_eval = subset(eval_records, "evaluation")
@@ -590,7 +555,7 @@ def _write_json(path: Path, payload) -> Path:
 
 def write_report_bundle(
     outdir,
-    records: Sequence[EvaluationRecord],
+    records: Sequence,
     seed: int = 0,
     *,
     correlation_threshold: float = 0.8,
@@ -598,7 +563,7 @@ def write_report_bundle(
     tune_forest: bool = False,
     boundaries: tuple[float, float] = DEFAULT_BOUNDARIES,
 ) -> dict[str, Path]:
-    """Write the full report bundle for a record set.
+    """Write the full report bundle for a record set, EvaluationRecords.
 
     Files: records.csv, correlations.csv, confusion_<model>.json,
     importances_<model>.json, distribution.json, sensitivity.json,
@@ -609,16 +574,15 @@ def write_report_bundle(
     paths: dict[str, Path] = {}
 
     paths["records"] = write_records_csv(records, outdir / "records.csv")
+    matrix = records_matrix(records)
 
-    corr = correlation_analysis(records, threshold=correlation_threshold)
+    corr = correlation_analysis(matrix, threshold=correlation_threshold)
     paths["correlations"] = write_correlations_csv(corr, outdir / "correlations.csv")
 
-    fit = fit_relationship_models(
-        records, seed=seed, forest_params=forest_params, tune_forest=tune_forest
-    )
+    fit = fit_relationship_models(matrix, seed=seed, forest_params=forest_params, tune_forest=tune_forest)
     verdicts = {}
     for name, model in fit.models.items():
-        conf, summary = evaluate_confusion(model, records)
+        conf, summary = evaluate_confusion(model, matrix)
         verdict = classify_strength(conf)
         verdicts[name] = verdict.to_json_dict()
         paths[f"confusion_{name}"] = _write_json(
@@ -642,9 +606,9 @@ def write_report_bundle(
         {"verdicts": verdicts, "imputation": fit.imputer.report(),
          "groups": [list(g) for g in corr.groups]},
     )
-    paths["distribution"] = _write_json(outdir / "distribution.json", distribution_export(records))
+    paths["distribution"] = _write_json(outdir / "distribution.json", distribution_export(matrix))
 
-    fitted = None if tune_forest else (fit.labels, fit.models["forest"].predictor)  # same labels, same forest
+    fitted = None if tune_forest else fit.models["forest"]  # same labels, same forest
     paths["sensitivity"] = _write_json(outdir / "sensitivity.json", sensitivity_boundaries(
-        records, seed=seed, base=boundaries, forest_params=forest_params, fitted=fitted).to_json_dict())
+        matrix, seed=seed, base=boundaries, forest_params=forest_params, fitted=fitted).to_json_dict())
     return paths

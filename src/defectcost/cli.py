@@ -377,12 +377,12 @@ def cmd_analyze(args) -> int:
 def cmd_sensitivity(args) -> int:
     from . import analysis
 
-    records = _read_records_checked(args.records)
+    records = analysis.records_matrix(_read_records_checked(args.records))
+    eval_records = args.eval_records and analysis.records_matrix(_read_records_checked(args.eval_records))
     params = ForestParams(n_trees=args.trees)
     sens = analysis.sensitivity_boundaries(records, seed=args.seed, base=args.boundaries, forest_params=params)
     payload = sens.to_json_dict()
     if args.eval_records:
-        eval_records = _read_records_checked(args.eval_records)
         try:
             reg = analysis.sensitivity_regression(records, eval_records, seed=args.seed, forest_params=params)
         except analysis.NoUsableRecords as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from datetime import timedelta
@@ -81,9 +82,24 @@ _JSON_GROUPS = {
     "confounders": (CONFOUNDER_NAMES, json_number),
     "bounds": (BOUND_NAMES, json_extended),
 }
-# how _parse_record reads each column of CSV_COLUMNS, and the JSON type of its
-# value in JSONL, where no boolean passes for a number; in CSV every value is text
-_PARSERS = (str, str, str, int, str, int, *[parse_extended] * len(CSV_COLUMNS[NUMBERS]), Potential.from_label)
+
+
+def _whole(pattern: str, parse):
+    """``parse`` of text that ``pattern`` matches whole; other text matches
+    nothing, and reading the None match raises a TypeError."""
+    fullmatch = re.compile(pattern).fullmatch
+    return lambda text: parse(fullmatch(text)[0])
+
+
+# how _parse_record reads each column of CSV_COLUMNS from a records.csv cell, as
+# the writers write it: an integer or a number in ASCII digits, without padding or
+# underscores; and from a records.jsonl value of the column's JSON type, where no
+# boolean passes for a number
+_INT_CELL = _whole(r"-?[0-9]+", int)
+_NUMBER_CELL = _whole(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?|nan|-?inf", float)
+_CSV_PARSERS = (str, str, str, _INT_CELL, str, _INT_CELL, *[_NUMBER_CELL] * len(CSV_COLUMNS[NUMBERS]),
+                Potential.from_label)
+_JSON_PARSERS = (str, str, str, int, str, int, *[parse_extended] * len(CSV_COLUMNS[NUMBERS]), Potential.from_label)
 _JSON_TYPES = (str, str, str, int, str, int, *[object] * len(CSV_COLUMNS[NUMBERS]), str)
 
 
@@ -111,12 +127,13 @@ def write_records_jsonl(records: Sequence[EvaluationRecord], path) -> Path:
     return path
 
 
-def _parse_record(columns, path, line, types=(str,) * len(CSV_COLUMNS)) -> EvaluationRecord:
+def _parse_record(columns, path, line, parsers=_CSV_PARSERS, types=(str,) * len(CSV_COLUMNS)) -> EvaluationRecord:
     """The record in ``columns``, a mapping from column name to the text of a
-    CSV cell or a JSON value, each of its column's type in ``types``; a
-    missing or malformed column is a DataError naming ``path`` and ``line``."""
+    CSV cell or a JSON value, each of its column's type in ``types`` and read
+    by its column's parser in ``parsers``; a missing or malformed column is a
+    DataError naming ``path`` and ``line``."""
     values = []
-    for name, parse, kind in zip(CSV_COLUMNS, _PARSERS, types):
+    for name, parse, kind in zip(CSV_COLUMNS, parsers, types):
         if name not in columns:
             raise DataError(f"record lacks {name!r}", path, line)
         try:
@@ -170,7 +187,7 @@ def read_records_jsonl(path) -> list[EvaluationRecord]:
             columns = dict(obj)
             for group in _JSON_GROUPS:
                 columns.update(obj[group])
-            records.append(_parse_record(columns, path, lineno, _JSON_TYPES))
+            records.append(_parse_record(columns, path, lineno, _JSON_PARSERS, _JSON_TYPES))
     return records
 
 

@@ -66,7 +66,10 @@ def json_extended(x: float):
 
 
 def parse_extended(v) -> float:
-    """Inverse of json_extended and json_number; also accepts plain numbers."""
+    """Inverse of json_extended and json_number: a number, None or a sentinel
+    string; ValueError for any other string."""
+    if isinstance(v, str) and v not in ("nan", "inf", "-inf"):
+        raise ValueError(f"{v!r} is not a sentinel")
     return UNDEFINED if v is None else float(v)
 
 

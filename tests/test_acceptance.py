@@ -20,6 +20,7 @@ from defectcost.analysis import (
     distribution_export,
     evaluate_confusion,
     fit_relationship_models,
+    records_matrix,
     sensitivity_regression,
 )
 from defectcost.costmodel import Potential, classify_potential, cost_bounds
@@ -351,9 +352,9 @@ def test_c08_qualitative_reproduction():
     levels = Counter(r.potential.label for r in records)
     assert len(levels) >= 2
 
-    fit = fit_relationship_models(records, seed=0, forest_params=ForestParams(n_trees=50),
+    fit = fit_relationship_models(records_matrix(records), seed=0, forest_params=ForestParams(n_trees=50),
                                   lambda_grid=(1.0, 1000.0), alpha_grid=(0.0, 0.5, 1.0))
-    conf, _ = evaluate_confusion(fit.models["forest"], records)
+    conf, _ = evaluate_confusion(fit.models["forest"], records_matrix(records))
     verdict = classify_strength(conf)
     assert verdict.verdict in ("weak_categorization", "strong_categorization")
 
@@ -368,7 +369,7 @@ def test_c08_qualitative_reproduction():
 
     wins = 0
     for seed in range(10):
-        out = sensitivity_regression(records, eval_records, seed=seed,
+        out = sensitivity_regression(records_matrix(records), records_matrix(eval_records), seed=seed,
                                      forest_params=ForestParams(n_trees=40))
         if out["train_r2"] >= 0.8 and out["eval_r2"] <= 0.3:
             wins += 1
@@ -442,7 +443,7 @@ def test_c10_full_corpus_reproduction():
     result = run_bootstrap(kept, config=BootstrapConfig(n_samples=100, seed=1))
     assert len(result.records) == 53000
 
-    out = distribution_export(result.records)
+    out = distribution_export(records_matrix(result.records))
     assert abs(out["lg_mean"] - 3.18) <= 0.25
     assert abs(out["lg_sd"] - 0.39) <= 0.15
     _report(10, "full corpus: 398 releases, 265 eligible, 53000 records, lg-diff distribution matches")

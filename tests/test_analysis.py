@@ -21,8 +21,9 @@ from defectcost.analysis import (
     sensitivity_regression,
     write_report_bundle,
 )
+from defectcost.cli import main
 from defectcost.costmodel import Potential, classify_potential
-from defectcost.experiments import VARIABLE_NAMES
+from defectcost.experiments import VARIABLE_NAMES, write_records_csv, write_records_jsonl
 from defectcost.learners import ForestParams
 
 from conftest import column_total, is_undefined, make_record
@@ -52,13 +53,13 @@ def noisy_records(rng, n=300, with_none=True):
 def test_fit_needs_two_levels():
     records = [make_record(diff=500.0, sample=i) for i in range(10)]
     with pytest.raises(ValueError, match="two potential levels"):
-        fit_relationship_models(records)
+        fit_relationship_models(records_matrix(records))
 
 
 def test_root_split_on_recall():
     rng = np.random.default_rng(0)
     records = noisy_records(rng, n=240)
-    fit = fit_relationship_models(records, seed=1, forest_params=ForestParams(n_trees=10),
+    fit = fit_relationship_models(records_matrix(records), seed=1, forest_params=ForestParams(n_trees=10),
                                   lambda_grid=(1.0, 1000.0), alpha_grid=(0.0, 1.0))
     tree = fit.models["tree"].predictor.trees
     assert VARIABLE_NAMES[tree.feature[0]] == "recall"
@@ -73,7 +74,7 @@ def test_model_accuracy_weak_ordering():
     records = noisy_records(rng, n=360)
     X, y = records_matrix(records)
     # logit and tree are deterministic; only the forest consumes the seed
-    base = fit_relationship_models(records, seed=0, forest_params=ForestParams(n_trees=30),
+    base = fit_relationship_models(records_matrix(records), seed=0, forest_params=ForestParams(n_trees=30),
                                    lambda_grid=(1.0, 100.0), alpha_grid=(0.0, 0.5, 1.0))
     logit_acc = np.mean(base.models["logit"].predict_levels(X) == y)
     tree_acc = np.mean(base.models["tree"].predict_levels(X) == y)
@@ -236,8 +237,8 @@ def test_summary_percentages_sum_per_column():
 def test_confusion_totals_match_records():
     rng = np.random.default_rng(4)
     records = noisy_records(rng, n=90)
-    fit = fit_relationship_models(records, seed=0, forest_params=ForestParams(n_trees=10))
-    conf, summary = evaluate_confusion(fit.models["forest"], records)
+    fit = fit_relationship_models(records_matrix(records), seed=0, forest_params=ForestParams(n_trees=10))
+    conf, summary = evaluate_confusion(fit.models["forest"], records_matrix(records))
     assert conf.total == len(records)
     for label, entry in summary.items():
         assert entry["n"] == column_total(conf, Potential.from_label(label))
@@ -253,7 +254,7 @@ def test_duplicated_variable_same_group():
         v = float(rng.random())
         records.append(make_record(diff=500.0 + i, recall=v, f_measure=v,
                                    accuracy=float(rng.random()), sample=i))
-    analysis = correlation_analysis(records)
+    analysis = correlation_analysis(records_matrix(records))
     group = next(g for g in analysis.groups if "recall" in g)
     assert "f_measure" in group
 
@@ -264,7 +265,7 @@ def test_error_accuracy_perfectly_anticorrelated():
     for i in range(60):
         acc = float(rng.random())
         records.append(make_record(diff=400.0, accuracy=acc, error=1.0 - acc, sample=i))
-    analysis = correlation_analysis(records)
+    analysis = correlation_analysis(records_matrix(records))
     i = VARIABLE_NAMES.index("accuracy")
     j = VARIABLE_NAMES.index("error")
     assert analysis.matrix[i, j] == pytest.approx(-1.0)
@@ -279,21 +280,57 @@ def test_independent_noise_gives_singletons():
                     **{name: float(rng.random()) for name in VARIABLE_NAMES})
         for i in range(400)
     ]
-    analysis = correlation_analysis(records, threshold=0.8)
+    analysis = correlation_analysis(records_matrix(records), threshold=0.8)
     assert all(len(g) == 1 for g in analysis.groups)
 
 
 def test_groups_invariant_under_record_order():
     rng = np.random.default_rng(8)
     records = noisy_records(rng, n=80)
-    a = correlation_analysis(records).groups
-    b = correlation_analysis(list(reversed(records))).groups
+    a = correlation_analysis(records_matrix(records)).groups
+    b = correlation_analysis(records_matrix(list(reversed(records)))).groups
     assert a == b
+
+
+def union_find_groups(matrix, threshold):
+    """Reference: the connected components of the |rho| > threshold graph by
+    union-find, each in variable order, ordered by their first variable."""
+    parent = list(range(len(VARIABLE_NAMES)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(parent)):
+        for j in range(i + 1, len(parent)):
+            if abs(matrix[i, j]) > threshold:  # NaN compares false
+                parent[find(j)] = find(i)
+    components = {}
+    for i in range(len(parent)):
+        components.setdefault(find(i), []).append(VARIABLE_NAMES[i])
+    return tuple(tuple(members) for members in components.values())
+
+
+def test_groups_are_the_union_find_components():
+    rng = np.random.default_rng(17)
+    # a chain: each variable tracks the one before it, so the first and last
+    # are linked only through the others
+    chain = np.cumsum(rng.normal(size=(200, len(VARIABLE_NAMES))), axis=1)
+    chained = [make_record(diff=500.0 + i, sample=i, **dict(zip(VARIABLE_NAMES, map(float, row))))
+               for i, row in enumerate(chain)]
+    for records in (chained, noisy_records(rng, n=80)):
+        for threshold in (0.3, 0.8, 0.95):
+            analysis = correlation_analysis(records_matrix(records), threshold=threshold)
+            assert analysis.groups == union_find_groups(analysis.matrix, threshold)
+    analysis = correlation_analysis(records_matrix(chained), threshold=0.8)
+    first, last = VARIABLE_NAMES[2], VARIABLE_NAMES[-1]
+    assert abs(analysis.matrix[2, -1]) < 0.8 and last in next(g for g in analysis.groups if first in g)
 
 
 def test_correlation_needs_three_records():
     with pytest.raises(ValueError):
-        correlation_analysis([make_record(), make_record()])
+        correlation_analysis(records_matrix([make_record(), make_record()]))
 
 
 # --- distribution ------------------------------------------------------------
@@ -301,7 +338,7 @@ def test_correlation_needs_three_records():
 
 def test_distribution_lg_values():
     records = [make_record(diff=d) for d in (10.0, 100.0, 1000.0)]
-    out = distribution_export(records, bins=3)
+    out = distribution_export(records_matrix(records), bins=3)
     assert out["counts"]["positive_finite"] == 3
     assert out["lg_mean"] == pytest.approx(2.0)
     assert out["histogram"]["edges"][0] == pytest.approx(1.0)
@@ -315,7 +352,7 @@ def test_distribution_corner_tallies():
         + [make_record(diff=inf), make_record(diff=-inf), make_record(diff=-5.0)]
         + [make_record(diff=0.0), make_record(diff=250.0)]
     )
-    out = distribution_export(records)
+    out = distribution_export(records_matrix(records))
     assert out["counts"] == {
         "total": 8, "positive_finite": 1, "negative": 1, "zero": 1,
         "pos_inf": 1, "neg_inf": 1, "nan": 3,
@@ -329,7 +366,7 @@ def test_distribution_recovers_lognormal_parameters():
     rng = np.random.default_rng(9)
     lg = rng.normal(3.18, 0.39, size=10_000)
     records = [make_record(diff=float(10.0**v)) for v in lg]
-    out = distribution_export(records)
+    out = distribution_export(records_matrix(records))
     assert abs(out["lg_mean"] - 3.18) < 0.05
     assert abs(out["lg_sd"] - 0.39) < 0.05
     qq = out["qq"]
@@ -362,7 +399,7 @@ def test_boundary_shift_cases():
 def test_sensitivity_boundaries_report():
     rng = np.random.default_rng(11)
     records = noisy_records(rng, n=120)
-    report = sensitivity_boundaries(records, seed=0, forest_params=ForestParams(n_trees=10))
+    report = sensitivity_boundaries(records_matrix(records), seed=0, forest_params=ForestParams(n_trees=10))
     assert [r.shift for r in report.shifts] == [0.9, 1.0, 1.1]
     for r in report.shifts:
         assert r.confusion.total == len(records)
@@ -372,11 +409,26 @@ def test_sensitivity_boundaries_report():
     json.dumps(payload, allow_nan=False)
 
 
+def test_boundary_shifts_rebin_as_classify_potential():
+    """Each shift's confusion columns count the records classify_potential puts
+    in each level under the shifted boundaries, non-finite and boundary diffs included."""
+    nan, inf = float("nan"), float("inf")
+    edge = [nan, inf, -inf, 0.0, -0.0, -3.0, 900.0, 1000.0, 1100.0, 9000.0, 10000.0, 11000.0, 1e6]
+    records = noisy_records(np.random.default_rng(18), n=60) + [
+        make_record(diff=d, sample=100 + i) for i, d in enumerate(edge)]
+    diffs = [r.diff for r in records]
+    report = sensitivity_boundaries(records_matrix(records), seed=0, forest_params=ForestParams(n_trees=5))
+    assert len(report.shifts) == 3
+    for r in report.shifts:
+        expected = np.bincount([classify_potential(d, r.boundaries) for d in diffs], minlength=len(Potential))
+        assert r.confusion.matrix.sum(axis=0).tolist() == expected.tolist()
+
+
 def test_boundary_density_flags_dense_levels():
     records = [make_record(diff=float(d)) for d in np.linspace(905, 1095, 50)] + [
         make_record(diff=50000.0) for _ in range(5)
     ]
-    density = boundary_density(records)
+    density = boundary_density(records_matrix(records))
     entry = density["1000"]
     assert entry["levels"]["medium"] > 0.2
     assert "medium" in entry["flagged"]
@@ -390,7 +442,7 @@ def test_sensitivity_regression_memorizes_training_data():
         acc = float(rng.random())
         diff = float(10 ** (2.0 + 1.5 * acc + rng.normal(0, 0.05)))
         records.append(make_record(diff=diff, accuracy=acc, sample=i))
-    out = sensitivity_regression(records, records, seed=0, forest_params=ForestParams(n_trees=20))
+    out = sensitivity_regression(records_matrix(records), records_matrix(records), seed=0, forest_params=ForestParams(n_trees=20))
     assert out["train_r2"] > 0.9
     assert out["eval_r2"] == out["train_r2"]
 
@@ -405,7 +457,7 @@ def test_sensitivity_regression_unrelated_eval():
         make_record(diff=float(10 ** rng.uniform(1, 5)), accuracy=float(rng.random()), sample=i)
         for i in range(150)
     ]
-    out = sensitivity_regression(train, eval_records, seed=0, forest_params=ForestParams(n_trees=20))
+    out = sensitivity_regression(records_matrix(train), records_matrix(eval_records), seed=0, forest_params=ForestParams(n_trees=20))
     assert out["train_r2"] > 0.9
     assert out["eval_r2"] < 0.3
 
@@ -413,9 +465,9 @@ def test_sensitivity_regression_unrelated_eval():
 def test_sensitivity_regression_errors():
     records = [make_record(diff=float("nan")) for _ in range(5)]
     with pytest.raises(ValueError, match="positive diff"):
-        sensitivity_regression(records, records)
+        sensitivity_regression(records_matrix(records), records_matrix(records))
     constant = [make_record(diff=100.0, sample=i) for i in range(10)]
-    out = sensitivity_regression(constant, constant, seed=0,
+    out = sensitivity_regression(records_matrix(constant), records_matrix(constant), seed=0,
                                  forest_params=ForestParams(n_trees=5))
     assert is_undefined(out["train_r2"])
 
@@ -444,9 +496,26 @@ def test_report_bundle_reuses_the_relationship_forest(tmp_path, monkeypatch):
     # the depth-5 tree, the relationship forest and the 0.9 shift, where 950 moves up a level;
     # shifts 1.0 and 1.1 label every record as the relationship models do
     assert len(fits) == 3
-    refits = sensitivity_boundaries(records, seed=0, forest_params=params)
+    refits = sensitivity_boundaries(records_matrix(records), seed=0, forest_params=params)
     assert len(fits) == 6
     assert (tmp_path / "sensitivity.json").read_text() == json.dumps(refits.to_json_dict(), indent=1) + "\n"
+
+
+def test_report_commands_build_one_records_matrix_per_file(tmp_path, monkeypatch):
+    from defectcost import analysis
+
+    built = []
+    build = analysis.records_matrix
+    monkeypatch.setattr(analysis, "records_matrix", lambda records: built.append(len(records)) or build(records))
+    records = noisy_records(np.random.default_rng(16), n=60)
+    write_report_bundle(tmp_path / "bundle", records, seed=0, forest_params=ForestParams(n_trees=5))
+    assert built == [60]
+    write_records_csv(records, tmp_path / "train.csv")
+    write_records_jsonl(records[:40], tmp_path / "eval.jsonl")
+    built.clear()
+    assert main(["sensitivity", "--records", str(tmp_path / "train.csv"), "--eval-records",
+                 str(tmp_path / "eval.jsonl"), "--trees", "5", "-o", str(tmp_path / "sens")]) == 0
+    assert built == [60, 40]
 
 
 def test_report_bundle_files(tmp_path):

@@ -62,6 +62,16 @@ def test_bootstrap_deterministic_output(corpus_dir, tmp_path):
     assert len(rows) == 2 * 2 * 4
 
 
+def test_bootstrap_jobs_writes_the_serial_bytes(corpus_dir, tmp_path):
+    """Two worker processes write the records files of one, byte for byte."""
+    args = ["bootstrap", "--data", str(corpus_dir), "--samples", "2", "--seed", "3", "--trees", "5"]
+    for jobs in ("1", "2"):
+        assert main(args + ["--jobs", jobs, "-o", str(tmp_path / jobs)]) == 0
+    for name in ("records.csv", "records.jsonl"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    assert len(load_corpus(corpus_dir)) * 2 * 2 == len((tmp_path / "1/records.jsonl").read_text().splitlines())
+
+
 def test_analyze_bundle(corpus_dir, tmp_path):
     run_dir = tmp_path / "run"
     assert main(["bootstrap", "--data", str(corpus_dir), "--samples", "3", "--seed", "5",

@@ -317,6 +317,12 @@ BAD_RECORD_LINES = {
     "csv_bad_sample": (".csv", 2, lambda t: t.replace(",p,r,0,", ",p,r,x,", 1), "malformed 'sample' value 'x'"),
     "csv_huge_field": (".csv", 2, lambda t: t.replace("bootstrap", "x" * 200_000), "field larger than field limit"),
     "csv_unknown_label": (".csv", 3, lambda t: t.replace(",medium", ",huge"), "malformed 'potential' value 'huge'"),
+    # int() and float() take underscores and surrounding whitespace; the writers write neither
+    "csv_underscore_sample": (".csv", 3, lambda t: t.replace(",p,r,1,", ",p,r,1_0,", 1),
+                              "malformed 'sample' value '1_0'"),
+    "csv_padded_seed": (".csv", 2, lambda t: t.replace(",plain,0,", ",plain, 0,", 1), "malformed 'seed' value ' 0'"),
+    "csv_padded_number": (".csv", 4, lambda t: t.replace(",0.5,", ", 0.5,", 1), "malformed 'recall' value ' 0.5'"),
+    "csv_underscore_number": (".csv", 2, lambda t: t.replace(",600,", ",6_00,", 1), "malformed 'upper' value '6_00'"),
     "jsonl_array": (".jsonl", 2, lambda t: "[1, 2]", "must be a JSON object"),
     "jsonl_metrics_number": (".jsonl", 2, _json_edit(lambda o: o.update(metrics=5)), "must be a JSON object"),
     "jsonl_not_json": (".jsonl", 1, lambda t: t[:-5], "malformed JSON"),
@@ -336,6 +342,10 @@ BAD_RECORD_LINES = {
                            "malformed 'release' value ['r', 1]"),
     "jsonl_bool_number": (".jsonl", 3, _json_edit(lambda o: o["metrics"].update(recall=True)),
                           "malformed 'recall' value True"),
+    "jsonl_string_number": (".jsonl", 2, _json_edit(lambda o: o["metrics"].update(recall="0.25")),
+                            "malformed 'recall' value '0.25'"),
+    "jsonl_string_bound": (".jsonl", 1, _json_edit(lambda o: o["bounds"].update(lower="Infinity")),
+                           "malformed 'lower' value 'Infinity'"),
 }
 
 
@@ -352,6 +362,17 @@ def test_malformed_record_line_names_file_and_line(tmp_path, capsys, case):
     assert main(["analyze", "--records", str(path), "-o", str(tmp_path / "r")]) == EXIT_DATA
     assert f"[{path}:{line}]" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_records_read_every_number_form_the_writers_write(tmp_path, suffix):
+    """The strict cell syntax still reads each form of fmt_float and the JSON
+    codecs: integers, repr floats with and without an exponent, and negatives."""
+    values = (1e-05, 1.5e+16, 1e15, -0.25, 123456789.125, -7.0, 0.0, 5e-324)
+    records = [make_record(sample=i - 1, seed=2**40 + i, recall=v) for i, v in enumerate(values)]
+    path = tmp_path / f"records{suffix}"
+    (write_records_csv if suffix == ".csv" else write_records_jsonl)(records, path)
+    assert read_records(path) == records
 
 
 def test_records_csv_header_repeating_a_column_is_data_error(tmp_path, capsys):

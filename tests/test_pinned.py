@@ -35,7 +35,7 @@ from defectcost import (
     write_records_jsonl,
     write_release,
 )
-from defectcost.analysis import fit_relationship_models
+from defectcost.analysis import fit_relationship_models, records_matrix
 from defectcost.cli import main
 from defectcost.experiments import BootstrapConfig
 from defectcost.learners import ForestParams, apply_smote, train_random_forest
@@ -100,8 +100,8 @@ def test_forest_model_tuned(kept):
 def test_relationship_forest_tuned(kept):
     config = BootstrapConfig(n_samples=2, seed=9, model=GaussianNBModel())
     records = run_bootstrap(kept, config=config).records
-    fit = fit_relationship_models(records, seed=2, forest_params=ForestParams(n_trees=5), tune_forest=True,
-                                  tune_population=4, tune_generations=2,
+    fit = fit_relationship_models(records_matrix(records), seed=2, forest_params=ForestParams(n_trees=5),
+                                  tune_forest=True, tune_population=4, tune_generations=2,
                                   lambda_grid=(1.0, 10.0), alpha_grid=(0.5,))
     importances = fit.importances["forest"]
     assert tuned_digest(fit.models["forest"].predictor.params, [importances[k] for k in sorted(importances)]) == (

@@ -80,6 +80,65 @@ assert main(["validate", "--data", out + "/corpus"]) == 2
 print("done")
 """
 
+ERROR_PATHS = """
+import json
+import os
+import sys
+from pathlib import Path
+
+from defectcost.cli import main
+
+out = sys.argv[1]
+corpus = ["--min-instances", "10", "--min-defects", "2"]
+assert main(["synth", "--seed", "2", "--projects", "1", "--releases", "2", "--artifacts", "60,60",
+             "-o", out + "/synth"]) == 0
+releases = sorted(str(p.parent) for p in Path(out, "synth").rglob("meta.json"))
+assert main(["bootstrap", "--data", out + "/synth", *corpus, "--samples", "1", "--model", "gnb",
+             "-o", out + "/run"]) == 0
+# a corpus that names its project with a list, a prediction that repeats an
+# id and a record of an unknown potential level, each name non-ASCII
+meta = json.loads(Path(releases[0], "meta.json").read_text(encoding="utf-8"))
+Path(out, "bad").mkdir()
+Path(out, "bad", "meta.json").write_text(json.dumps({**meta, "project": ["prøjekt"]}), encoding="utf-8")
+for name in ("metrics.csv", "defects.json"):
+    Path(out, "bad", name).write_bytes(Path(releases[0], name).read_bytes())
+Path(out, "pred.csv").write_text("artifact_id,score\\né,0.5\\né,0.5\\n", encoding="utf-8")
+lines = Path(out, "run", "records.csv").read_text(encoding="utf-8").splitlines()
+lines[1] = lines[1].rsplit(",", 1)[0] + ",énorme"
+Path(out, "records.csv").write_text("\\n".join(lines) + "\\n", encoding="utf-8")
+# a non-ASCII name as this locale gives it in argv: its bytes as surrogate escapes
+missing = os.fsdecode(os.fsencode(out) + b"/\\xc3\\xb8")
+
+bad = ["--data", out + "/bad", *corpus, "--model", "gnb"]
+runs = {
+    "validate": (["validate", "--data", missing], 2),
+    "metrics": (["metrics", "--release", releases[0], "--pred", out + "/pred.csv", "-o", out + "/m"], 2),
+    "bootstrap": (["bootstrap", *bad, "-o", out + "/b"], 2),
+    "cross-version": (["cross-version", *bad, "-o", out + "/v"], 2),
+    "cross-project": (["cross-project", *bad, "-o", out + "/p"], 2),
+    "analyze": (["analyze", "--records", out + "/records.csv", "-o", out + "/a"], 2),
+    "sensitivity": (["sensitivity", "--records", out + "/run/records.csv", "--eval-records", missing,
+                     "-o", out + "/s"], 2),
+    "synth": (["synth", "--artifacts", "1,ø", "-o", out + "/t"], 1),
+}
+for command, (argv, code) in runs.items():
+    print("@@", command, file=sys.stderr, flush=True)
+    assert main(argv) == code, command
+print("done")
+"""
+
+# what each command's error shows of its non-ASCII name or path on stderr
+ESCAPED = {
+    "validate": "/\\udcc3\\udcb8]",
+    "metrics": "duplicate artifact id '\\xe9'",
+    "bootstrap": "got ['pr\\xf8jekt']",
+    "cross-version": "got ['pr\\xf8jekt']",
+    "cross-project": "got ['pr\\xf8jekt']",
+    "analyze": "malformed 'potential' value '\\xe9norme'",
+    "sensitivity": "/\\udcc3\\udcb8]",
+    "synth": "got '1,\\xf8'",
+}
+
 
 def run_child(script: Path, out: Path, *options: str, env=None) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": SRC, **(env or {})}
@@ -113,3 +172,16 @@ def test_command_output_survives_the_c_locale(tmp_path):
     assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, ["done"]), run.stderr
     assert "pr\\xf8jekt/r0: artifacts=60 " in run.stdout
     assert "meta field 'release' must be a string, got ['\\xf8']" in run.stderr
+
+
+def test_every_command_error_escapes_non_ascii_under_the_c_locale(tmp_path):
+    """Each command's error with a non-ASCII name or path in it ends with exit
+    1 or 2 and reaches stderr as backslash escapes, not a traceback."""
+    run = run_child(write_script(tmp_path, ERROR_PATHS), tmp_path,
+                    env={"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"})
+    assert (run.returncode, run.stdout.splitlines()[-1:]) == (0, ["done"]), run.stderr
+    assert run.stderr.isascii() and "Traceback" not in run.stderr, run.stderr
+    sections = dict(part.split("\n", 1) for part in run.stderr.split("@@ ")[1:])
+    assert sections.keys() == ESCAPED.keys()
+    for command, text in ESCAPED.items():
+        assert text in sections[command], (command, sections[command])
