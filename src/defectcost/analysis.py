@@ -19,13 +19,14 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .costmodel import DEFAULT_BOUNDARIES, Potential
-from .experiments import CSV_COLUMNS, NUMBERS, VARIABLE_NAMES, write_records_csv
+from .experiments import CSV_COLUMNS, VARIABLE_NAMES, write_records_csv
 from .extmath import UNDEFINED, column_medians, fmt_float, json_number
 from .learners import (
     ForestParams,
@@ -63,12 +64,11 @@ class RecordsMatrix:
 
 
 def records_matrix(records: Sequence) -> RecordsMatrix:
-    """The analysed columns of EvaluationRecords, read in one pass over the
-    records' numbers and potential."""
-    width = len(CSV_COLUMNS) - NUMBERS.start  # the 30 variables, lower, upper, diff and potential
-    table = np.array([rec[NUMBERS.start:] for rec in records], dtype=np.float64).reshape(len(records), width)
-    return RecordsMatrix(X=np.ascontiguousarray(table[:, :len(VARIABLE_NAMES)]),
-                         diff=table[:, -2].copy(), levels=table[:, -1].astype(np.int64))
+    """The analysed columns of EvaluationRecords, found by name and read in one pass over the records."""
+    k, pick = len(VARIABLE_NAMES), itemgetter(*map(CSV_COLUMNS.index, (*VARIABLE_NAMES, "diff", "potential")))
+    table = np.array([pick(rec) for rec in records], dtype=np.float64).reshape(len(records), k + 2)
+    return RecordsMatrix(X=np.ascontiguousarray(table[:, :k]), diff=table[:, k].copy(),
+                         levels=table[:, k + 1].astype(np.int64))
 
 
 @dataclass(frozen=True, eq=False)

@@ -389,7 +389,7 @@ def cmd_sensitivity(args) -> int:
             raise DataError(str(exc), args.records if exc.role == "training" else args.eval_records) from exc
         payload["regression"] = {key: json_number(value) for key, value in reg.items()}
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "sensitivity.json").write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n", encoding="utf-8")
+    analysis._write_json(args.out / "sensitivity.json", payload)
     log.info("sensitivity report written to %s", args.out / "sensitivity.json")
     return EXIT_OK
 

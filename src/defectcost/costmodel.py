@@ -32,23 +32,18 @@ class Potential(IntEnum):
 
     @property
     def label(self) -> str:
-        return _POTENTIAL_LABELS[self]
+        return self.name.lower()
 
     @staticmethod
     def from_label(label: str) -> "Potential":
+        """The level whose ``label`` is exactly ``label``: another case is unknown."""
         try:
             return _POTENTIAL_BY_LABEL[label]
         except KeyError:
             raise ValueError(f"unknown potential level {label!r}") from None
 
 
-_POTENTIAL_LABELS = {
-    Potential.NONE: "none",
-    Potential.MEDIUM: "medium",
-    Potential.LARGE: "large",
-    Potential.EXTRA_LARGE: "extra_large",
-}
-_POTENTIAL_BY_LABEL = {v: k for k, v in _POTENTIAL_LABELS.items()}
+_POTENTIAL_BY_LABEL = {level.label: level for level in Potential}
 
 DEFAULT_BOUNDARIES = (1000.0, 10000.0)
 

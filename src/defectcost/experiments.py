@@ -22,6 +22,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from datetime import timedelta
 from itertools import islice, takewhile
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -49,22 +50,26 @@ from .learners import (
     tune_forest_params,
     tune_smote,
 )
-from .metrics import EFFORT_MODES, METRIC_NAMES, Prediction, evaluate_metrics
+from .metrics import EFFORT_MODES, METRIC_NAMES, Prediction, check_threshold, evaluate_metrics
 
 log = logging.getLogger(__name__)
 
 SCENARIO_CODES = {"bootstrap": 1, "cross_version": 2, "cross_project": 3, "external": 4}
 CROSS_PROJECT_GAP_DAYS = 183  # "six months", fixed in days for determinism
 
-IDENTITY_COLUMNS = ("scenario", "project", "release", "sample", "preprocessing", "seed")
+# the record layout, (name, kind, group) for each column of records.csv in
+# order, which EvaluationRecord and records.jsonl follow: the kind picks a
+# codec of _CODECS, the group the records.jsonl object (None: the top level)
+RECORD_LAYOUT = (
+    *((name, "text", None) for name in ("scenario", "project", "release")),
+    ("sample", "int", None), ("preprocessing", "text", None), ("seed", "int", None),
+    *((name, "real", "metrics") for name in METRIC_NAMES),
+    *((name, "real", "confounders") for name in CONFOUNDER_NAMES),
+    *((f.name, "bound", "bounds") for f in fields(CostBounds)),
+    ("potential", "level", None),
+)
+CSV_COLUMNS = tuple(name for name, _, _ in RECORD_LAYOUT)
 VARIABLE_NAMES = METRIC_NAMES + CONFOUNDER_NAMES
-BOUND_NAMES = tuple(f.name for f in fields(CostBounds))
-CSV_COLUMNS = (*IDENTITY_COLUMNS, *VARIABLE_NAMES, *BOUND_NAMES, "potential")
-
-# a record's 30 variables (metrics, then confounders), and its 33 numbers
-# (the variables, then the bounds)
-VARIABLES = slice(len(IDENTITY_COLUMNS), len(IDENTITY_COLUMNS) + len(VARIABLE_NAMES))
-NUMBERS = slice(len(IDENTITY_COLUMNS), -1)
 
 
 class EvaluationRecord(namedtuple("EvaluationRecord", CSV_COLUMNS)):
@@ -75,15 +80,6 @@ class EvaluationRecord(namedtuple("EvaluationRecord", CSV_COLUMNS)):
     __slots__ = ()
 
 
-# the JSONL layout: identity and potential at the top, the numbers in three
-# groups, each a group's field names and the codec of its values
-_JSON_GROUPS = {
-    "metrics": (METRIC_NAMES, json_number),
-    "confounders": (CONFOUNDER_NAMES, json_number),
-    "bounds": (BOUND_NAMES, json_extended),
-}
-
-
 def _whole(pattern: str, parse):
     """``parse`` of text that ``pattern`` matches whole; other text matches
     nothing, and reading the None match raises a TypeError."""
@@ -91,16 +87,26 @@ def _whole(pattern: str, parse):
     return lambda text: parse(fullmatch(text)[0])
 
 
-# how _parse_record reads each column of CSV_COLUMNS from a records.csv cell, as
-# the writers write it: an integer or a number in ASCII digits, without padding or
-# underscores; and from a records.jsonl value of the column's JSON type, where no
-# boolean passes for a number
-_INT_CELL = _whole(r"-?[0-9]+", int)
+# a records.csv cell holds an integer or a number in ASCII digits, as the
+# writers write it: without padding or underscores
 _NUMBER_CELL = _whole(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?|nan|-?inf", float)
-_CSV_PARSERS = (str, str, str, _INT_CELL, str, _INT_CELL, *[_NUMBER_CELL] * len(CSV_COLUMNS[NUMBERS]),
-                Potential.from_label)
-_JSON_PARSERS = (str, str, str, int, str, int, *[parse_extended] * len(CSV_COLUMNS[NUMBERS]), Potential.from_label)
-_JSON_TYPES = (str, str, str, int, str, int, *[object] * len(CSV_COLUMNS[NUMBERS]), str)
+# how the values of one column kind are written and read: a value's records.csv
+# text and the reader of that text, and a value's records.jsonl value, the JSON
+# type of that value, where no boolean passes for a number, and its reader
+_Codec = namedtuple("_Codec", "csv_text csv_cell json_value json_type json_cell")
+_CODECS = {
+    "text": _Codec(str, str, str, str, str),
+    "int": _Codec(str, _whole(r"-?[0-9]+", int), int, int, int),
+    "real": _Codec(fmt_float, _NUMBER_CELL, json_number, object, parse_extended),
+    "bound": _Codec(fmt_float, _NUMBER_CELL, json_extended, object, parse_extended),
+    "level": _Codec(attrgetter("label"), Potential.from_label, attrgetter("label"), str, Potential.from_label),
+}
+# what the writers and readers take of each column, in layout order
+_CSV_TEXTS = tuple(_CODECS[kind].csv_text for _, kind, _ in RECORD_LAYOUT)
+_CSV_CELLS = tuple((name, str, _CODECS[kind].csv_cell) for name, kind, _ in RECORD_LAYOUT)
+_JSON_VALUES = tuple((name, group, _CODECS[kind].json_value) for name, kind, group in RECORD_LAYOUT)
+_JSON_CELLS = tuple((name, _CODECS[kind].json_type, _CODECS[kind].json_cell) for name, kind, _ in RECORD_LAYOUT)
+_JSON_GROUPS = tuple(dict.fromkeys(group for _, _, group in RECORD_LAYOUT if group))
 
 
 def write_records_csv(records: Sequence[EvaluationRecord], path) -> Path:
@@ -110,7 +116,7 @@ def write_records_csv(records: Sequence[EvaluationRecord], path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow([*map(str, rec[: NUMBERS.start]), *map(fmt_float, rec[NUMBERS]), rec.potential.label])
+            writer.writerow([text(value) for text, value in zip(_CSV_TEXTS, rec)])
     return path
 
 
@@ -119,21 +125,19 @@ def write_records_jsonl(records: Sequence[EvaluationRecord], path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
-            obj = {name: getattr(rec, name) for name in IDENTITY_COLUMNS}
-            for group, (names, codec) in _JSON_GROUPS.items():
-                obj[group] = {name: codec(getattr(rec, name)) for name in names}
-            obj["potential"] = rec.potential.label
+            obj = {}
+            for (name, group, encode), value in zip(_JSON_VALUES, rec):
+                (obj if group is None else obj.setdefault(group, {}))[name] = encode(value)
             fh.write(json.dumps(obj, allow_nan=False) + "\n")
     return path
 
 
-def _parse_record(columns, path, line, parsers=_CSV_PARSERS, types=(str,) * len(CSV_COLUMNS)) -> EvaluationRecord:
+def _parse_record(columns, path, line, cells=_CSV_CELLS) -> EvaluationRecord:
     """The record in ``columns``, a mapping from column name to the text of a
-    CSV cell or a JSON value, each of its column's type in ``types`` and read
-    by its column's parser in ``parsers``; a missing or malformed column is a
-    DataError naming ``path`` and ``line``."""
+    CSV cell or a JSON value; ``cells`` gives each column's name, value type and
+    reader. A missing or malformed column is a DataError naming ``path`` and ``line``."""
     values = []
-    for name, parse, kind in zip(CSV_COLUMNS, parsers, types):
+    for name, kind, parse in cells:
         if name not in columns:
             raise DataError(f"record lacks {name!r}", path, line)
         try:
@@ -182,12 +186,11 @@ def read_records_jsonl(path) -> list[EvaluationRecord]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"malformed JSON: {exc.msg}", path, lineno) from None
             if not isinstance(obj, dict) or not all(isinstance(obj.get(group), dict) for group in _JSON_GROUPS):
-                raise DataError("a record must be a JSON object with objects "
-                                "'metrics', 'confounders' and 'bounds'", path, lineno)
+                raise DataError(f"a record must be a JSON object with objects {', '.join(_JSON_GROUPS)}", path, lineno)
             columns = dict(obj)
             for group in _JSON_GROUPS:
                 columns.update(obj[group])
-            records.append(_parse_record(columns, path, lineno, _JSON_PARSERS, _JSON_TYPES))
+            records.append(_parse_record(columns, path, lineno, _JSON_CELLS))
     return records
 
 
@@ -238,11 +241,10 @@ class GaussianNBModel:
 
 @dataclass(frozen=True, eq=False)
 class TransferResult:
-    """Training and target features after a transfer, and the columns it left flagged."""
+    """Training and target features after a transfer."""
 
     train_X: np.ndarray
     target_X: np.ndarray
-    flagged: tuple[int, ...] = ()
 
 
 TRANSFER_KINDS = ("none", "watanabe", "camargo_cruz")
@@ -251,13 +253,12 @@ TRANSFER_KINDS = ("none", "watanabe", "camargo_cruz")
 @dataclass(frozen=True, eq=False)
 class TransferSide:
     """Features made ready for one transfer kind: for camargo_cruz
-    ``ln(max(x, 0) + 1)``, else ``X`` itself, and the columns that hold a
-    negative value. Both are elementwise, so a release's side is prepared once
-    per run and a pool's side is its releases' sides concatenated in pool order."""
+    ``ln(max(x, 0) + 1)``, else ``X`` itself. That is elementwise, so a
+    release's side is prepared once per run and a pool's side is its
+    releases' sides concatenated in pool order."""
 
     kind: str
     X: np.ndarray
-    negative: np.ndarray  # (k,) bool
 
 
 def transfer_side(kind: str, X: np.ndarray) -> TransferSide:
@@ -265,19 +266,17 @@ def transfer_side(kind: str, X: np.ndarray) -> TransferSide:
     if kind not in TRANSFER_KINDS:
         raise ValueError(f"unknown transfer kind {kind!r} (expected one of {TRANSFER_KINDS})")
     X = np.asarray(X, dtype=np.float64)
-    negative = (X < 0).any(axis=0)
-    return TransferSide(kind, np.log1p(np.maximum(X, 0.0)) if kind == "camargo_cruz" else X, negative)
+    return TransferSide(kind, np.log1p(np.maximum(X, 0.0)) if kind == "camargo_cruz" else X)
 
 
 def transfer_transform(kind: str, train, target, *, out=None, scratch=None) -> TransferResult:
     """Align training data with the target project.
 
     watanabe: scale each training feature by mean(target)/mean(train);
-    features with zero training mean are left unscaled and flagged.
+    features with zero training mean are left unscaled.
     camargo_cruz: ln(x+1) on both sides (negative values clipped to zero
     first; static metrics are non-negative by construction), then shift the
-    training features by median(target) - median(train); features with a
-    negative value on either side are flagged.
+    training features by median(target) - median(train).
 
     ``train`` and ``target`` are feature arrays, or sides that
     ``transfer_side`` prepared for ``kind``. The moved training features are
@@ -295,12 +294,10 @@ def transfer_transform(kind: str, train, target, *, out=None, scratch=None) -> T
     if kind == "watanabe":
         train_mean = train.X.mean(axis=0)
         target_mean = target.X.mean(axis=0)
-        flagged = tuple(int(i) for i in np.flatnonzero(train_mean == 0))
         scale = np.where(train_mean == 0, 1.0, target_mean / np.where(train_mean == 0, 1.0, train_mean))
-        return TransferResult(np.multiply(train.X, scale, out=out), target.X, flagged)
-    flagged = tuple(int(i) for i in np.flatnonzero(train.negative | target.negative))
+        return TransferResult(np.multiply(train.X, scale, out=out), target.X)
     shift = column_medians(target.X) - column_medians(train.X, scratch)
-    return TransferResult(np.add(train.X, shift, out=out), target.X, flagged)
+    return TransferResult(np.add(train.X, shift, out=out), target.X)
 
 
 class _PoolWorkspace:
@@ -321,8 +318,7 @@ class _PoolWorkspace:
             self._X = self._T = self._y = None  # let the old buffers go before the new ones are taken
             self._X, self._T, self._y = np.empty(n * k), np.empty(n * k), np.empty(n, dtype=np.int64)
         X = np.concatenate([s.X for s in sides], out=self._X[: n * k].reshape(n, k))
-        side = TransferSide(sides[0].kind, X, np.logical_or.reduce([s.negative for s in sides]))
-        return side, self._T[: n * k].reshape(k, n), np.concatenate(labels, out=self._y[:n])
+        return TransferSide(sides[0].kind, X), self._T[: n * k].reshape(k, n), np.concatenate(labels, out=self._y[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +353,7 @@ class RecordConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.oversample not in OVERSAMPLE_MODES:
             raise ValueError(f"unknown oversample mode {self.oversample!r}")
-        if not 0.0 <= self.threshold <= 1.0:  # also rejects nan
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
+        check_threshold(self.threshold)
         if self.effort_mode not in EFFORT_MODES:
             raise ValueError(f"unknown effort counting mode {self.effort_mode!r}")
 

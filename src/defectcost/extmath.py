@@ -74,10 +74,10 @@ def parse_extended(v) -> float:
 
 
 def fmt_float(x) -> str:
-    """Shortest round-trip text form; 'nan'/'inf'/'-inf' for non-finite."""
+    """Shortest round-trip text form, '-0' for -0.0; 'nan'/'inf'/'-inf' for non-finite."""
     xf = float(x)
     if math.isfinite(xf) and xf.is_integer() and abs(xf) < 1e15:
-        return str(int(xf))
+        return str(int(xf)) if xf or math.copysign(1.0, xf) > 0 else "-0"
     return repr(xf)
 
 

@@ -23,6 +23,12 @@ class CoverageError(Exception):
     """Prediction does not cover exactly the evaluation artifacts."""
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a decision threshold outside [0, 1]: nan too."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Prediction:
     """Scores in [0,1] in the row order of one view, with a decision threshold.
@@ -35,6 +41,7 @@ class Prediction:
     threshold: float = 0.5
 
     def __post_init__(self):
+        check_threshold(self.threshold)
         object.__setattr__(self, "scores", np.array(self.scores, dtype=np.float64))
         if self.scores.shape != (self.view.n,):
             raise ValueError(f"{self.scores.size} scores for the {self.view.n} rows of {self.view.release.key()}")

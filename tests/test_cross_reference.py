@@ -231,7 +231,6 @@ def test_pool_workspace_grows_only_for_a_larger_pool():
     assert big.X.tobytes() == np.vstack([s.X for s in sides[:2]]).tobytes()
     assert big_y.tobytes() == np.concatenate(labels[:2]).tobytes()
     assert big_columns.shape == (3, 12) and big_columns.flags.c_contiguous
-    assert big.negative.tolist() == (sides[0].negative | sides[1].negative).tolist()
     small, small_columns, small_y = workspace.pool(sides[2:], labels[2:])
     assert small.X.tobytes() == sides[2].X.tobytes() and small_y.tobytes() == labels[2].tobytes()
     assert small_columns.shape == (3, 4)

@@ -1,3 +1,5 @@
+import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -21,9 +23,10 @@ from defectcost.experiments import (
     write_records_jsonl,
 )
 from defectcost.learners import ForestParams
+from defectcost.metrics import Prediction
 from defectcost.synth import SynthSpec, generate_synthetic
 
-from conftest import T1_SCORES, make_release, view_defects
+from conftest import T1_SCORES, make_record, make_release, view_defects
 
 
 def dt(text):
@@ -115,6 +118,16 @@ def test_records_roundtrip(small_corpus, tmp_path):
     from_jsonl = read_records(jsonl_path)
     assert from_csv == records
     assert from_jsonl == records
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_negative_zero_round_trips(tmp_path, suffix):
+    record = make_record(recall=-0.0, bias_test=-0.0, lower=-0.0, diff=-0.0)
+    path = (write_records_csv if suffix == ".csv" else write_records_jsonl)([record], tmp_path / f"r{suffix}")
+    [back] = read_records(path)
+    assert back == record
+    for name in ("recall", "bias_test", "lower", "diff"):
+        assert math.copysign(1.0, getattr(back, name)) == -1.0, name
 
 
 def test_bootstrap_split_failure_recorded():
@@ -275,14 +288,12 @@ def test_transfer_watanabe_scales_by_mean_ratio():
     res = transfer_transform("watanabe", train, target)
     assert np.allclose(res.train_X[:, 0], [2.0, 2.0])
     assert np.allclose(res.train_X[:, 1], [1.0, 3.0])
-    assert res.flagged == ()
 
 
-def test_transfer_watanabe_flags_zero_mean():
+def test_transfer_watanabe_leaves_zero_mean_unscaled():
     train = np.array([[0.0, 1.0], [0.0, 3.0]])
     target = np.array([[2.0, 2.0]])
     res = transfer_transform("watanabe", train, target)
-    assert res.flagged == (0,)
     assert np.allclose(res.train_X[:, 0], [0.0, 0.0])  # left unscaled
 
 
@@ -317,3 +328,13 @@ def test_external_record(t1_release):
     assert record.potential.label == "medium"
     assert record.n_train == 0
     assert np.isnan(record.bias_train)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 7.0, -1.0])
+def test_prediction_threshold_outside_unit_interval_is_rejected(t1_release, threshold):
+    message = re.escape(f"threshold must be in [0, 1], got {threshold!r}")
+    with pytest.raises(ValueError, match=message):
+        evaluate_external_prediction(t1_release, dict(T1_SCORES), threshold=threshold)
+    view = t1_release.view()
+    with pytest.raises(ValueError, match=message):
+        Prediction(view, np.full(view.n, 0.5), threshold)

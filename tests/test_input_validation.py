@@ -308,6 +308,9 @@ def _json_edit(edit):
     return apply
 
 
+CASE_LABELS = ("Medium", "NONE", "extra-large")  # potential labels in another case or spelling
+
+
 # (suffix, line, edit of that line, message); line 1 of records.csv is the header
 BAD_RECORD_LINES = {
     "csv_truncated": (".csv", 3, lambda t: t.rsplit(",", 5)[0], "row has 35 fields, the header 40"),
@@ -317,6 +320,9 @@ BAD_RECORD_LINES = {
     "csv_bad_sample": (".csv", 2, lambda t: t.replace(",p,r,0,", ",p,r,x,", 1), "malformed 'sample' value 'x'"),
     "csv_huge_field": (".csv", 2, lambda t: t.replace("bootstrap", "x" * 200_000), "field larger than field limit"),
     "csv_unknown_label": (".csv", 3, lambda t: t.replace(",medium", ",huge"), "malformed 'potential' value 'huge'"),
+    # a label is its level's name in lower case, exactly
+    **{f"csv_unknown_label_{label}": (".csv", 3, lambda t, new=f",{label}": t.replace(",medium", new),
+                                      f"malformed 'potential' value '{label}'") for label in CASE_LABELS},
     # int() and float() take underscores and surrounding whitespace; the writers write neither
     "csv_underscore_sample": (".csv", 3, lambda t: t.replace(",p,r,1,", ",p,r,1_0,", 1),
                               "malformed 'sample' value '1_0'"),
@@ -333,6 +339,8 @@ BAD_RECORD_LINES = {
     "jsonl_list_number": (".jsonl", 1, _json_edit(lambda o: o["bounds"].update(upper=[600])),
                           "malformed 'upper' value [600]"),
     "jsonl_unknown_label": (".jsonl", 2, lambda t: t.replace('"medium"', '"huge"'), "malformed 'potential' value 'huge'"),
+    **{f"jsonl_unknown_label_{label}": (".jsonl", 2, lambda t, new=f'"{label}"': t.replace('"medium"', new),
+                                        f"malformed 'potential' value '{label}'") for label in CASE_LABELS},
     "jsonl_float_sample": (".jsonl", 2, _json_edit(lambda o: o.update(sample=1.5)), "malformed 'sample' value 1.5"),
     "jsonl_bool_sample": (".jsonl", 1, _json_edit(lambda o: o.update(sample=True)), "malformed 'sample' value True"),
     "jsonl_float_seed": (".jsonl", 3, _json_edit(lambda o: o.update(seed=2.7)), "malformed 'seed' value 2.7"),
