@@ -119,13 +119,12 @@ class RelationshipModel:
 
 @dataclass(frozen=True, eq=False)
 class RelationshipFit:
-    """The fitted relationship models, their importances, the logit's coefficients and the
-    imputer they share."""
+    """The fitted relationship models, which share one imputer, their importances and the
+    logit's coefficients."""
 
     models: dict[str, RelationshipModel]
     importances: dict[str, dict[str, float]]
     logit_coefficients: dict[str, list[float]]
-    imputer: Imputer
 
 
 def fit_relationship_models(
@@ -168,7 +167,7 @@ def fit_relationship_models(
     }
     models = {name: RelationshipModel(imputer, predictor)
               for name, predictor in (("logit", logit), ("tree", tree), ("forest", forest))}
-    return RelationshipFit(models=models, importances=importances, logit_coefficients=coefficients, imputer=imputer)
+    return RelationshipFit(models=models, importances=importances, logit_coefficients=coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +194,9 @@ def confusion_from_predictions(predicted: Sequence[int], true: Sequence[int]) ->
     return PotentialConfusion(matrix=np.bincount(cell, minlength=k * k).reshape(k, k))
 
 
-def evaluate_confusion(model: RelationshipModel, records: RecordsMatrix):
-    """(confusion, per-class over/underprediction summary)."""
-    conf = confusion_from_predictions(model.predict_levels(records.X), records.levels)
-    return conf, confusion_summary(conf)
+def evaluate_confusion(model: RelationshipModel, records: RecordsMatrix) -> PotentialConfusion:
+    """The confusion of the model's levels against the records' own."""
+    return confusion_from_predictions(model.predict_levels(records.X), records.levels)
 
 
 def _frac(num: float, den: float) -> float:
@@ -582,12 +580,12 @@ def write_report_bundle(
     fit = fit_relationship_models(matrix, seed=seed, forest_params=forest_params, tune_forest=tune_forest)
     verdicts = {}
     for name, model in fit.models.items():
-        conf, summary = evaluate_confusion(model, matrix)
+        conf = evaluate_confusion(model, matrix)
         verdict = classify_strength(conf)
         verdicts[name] = verdict.to_json_dict()
         paths[f"confusion_{name}"] = _write_json(
             outdir / f"confusion_{name}.json",
-            {"model": name, "confusion": conf.to_json_dict(), "summary": summary},
+            {"model": name, "confusion": conf.to_json_dict(), "summary": confusion_summary(conf)},
         )
     logit = fit.models["logit"].predictor
     paths["importances_logit"] = _write_json(
@@ -603,7 +601,7 @@ def write_report_bundle(
         )
     paths["verdicts"] = _write_json(
         outdir / "verdicts.json",
-        {"verdicts": verdicts, "imputation": fit.imputer.report(),
+        {"verdicts": verdicts, "imputation": fit.models["forest"].imputer.report(),
          "groups": [list(g) for g in corr.groups]},
     )
     paths["distribution"] = _write_json(outdir / "distribution.json", distribution_export(matrix))

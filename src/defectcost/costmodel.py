@@ -17,7 +17,6 @@ from itertools import compress
 
 import numpy as np
 
-from .dataset import ReleaseView
 from .extmath import ext_sub, safe_div
 from .metrics import Prediction
 
@@ -65,18 +64,19 @@ class CostBounds:
     diff: float
 
 
-def defect_outcome(view: ReleaseView, pred: Prediction) -> DefectOutcome:
-    """Partition the view's defects into predicted and missed sets."""
-    hit = view.per_defect(np.minimum, pred.scores_for(view) > pred.threshold)
+def defect_outcome(pred: Prediction) -> DefectOutcome:
+    """Partition the defects of the prediction's view into predicted and missed sets."""
+    view = pred.view
+    hit = view.per_defect(np.minimum, pred.labels)
     ids = [view.release.defects[j].id for j in view.defect_rows[2].tolist()]
     predicted = frozenset(compress(ids, hit.tolist()))
     missed = frozenset(ids) - predicted
     return DefectOutcome(predicted=predicted, missed=missed)
 
 
-def cost_bounds(view: ReleaseView, pred: Prediction) -> CostBounds:
+def cost_bounds(pred: Prediction) -> CostBounds:
     """lower = predicted size / |predicted defects|; upper = remaining size / |missed|."""
-    labels = pred.scores_for(view) > pred.threshold
+    view, labels = pred.view, pred.labels
     hit = view.per_defect(np.minimum, labels)
     n_predicted = int(np.count_nonzero(hit))
     lower = safe_div(float(view.sizes[labels].sum()), n_predicted)
@@ -84,9 +84,9 @@ def cost_bounds(view: ReleaseView, pred: Prediction) -> CostBounds:
     return CostBounds(lower=lower, upper=upper, diff=ext_sub(upper, lower))
 
 
-def diff_simplified(view: ReleaseView, pred: Prediction) -> float:
+def diff_simplified(pred: Prediction) -> float:
     """diff' with tp/fn denominators instead of the defect-set sizes."""
-    labels = pred.scores_for(view) > pred.threshold
+    view, labels = pred.view, pred.labels
     tp = int(view.y[labels].sum())
     fn = int(view.y[~labels].sum())
     upper = safe_div(float(view.sizes[~labels].sum()), fn)

@@ -221,7 +221,6 @@ class SplitSample:
 
     train: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 def _first_repeat(values: Sequence) -> int | None:
@@ -498,7 +497,7 @@ def bootstrap_split(release: Release, seed: int, max_redraws: int = 1000) -> Spl
         draw = rng.integers(0, n, size=n)
         test = np.flatnonzero(np.bincount(draw, minlength=n) == 0)
         if y[draw].sum() >= 2 and y[test].sum() >= 1:
-            return SplitSample(train=draw, test=test, seed=seed)
+            return SplitSample(train=draw, test=test)
     raise SplitError(
         f"no valid bootstrap sample for {release.key()} after {max_redraws} redraws "
         f"(needs >=2 defective in-bag instances and >=1 defective out-of-bag artifact)"

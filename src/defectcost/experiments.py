@@ -239,14 +239,6 @@ class GaussianNBModel:
 # transfer transforms for cross-project prediction
 
 
-@dataclass(frozen=True, eq=False)
-class TransferResult:
-    """Training and target features after a transfer."""
-
-    train_X: np.ndarray
-    target_X: np.ndarray
-
-
 TRANSFER_KINDS = ("none", "watanabe", "camargo_cruz")
 
 
@@ -269,8 +261,8 @@ def transfer_side(kind: str, X: np.ndarray) -> TransferSide:
     return TransferSide(kind, np.log1p(np.maximum(X, 0.0)) if kind == "camargo_cruz" else X)
 
 
-def transfer_transform(kind: str, train, target, *, out=None, scratch=None) -> TransferResult:
-    """Align training data with the target project.
+def transfer_transform(kind: str, train, target, *, out=None, scratch=None) -> np.ndarray:
+    """The training features aligned with the target project.
 
     watanabe: scale each training feature by mean(target)/mean(train);
     features with zero training mean are left unscaled.
@@ -279,10 +271,11 @@ def transfer_transform(kind: str, train, target, *, out=None, scratch=None) -> T
     training features by median(target) - median(train).
 
     ``train`` and ``target`` are feature arrays, or sides that
-    ``transfer_side`` prepared for ``kind``. The moved training features are
-    written to ``out`` when it is given, an array shaped like them that may be
-    their own; camargo_cruz copies the training columns into ``scratch``, if
-    given, a C-ordered array shaped like their transpose, to take the medians.
+    ``transfer_side`` prepared for ``kind``; the target side's features are
+    the ones to score. The moved training features are written to ``out``
+    when it is given, an array shaped like them that may be their own;
+    camargo_cruz copies the training columns into ``scratch``, if given, a
+    C-ordered array shaped like their transpose, to take the medians.
     """
     train, target = (s if isinstance(s, TransferSide) else transfer_side(kind, s) for s in (train, target))
     if train.kind != kind or target.kind != kind:
@@ -290,14 +283,14 @@ def transfer_transform(kind: str, train, target, *, out=None, scratch=None) -> T
     if kind == "none":
         if out is not None and out is not train.X:
             np.copyto(out, train.X)
-        return TransferResult(train.X if out is None else out, target.X)
+        return train.X if out is None else out
     if kind == "watanabe":
         train_mean = train.X.mean(axis=0)
         target_mean = target.X.mean(axis=0)
         scale = np.where(train_mean == 0, 1.0, target_mean / np.where(train_mean == 0, 1.0, train_mean))
-        return TransferResult(np.multiply(train.X, scale, out=out), target.X)
+        return np.multiply(train.X, scale, out=out)
     shift = column_medians(target.X) - column_medians(train.X, scratch)
-    return TransferResult(np.add(train.X, shift, out=out), target.X)
+    return np.add(train.X, shift, out=out)
 
 
 class _PoolWorkspace:
@@ -400,7 +393,6 @@ def _fit_and_record(
     seeds,
     *,
     scenario: str,
-    release: Release,
     sample: int,
     train_X,
     train_y,
@@ -422,8 +414,7 @@ def _fit_and_record(
         scores = config.model.fit(X, y, seed=model_seed).predict_proba(test_X)[:, 1]
     return _record(
         Prediction(test_view, scores, config.threshold), train_y, y,
-        effort_mode=config.effort_mode, boundaries=config.boundaries,
-        scenario=scenario, project=release.project, release=release.release_id, sample=sample,
+        effort_mode=config.effort_mode, boundaries=config.boundaries, scenario=scenario, sample=sample,
         preprocessing="plain" if oversample == "off" else "oversampled", seed=model_seed,
     )
 
@@ -431,12 +422,15 @@ def _fit_and_record(
 def _record(pred, train_labels, train_prime_labels, *, effort_mode, boundaries, **identity):
     """Evaluate ``pred`` on its view: metrics, confounders (training labels
     None when there was no training), cost bounds and potential. ``identity``
-    holds the record's identity fields."""
-    metrics = evaluate_metrics(pred.view, pred, effort_mode=effort_mode)
+    holds the record's identity fields but the project and release, which
+    are the view's."""
+    metrics = evaluate_metrics(pred, effort_mode=effort_mode)
     confounders = compute_confounders(train_labels, train_prime_labels, pred.view)
-    bounds = cost_bounds(pred.view, pred)
+    bounds = cost_bounds(pred)
+    release = pred.view.release
     return EvaluationRecord(
-        **identity, **_field_values(metrics), **_field_values(confounders), **_field_values(bounds),
+        project=release.project, release=release.release_id, **identity,
+        **_field_values(metrics), **_field_values(confounders), **_field_values(bounds),
         potential=classify_potential(bounds.diff, boundaries),
     )
 
@@ -471,7 +465,6 @@ def _bootstrap_release(args) -> tuple[list[EvaluationRecord], list[str]]:
                     oversample,
                     (model_seed, smote_seed, tune_seed),
                     scenario="bootstrap",
-                    release=release,
                     sample=s,
                     train_X=train_view.X,
                     train_y=train_view.y,
@@ -552,11 +545,11 @@ def _run_cross(releases: Sequence[Release], config: EvalConfig, scenario: str, m
         if not train:
             return [], [f"{scenario}: {missing} for {target.key()}"]
         pool, columns, train_y = workspace.pool([sides[id(r)] for r, _ in train], [v.y for _, v in train])
-        moved = transfer_transform(config.transfer, pool, sides[id(target)], out=pool.X, scratch=columns)
+        target_side = sides[id(target)]
+        moved = transfer_transform(config.transfer, pool, target_side, out=pool.X, scratch=columns)
         record = _fit_and_record(
             config, config.oversample, _cross_seeds(config.seed, scenario, idx), scenario=scenario,
-            release=target, sample=0, train_X=moved.train_X, train_y=train_y,
-            test_view=views[id(target)], test_X=moved.target_X,
+            sample=0, train_X=moved, train_y=train_y, test_view=views[id(target)], test_X=target_side.X,
         )
         return [record], []
 
@@ -624,6 +617,5 @@ def evaluate_external_prediction(
     return _record(
         Prediction.from_ids(release.view(), scores_by_id, threshold), None, None,
         effort_mode=effort_mode, boundaries=boundaries,
-        scenario="external", project=release.project, release=release.release_id, sample=0,
-        preprocessing="plain", seed=seed,
+        scenario="external", sample=0, preprocessing="plain", seed=seed,
     )

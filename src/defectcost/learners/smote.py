@@ -87,12 +87,15 @@ def apply_smote(
     return X_aug, y_aug
 
 
+# the search box of the tuned-SMOTE approximation: k_neighbors and target_ratio
+SMOTE_K_BOUNDS = (1, 10)
+SMOTE_RATIO_BOUNDS = (0.3, 0.7)
+
+
 @dataclass(frozen=True)
 class SmoteTuning:
-    """DE budget and search box for the tuned-SMOTE approximation."""
+    """DE budget for the tuned-SMOTE approximation."""
 
-    k_bounds: tuple[int, int] = (1, 10)
-    ratio_bounds: tuple[float, float] = (0.3, 0.7)
     population: int = 8
     generations: int = 5
     objective_trees: int = 25
@@ -126,7 +129,7 @@ def tune_smote(
 
     best, _ = differential_evolution(
         objective,
-        bounds=[tuning.k_bounds, tuning.ratio_bounds],
+        bounds=[SMOTE_K_BOUNDS, SMOTE_RATIO_BOUNDS],
         population=tuning.population,
         generations=tuning.generations,
         integer_dims=(0,),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,7 +34,8 @@ def check_threshold(threshold: float) -> None:
 class Prediction:
     """Scores in [0,1] in the row order of one view, with a decision threshold.
 
-    An artifact is predicted defective iff its score > threshold (strict).
+    An artifact is predicted defective iff its score > threshold (strict);
+    ``labels`` holds those decisions.
     """
 
     view: ReleaseView
@@ -45,6 +47,8 @@ class Prediction:
         object.__setattr__(self, "scores", np.array(self.scores, dtype=np.float64))
         if self.scores.shape != (self.view.n,):
             raise ValueError(f"{self.scores.size} scores for the {self.view.n} rows of {self.view.release.key()}")
+        if not np.all((self.scores >= 0.0) & (self.scores <= 1.0)):  # nan too
+            raise ValueError(f"scores for {self.view.release.key()} must be in [0, 1]")
 
     @staticmethod
     def from_ids(view: ReleaseView, scores_by_id: Mapping[str, float], threshold: float = 0.5) -> "Prediction":
@@ -59,12 +63,9 @@ class Prediction:
             )
         return Prediction(view, [scores_by_id[a] for a in view.ids], threshold)
 
-    def scores_for(self, view: ReleaseView) -> np.ndarray:
-        """The scores in the row order of ``view``; raises CoverageError if this
-        prediction was built for another view."""
-        if view is not self.view:
-            raise CoverageError(f"prediction was made for another view than {view.release.key()}")
-        return self.scores
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self.scores > self.threshold
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricVector))
 EFFORT_MODES = ("defects", "files")
 
 
-def confusion_counts(view: ReleaseView, pred: Prediction) -> ConfusionCounts:
-    labels = pred.scores_for(view) > pred.threshold
+def confusion_counts(pred: Prediction) -> ConfusionCounts:
+    view, labels = pred.view, pred.labels
     truth = view.y == 1
     tp = int(np.count_nonzero(labels & truth))
     fp = int(np.count_nonzero(labels & ~truth))
@@ -193,9 +194,10 @@ def _inspection_order(view: ReleaseView, scores: np.ndarray) -> np.ndarray:
     return np.lexsort((view.release.id_rank[view.rows], -view.sizes, -scores))
 
 
-def auc_alberg(view: ReleaseView, pred: Prediction) -> float:
+def auc_alberg(pred: Prediction) -> float:
     """Area under (fraction of modules considered, fraction of defective found)."""
-    found = np.cumsum(view.y[_inspection_order(view, pred.scores_for(view))])
+    view = pred.view
+    found = np.cumsum(view.y[_inspection_order(view, pred.scores)])
     total_def = int(view.y.sum())
     if total_def == 0:
         return UNDEFINED
@@ -240,9 +242,7 @@ def auc_recall_pf(truth: Sequence[int], scores: Sequence[float]) -> float:
     return float(np.cumsum(terms)[-1]) / 0.5
 
 
-def effort_metrics(
-    view: ReleaseView, pred: Prediction, mode: str = "defects"
-) -> tuple[float, float, float]:
+def effort_metrics(pred: Prediction, mode: str = "defects") -> tuple[float, float, float]:
     """(cost, nofb20, nofc80) per the effort-aware definitions.
 
     cost: total size of artifacts predicted defective.
@@ -258,9 +258,9 @@ def effort_metrics(
     """
     if mode not in EFFORT_MODES:
         raise ValueError(f"unknown effort counting mode {mode!r}")
-    scores = pred.scores_for(view)
-    cost = float(view.sizes[scores > pred.threshold].sum())
-    order = _inspection_order(view, scores)
+    view = pred.view
+    cost = float(view.sizes[pred.labels].sum())
+    order = _inspection_order(view, pred.scores)
     rank = np.empty(view.n, dtype=np.int64)
     rank[order] = np.arange(1, view.n + 1)
     budget = 0.2 * float(view.sizes.sum())
@@ -273,17 +273,15 @@ def effort_metrics(
     return cost, nofb20, float(np.sort(completion)[need - 1])
 
 
-def evaluate_metrics(view: ReleaseView, pred: Prediction, effort_mode: str = "defects") -> MetricVector:
-    """All twenty metrics for one evaluation set."""
-    counts = confusion_counts(view, pred)
-    base = confusion_metrics(counts)
-    truth = view.y
-    scores = pred.scores_for(view)
-    cost, nofb20, nofc80 = effort_metrics(view, pred, mode=effort_mode)
+def evaluate_metrics(pred: Prediction, effort_mode: str = "defects") -> MetricVector:
+    """All twenty metrics of one prediction over its view."""
+    base = confusion_metrics(confusion_counts(pred))
+    truth, scores = pred.view.y, pred.scores
+    cost, nofb20, nofc80 = effort_metrics(pred, mode=effort_mode)
     return MetricVector(
         **base,
         auc=auc(truth, scores),
-        auc_alberg=auc_alberg(view, pred),
+        auc_alberg=auc_alberg(pred),
         auc_recall_pf=auc_recall_pf(truth, scores),
         cost=cost,
         nofb20=nofb20,

@@ -20,6 +20,9 @@ import numpy as np
 
 from .dataset import Defect, Release
 
+MAX_DEFECT_FOOTPRINT = 3  # artifacts per defect, at most
+FIX_DELAY_DAYS = (10, 400)  # days from a release to the fix of one of its defects
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -35,10 +38,8 @@ class SynthSpec:
     n_features: int = 8
     signal: float = 1.0
     feature_base: float = 3.0
-    max_defect_footprint: int = 3
     start: datetime = datetime(2015, 1, 1, tzinfo=timezone.utc)
     release_gap_days: tuple[int, int] = (120, 260)
-    fix_delay_days: tuple[int, int] = (10, 400)
 
     def validate(self) -> None:
         if self.n_projects < 1 or self.releases_per_project < 1:
@@ -53,12 +54,9 @@ class SynthSpec:
             raise ValueError("size_log_mean, size_log_sigma, signal and feature_base must be finite")
         if self.size_log_sigma < 0 or self.n_features < 1:
             raise ValueError("size_log_sigma must be >= 0 and n_features >= 1")
-        if self.max_defect_footprint < 1:
-            raise ValueError("max_defect_footprint must be >= 1")
         glo, ghi = self.release_gap_days
-        flo, fhi = self.fix_delay_days
-        if not (1 <= glo <= ghi) or not (1 <= flo <= fhi):
-            raise ValueError("invalid day ranges")
+        if not (1 <= glo <= ghi):
+            raise ValueError(f"invalid release_gap_days {self.release_gap_days}")
 
 
 def _generate_release(spec: SynthSpec, project: str, release_id: str,
@@ -77,11 +75,11 @@ def _generate_release(spec: SynthSpec, project: str, release_id: str,
     # grow the defect set until enough distinct artifacts are covered
     defects: list[Defect] = []
     covered: set[int] = set()
-    flo, fhi = spec.fix_delay_days
+    flo, fhi = FIX_DELAY_DAYS
     k = 0
     while len(covered) < target_defective:
         remaining = target_defective - len(covered)
-        foot_n = int(rng.integers(1, min(spec.max_defect_footprint, max(remaining, 1)) + 1))
+        foot_n = int(rng.integers(1, min(MAX_DEFECT_FOOTPRINT, max(remaining, 1)) + 1))
         fresh = rng.choice(np.array(sorted(set(range(n)) - covered)), size=foot_n, replace=False)
         footprint = set(int(i) for i in fresh)
         # occasionally include an already-defective artifact: n-to-m mapping

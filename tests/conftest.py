@@ -60,7 +60,7 @@ def rows_of(release, ids) -> list[int]:
 
 def ranking_order(view, pred) -> list[str]:
     """The package's inspection order as ids: descending score, then descending size, then id."""
-    return [view.ids[i] for i in _inspection_order(view, pred.scores_for(view))]
+    return [view.ids[i] for i in _inspection_order(view, pred.scores)]
 
 
 def column_total(conf, level) -> int:

@@ -148,7 +148,7 @@ def test_c02_cost_bound_oracle(t1_view):
     for bits in itertools.product((0, 1), repeat=6):
         positives = {a for a, b in zip(t1_view.ids, bits) if b}
         pred = Prediction.from_ids(t1_view, {a: 1.0 if a in positives else 0.0 for a in t1_view.ids}, 0.5)
-        bounds = cost_bounds(t1_view, pred)
+        bounds = cost_bounds(pred)
         lower, upper, diff = oracle(positives)
         assert _same(bounds.lower, lower, 0.0)
         assert _same(bounds.upper, upper, 0.0)
@@ -354,7 +354,7 @@ def test_c08_qualitative_reproduction():
 
     fit = fit_relationship_models(records_matrix(records), seed=0, forest_params=ForestParams(n_trees=50),
                                   lambda_grid=(1.0, 1000.0), alpha_grid=(0.0, 0.5, 1.0))
-    conf, _ = evaluate_confusion(fit.models["forest"], records_matrix(records))
+    conf = evaluate_confusion(fit.models["forest"], records_matrix(records))
     verdict = classify_strength(conf)
     assert verdict.verdict in ("weak_categorization", "strong_categorization")
 

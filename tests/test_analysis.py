@@ -78,7 +78,7 @@ def test_model_accuracy_weak_ordering():
                                    lambda_grid=(1.0, 100.0), alpha_grid=(0.0, 0.5, 1.0))
     logit_acc = np.mean(base.models["logit"].predict_levels(X) == y)
     tree_acc = np.mean(base.models["tree"].predict_levels(X) == y)
-    Xi = base.imputer.transform(X)
+    Xi = base.models["forest"].imputer.transform(X)
     wins = 0
     from defectcost.learners import train_random_forest
 
@@ -238,9 +238,9 @@ def test_confusion_totals_match_records():
     rng = np.random.default_rng(4)
     records = noisy_records(rng, n=90)
     fit = fit_relationship_models(records_matrix(records), seed=0, forest_params=ForestParams(n_trees=10))
-    conf, summary = evaluate_confusion(fit.models["forest"], records_matrix(records))
+    conf = evaluate_confusion(fit.models["forest"], records_matrix(records))
     assert conf.total == len(records)
-    for label, entry in summary.items():
+    for label, entry in confusion_summary(conf).items():
         assert entry["n"] == column_total(conf, Potential.from_label(label))
 
 

@@ -64,7 +64,7 @@ def test_prop_monotone_in_largest():
 
 def test_n_test_matches_confusion_total(t1_view):
     pred = Prediction.from_ids(t1_view, {a: 0.9 for a in t1_view.ids}, 0.5)
-    counts = confusion_counts(t1_view, pred)
+    counts = confusion_counts(pred)
     vec = compute_confounders([0, 1], [0, 1], t1_view)
     assert vec.n_test == counts.total
 

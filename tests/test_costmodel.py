@@ -51,34 +51,34 @@ def enumeration_oracle(view, positives):
     return lower, upper, diff
 
 
-def test_t1_outcome_and_bounds(t1_view, t1_prediction):
-    outcome = defect_outcome(t1_view, t1_prediction)
+def test_t1_outcome_and_bounds(t1_prediction):
+    outcome = defect_outcome(t1_prediction)
     assert outcome.predicted == {"d1"}
     assert outcome.missed == {"d2"}
-    bounds = cost_bounds(t1_view, t1_prediction)
+    bounds = cost_bounds(t1_prediction)
     assert (bounds.lower, bounds.upper, bounds.diff) == (190.0, 810.0, 620.0)
 
 
 def test_outcome_trivial_cases(t1_view):
-    everything = defect_outcome(t1_view, predict(t1_view, set(t1_view.ids)))
+    everything = defect_outcome(predict(t1_view, set(t1_view.ids)))
     assert everything.predicted == {"d1", "d2"} and everything.missed == set()
     # a defect with one predicted and one unpredicted artifact is missed
-    partial = defect_outcome(t1_view, predict(t1_view, {"a5"}))
+    partial = defect_outcome(predict(t1_view, {"a5"}))
     assert "d2" in partial.missed
 
 
 def test_corner_cases(t1_view):
-    all_clean = cost_bounds(t1_view, predict(t1_view, set()))
+    all_clean = cost_bounds(predict(t1_view, set()))
     assert is_undefined(all_clean.lower) and is_undefined(all_clean.diff)
     assert all_clean.upper == 1000.0 / 2
 
-    all_def = cost_bounds(t1_view, predict(t1_view, set(t1_view.ids)))
+    all_def = cost_bounds(predict(t1_view, set(t1_view.ids)))
     assert is_undefined(all_def.upper) and is_undefined(all_def.diff)
 
-    fp_only = cost_bounds(t1_view, predict(t1_view, {"a2"}))
+    fp_only = cost_bounds(predict(t1_view, {"a2"}))
     assert fp_only.lower == INF and fp_only.diff == -INF
 
-    full_cover = cost_bounds(t1_view, predict(t1_view, {"a1", "a3", "a5"}))
+    full_cover = cost_bounds(predict(t1_view, {"a1", "a3", "a5"}))
     assert full_cover.upper == INF and full_cover.diff == INF
 
 
@@ -87,7 +87,7 @@ def test_enumeration_oracle_all_64(t1_view):
     seen_corners = set()
     for bits in itertools.product((0, 1), repeat=6):
         positives = {a for a, b in zip(ids, bits) if b}
-        bounds = cost_bounds(t1_view, predict(t1_view, positives))
+        bounds = cost_bounds(predict(t1_view, positives))
         lower, upper, diff = enumeration_oracle(t1_view, positives)
         assert_close(bounds.lower, lower)
         assert_close(bounds.upper, upper)
@@ -107,7 +107,7 @@ def test_partition_property(t1_view):
     all_ids = {d.id for d in ref_view_defects(t1_view)}
     for bits in itertools.product((0, 1), repeat=6):
         positives = {a for a, b in zip(t1_view.ids, bits) if b}
-        outcome = defect_outcome(t1_view, predict(t1_view, positives))
+        outcome = defect_outcome(predict(t1_view, positives))
         assert outcome.predicted | outcome.missed == all_ids
         assert not outcome.predicted & outcome.missed
 
@@ -118,7 +118,7 @@ def test_lower_monotone_in_predicted_size():
     for grow in (100, 150, 400, 1000):
         sizes = dict(base, a1=grow)
         view = make_release(sizes=sizes).view()
-        bounds = cost_bounds(view, predict(view, {"a1", "a2", "a5"}))
+        bounds = cost_bounds(predict(view, {"a1", "a2", "a5"}))
         if prev is not None:
             assert bounds.lower >= prev
         prev = bounds.lower
@@ -130,14 +130,14 @@ def test_upper_monotone_in_clean_size():
     for grow in (600, 900, 5000):
         sizes = dict(base, a6=grow)
         view = make_release(sizes=sizes).view()
-        bounds = cost_bounds(view, predict(view, {"a1", "a2", "a5"}))
+        bounds = cost_bounds(predict(view, {"a1", "a2", "a5"}))
         if prev is not None:
             assert bounds.upper >= prev
         prev = bounds.upper
 
 
-def test_diff_simplified(t1_view, t1_prediction):
-    assert diff_simplified(t1_view, t1_prediction) == 810.0 / 1 - 190.0 / 2
+def test_diff_simplified(t1_prediction):
+    assert diff_simplified(t1_prediction) == 810.0 / 1 - 190.0 / 2
 
 
 def test_diff_simplified_equals_diff_for_singleton_defects():
@@ -147,11 +147,11 @@ def test_diff_simplified_equals_diff_for_singleton_defects():
     )
     view = release.view()
     pred = predict(view, {"a1"})
-    assert diff_simplified(view, pred) == cost_bounds(view, pred).diff
+    assert diff_simplified(pred) == cost_bounds(pred).diff
 
 
 def test_diff_simplified_corner(t1_view):
-    assert diff_simplified(t1_view, predict(t1_view, {"a2"})) == -INF
+    assert diff_simplified(predict(t1_view, {"a2"})) == -INF
 
 
 def test_classify_potential_bins():

@@ -76,18 +76,18 @@ def plain_training_set(release, as_of, config):
 def reference_record(config, scenario, seed, idx, target, train_X, train_y):
     model_seed, smote_seed, _ = (int(v) for v in _cross_seeds(seed, scenario, idx))
     test_view = target.view()
-    moved = transfer_transform(config.transfer, train_X, test_view.X)
-    X, y = moved.train_X, train_y
+    X, y = transfer_transform(config.transfer, train_X, test_view.X), train_y
+    test_X = transfer_side(config.transfer, test_view.X).X
     if config.oversample == "smote":
         X, y = apply_smote(X, y, seed=smote_seed)
     if y.min() == y.max():
         scores = np.full(test_view.n, float(y[0]))
     else:
-        scores = config.model.fit(X, y, seed=model_seed).predict_proba(moved.target_X)[:, 1]
+        scores = config.model.fit(X, y, seed=model_seed).predict_proba(test_X)[:, 1]
     return _record(
         Prediction(test_view, scores, config.threshold), train_y, y,
         effort_mode=config.effort_mode, boundaries=config.boundaries,
-        scenario=scenario, project=target.project, release=target.release_id, sample=0,
+        scenario=scenario, sample=0,
         preprocessing="plain" if config.oversample == "off" else "oversampled", seed=model_seed,
     )
 
@@ -244,6 +244,6 @@ def test_pool_workspace_moves_a_one_release_pool_off_the_shared_side():
     before = side.X.copy()
     pool, columns, _ = _PoolWorkspace().pool([side], [np.zeros(9, dtype=np.int64)])
     moved = transfer_transform("camargo_cruz", pool, target, out=pool.X, scratch=columns)
-    assert moved.train_X is pool.X and not np.shares_memory(pool.X, side.X)
+    assert moved is pool.X and not np.shares_memory(pool.X, side.X)
     assert side.X.tobytes() == before.tobytes()
-    assert moved.train_X.tobytes() == transfer_transform("camargo_cruz", side, target).train_X.tobytes()
+    assert moved.tobytes() == transfer_transform("camargo_cruz", side, target).tobytes()

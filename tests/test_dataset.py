@@ -144,7 +144,7 @@ def test_filter_counting_modes():
 def test_bootstrap_split_deterministic(t1_release):
     a = bootstrap_split(t1_release, seed=1)
     b = bootstrap_split(t1_release, seed=1)
-    assert (a.train.tolist(), a.test.tolist(), a.seed) == (b.train.tolist(), b.test.tolist(), b.seed)
+    assert (a.train.tolist(), a.test.tolist()) == (b.train.tolist(), b.test.tolist())
     assert len(a.train) == t1_release.n_artifacts
     assert set(a.test.tolist()) == set(range(t1_release.n_artifacts)) - set(a.train.tolist())
 

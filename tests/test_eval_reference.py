@@ -278,14 +278,14 @@ def test_cases_cover_edges():
 def test_ranking_and_confusion_match_reference():
     for view, pred, ref in CASES:
         assert ranking_order(view, pred) == ref_ranking_order(view, ref)
-        c = confusion_counts(view, pred)
+        c = confusion_counts(pred)
         assert (c.tp, c.fp, c.tn, c.fn) == ref_confusion(view, ref)
 
 
 def test_ranking_metrics_match_reference():
     for view, pred, ref in CASES:
         scores = np.array([ref.scores[a] for a in view.ids], dtype=np.float64)
-        assert same(auc_alberg(view, pred), ref_auc_alberg(view, ref))
+        assert same(auc_alberg(pred), ref_auc_alberg(view, ref))
         assert same(auc_recall_pf(view.y, scores), ref_auc_recall_pf(view.y, scores))
         if 0 < view.y.sum() < view.n:
             assert same(_roc_points(view.y, scores), ref_roc_points(view.y, scores))
@@ -294,22 +294,22 @@ def test_ranking_metrics_match_reference():
 @pytest.mark.parametrize("mode", ["defects", "files"])
 def test_effort_metrics_match_reference(mode):
     for view, pred, ref in CASES:
-        assert same(effort_metrics(view, pred, mode=mode), ref_effort(view, ref, mode))
+        assert same(effort_metrics(pred, mode=mode), ref_effort(view, ref, mode))
 
 
 def test_cost_model_matches_reference():
     for view, pred, ref in CASES:
-        outcome = defect_outcome(view, pred)
+        outcome = defect_outcome(pred)
         assert (outcome.predicted, outcome.missed) == ref_defect_outcome(view, ref)
-        b = cost_bounds(view, pred)
+        b = cost_bounds(pred)
         assert same((b.lower, b.upper, b.diff), ref_cost_bounds(view, ref))
-        assert same(diff_simplified(view, pred), ref_diff_simplified(view, ref))
+        assert same(diff_simplified(pred), ref_diff_simplified(view, ref))
 
 
 def test_evaluate_metrics_matches_reference():
     for view, pred, ref in CASES[::3]:
         for mode in ("defects", "files"):
-            got = asdict(evaluate_metrics(view, pred, effort_mode=mode))
+            got = asdict(evaluate_metrics(pred, effort_mode=mode))
             scores = np.array([ref.scores[a] for a in view.ids], dtype=np.float64)
             assert same(got["auc"], auc(view.y, scores))
             assert same(got["auc_alberg"], ref_auc_alberg(view, ref))

@@ -18,6 +18,7 @@ from defectcost.experiments import (
     run_bootstrap,
     run_cross_project,
     run_cross_version,
+    transfer_side,
     transfer_transform,
     write_records_csv,
     write_records_jsonl,
@@ -278,31 +279,31 @@ def test_transfer_none_identity():
     train = np.array([[1.0, 2.0], [3.0, 4.0]])
     target = np.array([[5.0, 6.0]])
     res = transfer_transform("none", train, target)
-    assert np.array_equal(res.train_X, train)
-    assert np.array_equal(res.target_X, target)
+    assert np.array_equal(res, train)
+    assert np.array_equal(transfer_side("none", target).X, target)
 
 
 def test_transfer_watanabe_scales_by_mean_ratio():
     train = np.array([[4.0, 1.0], [4.0, 3.0]])
     target = np.array([[2.0, 2.0], [2.0, 2.0]])
     res = transfer_transform("watanabe", train, target)
-    assert np.allclose(res.train_X[:, 0], [2.0, 2.0])
-    assert np.allclose(res.train_X[:, 1], [1.0, 3.0])
+    assert np.allclose(res[:, 0], [2.0, 2.0])
+    assert np.allclose(res[:, 1], [1.0, 3.0])
 
 
 def test_transfer_watanabe_leaves_zero_mean_unscaled():
     train = np.array([[0.0, 1.0], [0.0, 3.0]])
     target = np.array([[2.0, 2.0]])
     res = transfer_transform("watanabe", train, target)
-    assert np.allclose(res.train_X[:, 0], [0.0, 0.0])  # left unscaled
+    assert np.allclose(res[:, 0], [0.0, 0.0])  # left unscaled
 
 
 def test_transfer_camargo_cruz_constant_feature():
     train = np.full((3, 1), 5.0)
     target = np.full((4, 1), 5.0)
     res = transfer_transform("camargo_cruz", train, target)
-    assert np.allclose(res.train_X, np.log1p(5.0))
-    assert np.allclose(res.target_X, np.log1p(5.0))
+    assert np.allclose(res, np.log1p(5.0))
+    assert np.allclose(transfer_side("camargo_cruz", target).X, np.log1p(5.0))
 
 
 def test_transfer_camargo_cruz_median_shift():
@@ -310,7 +311,7 @@ def test_transfer_camargo_cruz_median_shift():
     target = np.array([[7.0], [8.0], [9.0]])
     res = transfer_transform("camargo_cruz", train, target)
     shift = np.log1p(8.0) - np.log1p(2.0)
-    assert np.allclose(res.train_X, np.log1p(train) + shift)
+    assert np.allclose(res, np.log1p(train) + shift)
 
 
 def test_transfer_unknown_kind():
@@ -338,3 +339,16 @@ def test_prediction_threshold_outside_unit_interval_is_rejected(t1_release, thre
     view = t1_release.view()
     with pytest.raises(ValueError, match=message):
         Prediction(view, np.full(view.n, 0.5), threshold)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 7.0, -3.0, math.inf, -0.01])
+def test_prediction_score_outside_unit_interval_is_rejected(t1_release, bad):
+    message = re.escape("scores for demo/r1 must be in [0, 1]")
+    scores = dict(T1_SCORES, a2=bad)
+    with pytest.raises(ValueError, match=message):
+        evaluate_external_prediction(t1_release, scores)
+    view = t1_release.view()
+    with pytest.raises(ValueError, match=message):
+        Prediction.from_ids(view, scores)
+    with pytest.raises(ValueError, match=message):
+        Prediction(view, [scores[a] for a in view.ids])

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -32,15 +33,15 @@ def all_zero(view):
     return Prediction.from_ids(view, {a: 0.0 for a in view.ids}, 0.5)
 
 
-def test_t1_confusion(t1_view, t1_prediction):
-    c = confusion_counts(t1_view, t1_prediction)
+def test_t1_confusion(t1_prediction):
+    c = confusion_counts(t1_prediction)
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 2, 1)
 
 
 def test_trivial_predictions(t1_view):
-    c = confusion_counts(t1_view, all_one(t1_view))
+    c = confusion_counts(all_one(t1_view))
     assert (c.tp, c.fp, c.tn, c.fn) == (3, 3, 0, 0)
-    c = confusion_counts(t1_view, all_zero(t1_view))
+    c = confusion_counts(all_zero(t1_view))
     assert (c.tp, c.fp, c.tn, c.fn) == (0, 0, 3, 3)
 
 
@@ -51,21 +52,19 @@ def test_coverage_mismatch(t1_view):
         Prediction(t1_view, [0.5], 0.5)
 
 
-def test_checked_prediction_gives_the_same_metrics(t1_release, t1_view, t1_prediction):
+def test_checked_prediction_gives_the_same_metrics(t1_view, t1_prediction):
     in_rows = Prediction(t1_view, np.array([T1_SCORES[a] for a in t1_view.ids]), 0.5)
-    assert repr(evaluate_metrics(t1_view, in_rows)) == repr(evaluate_metrics(t1_view, t1_prediction))
-    with pytest.raises(CoverageError, match="another view"):
-        confusion_counts(t1_release.view(), t1_prediction)
+    assert repr(evaluate_metrics(in_rows)) == repr(evaluate_metrics(t1_prediction))
 
 
 def test_threshold_is_strict(t1_view):
     pred = Prediction.from_ids(t1_view, {a: 0.5 for a in t1_view.ids}, 0.5)
-    c = confusion_counts(t1_view, pred)
+    c = confusion_counts(pred)
     assert c.tp + c.fp == 0  # score == threshold is not a defect prediction
 
 
-def test_t1_metric_values(t1_view, t1_prediction):
-    m = confusion_metrics(confusion_counts(t1_view, t1_prediction))
+def test_t1_metric_values(t1_prediction):
+    m = confusion_metrics(confusion_counts(t1_prediction))
     expected = {
         "recall": 2 / 3,
         "precision": 2 / 3,
@@ -98,12 +97,31 @@ def test_undefined_precision_and_f():
     assert is_undefined(m["f_measure"])
 
 
-def test_error_complements_accuracy_everywhere():
+UNIT_RANGE = ("recall", "precision", "fpr", "accuracy", "error", "f_measure", "g_measure", "balance")
+
+
+def test_confusion_metrics_ranges_undefined_values_and_error_complement_everywhere():
     for tp, fp, tn, fn in itertools.product(range(6), repeat=4):
-        if tp + fp + tn + fn == 0:
-            continue
+        n = tp + fp + tn + fn
         m = confusion_metrics(ConfusionCounts(tp, fp, tn, fn))
-        assert_close(m["error"], 1.0 - m["accuracy"])
+        # (numerator, denominator): 0/0 is undefined and x/0 is +inf (extmath.safe_div);
+        # mcc's denominator is the root of the product
+        fractions = {
+            "recall": (tp, tp + fn), "error_type1": (fp, tp + fn), "precision": (tp, tp + fp),
+            "fpr": (fp, tn + fp), "error_type2": (fn, tn + fp), "accuracy": (tp + tn, n), "error": (fp + fn, n),
+            "necm10": (fp + 10 * fn, n), "necm25": (fp + 25 * fn, n),
+            "mcc": (tp * tn - fp * fn, (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)),
+        }
+        for name, (num, den) in fractions.items():
+            if den:
+                assert math.isfinite(m[name]), (name, tp, fp, tn, fn)
+            else:
+                assert is_undefined(m[name]) if num == 0 else m[name] == math.inf, (name, tp, fp, tn, fn)
+        for name in UNIT_RANGE:
+            assert is_undefined(m[name]) or 0.0 <= m[name] <= 1.0, (name, tp, fp, tn, fn)
+        assert is_undefined(m["mcc"]) or -1.0 <= m["mcc"] <= 1.0, (tp, fp, tn, fn)
+        if n:
+            assert_close(m["error"], 1.0 - m["accuracy"])
 
 
 def test_means_between_constituents():
@@ -191,7 +209,7 @@ def alberg_oracle(view, pred):
 
 
 def test_auc_alberg(t1_view, t1_prediction):
-    value = auc_alberg(t1_view, t1_prediction)
+    value = auc_alberg(t1_prediction)
     assert_close(value, alberg_oracle(t1_view, t1_prediction))
     assert_close(value, 25 / 36)
 
@@ -202,14 +220,14 @@ def test_auc_alberg_extremes(t1_view):
     worst = Prediction.from_ids(t1_view, {a: 1.0 - truth[a] for a in t1_view.ids}, 0.5)
     n, d = 6, 3
     # ranking all defective artifacts first is maximal for this class balance
-    assert_close(auc_alberg(t1_view, best), 1 - d / (2 * n))
-    assert auc_alberg(t1_view, worst) < auc_alberg(t1_view, best)
+    assert_close(auc_alberg(best), 1 - d / (2 * n))
+    assert auc_alberg(worst) < auc_alberg(best)
 
 
 def test_auc_alberg_no_defects():
     release = make_release(sizes={"x": 5, "y": 6}, defects={})
     view = release.view()
-    assert is_undefined(auc_alberg(view, Prediction.from_ids(view, {"x": 0.9, "y": 0.1}, 0.5)))
+    assert is_undefined(auc_alberg(Prediction.from_ids(view, {"x": 0.9, "y": 0.1}, 0.5)))
 
 
 def test_ties_break_by_python_string_order_of_ids():
@@ -219,7 +237,7 @@ def test_ties_break_by_python_string_order_of_ids():
     view = release.view()
     pred = Prediction.from_ids(view, {a: 0.5 for a in view.ids}, 0.5)
     assert ranking_order(view, pred) == ["a", "b", "b\x00"]
-    assert_close(auc_alberg(view, pred), 0.5)
+    assert_close(auc_alberg(pred), 0.5)
 
 
 def recall_pf_oracle(truth, scores, grid=200001):
@@ -263,21 +281,21 @@ def test_auc_recall_pf_random_against_oracle():
         assert abs(got - want) < 1e-4
 
 
-def test_effort_metrics_t1(t1_view, t1_prediction):
-    cost, nofb20, nofc80 = effort_metrics(t1_view, t1_prediction)
+def test_effort_metrics_t1(t1_prediction):
+    cost, nofb20, nofc80 = effort_metrics(t1_prediction)
     assert cost == 190            # 100 + 50 + 40
     assert nofb20 == 1            # budget 200 covers a1, a5, a2; only d1 complete
     assert nofc80 == 4            # need ceil(1.6)=2 bugs; d2 completes at the 4th visit
 
 
-def test_effort_metrics_file_mode(t1_view, t1_prediction):
-    cost, nofb20, nofc80 = effort_metrics(t1_view, t1_prediction, mode="files")
+def test_effort_metrics_file_mode(t1_prediction):
+    cost, nofb20, nofc80 = effort_metrics(t1_prediction, mode="files")
     assert cost == 190
     assert nofb20 == 2            # a1 and a5 are defective files inside the budget
     # need ceil(0.8 * 3) = 3 defective files: a1, a5, then a3 at the 4th visit
     assert nofc80 == 4
     with pytest.raises(ValueError):
-        effort_metrics(t1_view, t1_prediction, mode="bogus")
+        effort_metrics(t1_prediction, mode="bogus")
 
 
 def test_effort_bounds_properties(t1_view):
@@ -285,7 +303,7 @@ def test_effort_bounds_properties(t1_view):
     for _ in range(50):
         scores = {a: float(rng.random()) for a in t1_view.ids}
         pred = Prediction.from_ids(t1_view, scores, 0.5)
-        _, nofb20, nofc80 = effort_metrics(t1_view, pred)
+        _, nofb20, nofc80 = effort_metrics(pred)
         assert nofb20 <= len(view_defects(t1_view))
         if not is_undefined(nofc80):
             assert 1 <= nofc80 <= t1_view.n
@@ -296,12 +314,12 @@ def test_nofc80_undefined_when_unreachable():
     # reach it; unreachable only without defects
     release = make_release(sizes={"x": 5, "y": 6}, defects={})
     view = release.view()
-    _, _, nofc80 = effort_metrics(view, Prediction.from_ids(view, {"x": 0.9, "y": 0.1}, 0.5))
+    _, _, nofc80 = effort_metrics(Prediction.from_ids(view, {"x": 0.9, "y": 0.1}, 0.5))
     assert is_undefined(nofc80)
 
 
 def test_evaluate_metrics_serialization(t1_view, t1_prediction):
-    vec = evaluate_metrics(t1_view, t1_prediction)
+    vec = evaluate_metrics(t1_prediction)
     d = asdict(vec)
     assert set(d) == {
         "recall", "precision", "fpr", "f_measure", "g_measure", "balance",
@@ -310,5 +328,5 @@ def test_evaluate_metrics_serialization(t1_view, t1_prediction):
         "nofb20", "nofc80",
     }
     assert d["cost"] == 190.0
-    all_clean = evaluate_metrics(t1_view, Prediction.from_ids(t1_view, {a: 0.0 for a in t1_view.ids}, 0.5))
+    all_clean = evaluate_metrics(Prediction.from_ids(t1_view, {a: 0.0 for a in t1_view.ids}, 0.5))
     assert is_undefined(all_clean.precision)
