@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costmodel import DEFAULT_BOUNDARIES, Potential
+from .costmodel import DEFAULT_BOUNDARIES, Potential, potential_levels
 from .experiments import CSV_COLUMNS, VARIABLE_NAMES, write_records_csv
 from .extmath import UNDEFINED, column_medians, fmt_float, json_number
 from .learners import (
@@ -47,6 +47,10 @@ QQ_POINTS = 256  # most points of the lg(diff) Q-Q data
 BOUNDARY_SHIFTS = (0.9, 1.0, 1.1)  # factors of both potential boundaries in the sensitivity refits
 DENSITY_WINDOW = 0.1  # the relative half-width of the window around each boundary
 DENSITY_FLAG = 0.2  # a level's share of diff values in a window above which it is flagged
+
+
+class InsufficientRecords(ValueError):
+    """A record set of fewer than three records, or of one potential level."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +145,7 @@ def fit_relationship_models(
     """Fit logit, depth-limited tree, and forest on potential ~ 30 variables."""
     X, y = records
     if len(set(y.tolist())) < 2:
-        raise ValueError("relationship models need at least two potential levels in the records")
+        raise InsufficientRecords("relationship models need at least two potential levels in the records")
     imputer = fit_imputer(X)
     Xi = imputer.transform(X)
 
@@ -315,7 +319,7 @@ def correlation_analysis(records: RecordsMatrix, threshold: float = 0.8) -> Corr
     """Spearman matrix over the 30 variables; groups are connected components
     of the |rho| > threshold graph (singletons included)."""
     if len(records.levels) < 3:
-        raise ValueError("correlation analysis needs at least three records")
+        raise InsufficientRecords("correlation analysis needs at least three records")
     from .learners import spearman_matrix
 
     matrix = spearman_matrix(records.X)
@@ -461,12 +465,10 @@ def sensitivity_boundaries(
     records' own levels."""
     imputer = fit_imputer(records.X) if fitted is None else fitted.imputer
     Xi = imputer.transform(records.X)
-    diff = records.diff
     results = []
     for shift in BOUNDARY_SHIFTS:
         boundaries = (shift * base[0], shift * base[1])
-        # classify_potential of each diff; NaN compares false, so it is none
-        y = (diff > 0).astype(np.int64) + (diff > boundaries[0]) + (diff > boundaries[1])
+        y = potential_levels(records.diff, boundaries)
         if len(set(y.tolist())) < 2:
             log.warning("boundary shift %.2f leaves a single level; skipping refit", shift)
             continue
@@ -567,17 +569,15 @@ def write_report_bundle(
     importances_<model>.json, distribution.json, sensitivity.json,
     verdicts.json.
     """
+    matrix = records_matrix(records)
+    # both raise InsufficientRecords before a file is written
+    corr = correlation_analysis(matrix, threshold=correlation_threshold)
+    fit = fit_relationship_models(matrix, seed=seed, forest_params=forest_params, tune_forest=tune_forest)
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    paths["records"] = write_records_csv(records, outdir / "records.csv")
-    matrix = records_matrix(records)
-
-    corr = correlation_analysis(matrix, threshold=correlation_threshold)
+    paths: dict[str, Path] = {"records": write_records_csv(records, outdir / "records.csv")}
     paths["correlations"] = write_correlations_csv(corr, outdir / "correlations.csv")
-
-    fit = fit_relationship_models(matrix, seed=seed, forest_params=forest_params, tune_forest=tune_forest)
     verdicts = {}
     for name, model in fit.models.items():
         conf = evaluate_confusion(model, matrix)

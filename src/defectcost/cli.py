@@ -19,7 +19,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .costmodel import DEFAULT_BOUNDARIES
 from .learners import ForestParams
 from .metrics import EFFORT_MODES, CoverageError
 from .dataset import (
@@ -40,6 +39,7 @@ from .experiments import (
     EvalConfig,
     ForestModel,
     GaussianNBModel,
+    RecordConfig,
     RunResult,
     evaluate_external_prediction,
     read_records,
@@ -119,75 +119,81 @@ def int_at_least(low: int):
 positive_int = int_at_least(1)
 
 
-def _parse_range(text: str, kind=float):
-    try:
-        lo, hi = (kind(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected 'lo,hi', got {text!r}") from None
-    return (lo, hi)
+def number_range(kind):
+    """An option type: 'lo,hi' as a pair of ``kind``; a UsageError for other text."""
+    def pair(text: str):
+        try:
+            lo, hi = (kind(v) for v in text.split(","))
+        except ValueError:
+            raise UsageError(f"expected 'lo,hi', got {text!r}") from None
+        return (lo, hi)
+    return pair
 
 
 def build_parser() -> _Parser:
+    """The parser; an option that sets a config field has its name as ``dest`` and its default."""
     parser = _Parser(prog="defectcost", description=__doc__)
     parser.add_argument("--config", type=Path, help="JSON config file with default option values")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
     def add_boundaries(p):
-        p.add_argument("--boundaries", type=_parse_boundaries, default=DEFAULT_BOUNDARIES,
+        p.add_argument("--boundaries", type=_parse_boundaries, default=RecordConfig.boundaries,
                        help="potential boundaries 'b1,b2'")
 
-    def add_experiment(name, help_text, oversample):
+    def add_trees(p):
+        p.add_argument("--trees", dest="n_trees", type=positive_int, default=ForestParams.n_trees)
+
+    def add_filter(p):
+        p.add_argument("--min-instances", type=positive_int, default=EvalConfig.min_instances)
+        p.add_argument("--min-defects", type=positive_int, default=EvalConfig.min_defects)
+        p.add_argument("--count-mode", choices=COUNT_MODES, default=EvalConfig.count_mode)
+
+    def add_experiment(name, help_text, config_type):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", type=Path, help="corpus directory")
-        p.add_argument("--seed", type=int_at_least(0), default=0)
+        p.add_argument("--seed", type=int_at_least(0), default=RecordConfig.seed)
         p.add_argument("-o", "--out", type=Path, required=True, help="output directory")
         add_boundaries(p)
-        p.add_argument("--min-instances", type=positive_int, default=100)
-        p.add_argument("--min-defects", type=positive_int, default=5)
-        p.add_argument("--count-mode", choices=COUNT_MODES, default="defective_files")
+        add_filter(p)
         p.add_argument("--model", choices=("forest", "gnb"), default="forest")
-        p.add_argument("--trees", type=positive_int, default=100)
+        add_trees(p)
         p.add_argument("--tune", action="store_true", help="tune the forest with differential evolution")
-        p.add_argument("--de-population", type=int_at_least(4), default=20, help="DE/rand/1 needs at least 4")
-        p.add_argument("--de-generations", type=int_at_least(0), default=30)
-        p.add_argument("--oversample", choices=OVERSAMPLE_MODES)
-        p.add_argument("--threshold", type=probability, default=0.5)
-        p.add_argument("--effort-mode", choices=EFFORT_MODES, default="defects")
-        p.set_defaults(oversample=oversample)
-        return p
-
-    def add_cross(name, help_text):
-        p = add_experiment(name, help_text, "off")
-        p.add_argument("--transfer", choices=TRANSFER_KINDS, default="none")
+        p.add_argument("--de-population", dest="tune_population", type=int_at_least(4),
+                       default=ForestModel.tune_population, help="DE/rand/1 needs at least 4")
+        p.add_argument("--de-generations", dest="tune_generations", type=int_at_least(0),
+                       default=ForestModel.tune_generations)
+        p.add_argument("--oversample", choices=OVERSAMPLE_MODES, default=config_type.oversample)
+        p.add_argument("--threshold", type=probability, default=RecordConfig.threshold)
+        p.add_argument("--effort-mode", choices=EFFORT_MODES, default=RecordConfig.effort_mode)
+        if config_type is EvalConfig:
+            p.add_argument("--transfer", choices=TRANSFER_KINDS, default=EvalConfig.transfer)
         return p
 
     p = sub.add_parser("validate", help="load and validate a corpus")
     p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--min-instances", type=positive_int, default=100)
-    p.add_argument("--min-defects", type=positive_int, default=5)
-    p.add_argument("--count-mode", choices=COUNT_MODES, default="defective_files")
+    add_filter(p)
 
     p = sub.add_parser("metrics", help="evaluate an external prediction for one release")
     p.add_argument("--release", type=Path, required=True, help="release directory")
     p.add_argument("--pred", type=Path, required=True, help="CSV with columns artifact_id,score")
-    p.add_argument("--threshold", type=probability, default=0.5)
+    p.add_argument("--threshold", type=probability, default=RecordConfig.threshold)
     add_boundaries(p)
-    p.add_argument("--effort-mode", choices=EFFORT_MODES, default="defects")
+    p.add_argument("--effort-mode", choices=EFFORT_MODES, default=RecordConfig.effort_mode)
     p.add_argument("-o", "--out", type=Path, required=True)
 
-    p = add_experiment("bootstrap", "bootstrap experiment over a corpus", "smote")
-    p.add_argument("--samples", type=positive_int, default=100)
+    p = add_experiment("bootstrap", "bootstrap experiment over a corpus", BootstrapConfig)
+    p.add_argument("--samples", dest="n_samples", type=positive_int, default=100)
     p.add_argument("--jobs", type=positive_int, default=1)
 
-    add_cross("cross-version", "train on the prior release of each project")
-    p = add_cross("cross-project", "train on other projects with temporal filtering")
+    add_experiment("cross-version", "train on the prior release of each project", EvalConfig)
+    p = add_experiment("cross-project", "train on other projects with temporal filtering", EvalConfig)
     p.add_argument("--gap-days", type=int_at_least(0), default=CROSS_PROJECT_GAP_DAYS)
 
     p = sub.add_parser("analyze", help="relationship models and report bundle from records")
     p.add_argument("--records", type=Path, required=True, help="records.csv or records.jsonl")
     p.add_argument("--seed", type=int_at_least(0), default=0)
-    p.add_argument("--trees", type=positive_int, default=100)
+    add_trees(p)
     p.add_argument("--tune", action="store_true")
     p.add_argument("--corr-threshold", type=probability, default=0.8)
     add_boundaries(p)
@@ -197,20 +203,23 @@ def build_parser() -> _Parser:
     p.add_argument("--records", type=Path, required=True)
     p.add_argument("--eval-records", type=Path, help="records from another experiment for the regression")
     p.add_argument("--seed", type=int_at_least(0), default=0)
-    p.add_argument("--trees", type=positive_int, default=100)
+    add_trees(p)
     add_boundaries(p)
     p.add_argument("-o", "--out", type=Path, required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--seed", type=int_at_least(0), default=0)
-    p.add_argument("--projects", type=int, default=10)
-    p.add_argument("--releases", type=int, default=5)
-    p.add_argument("--artifacts", default="150,250", help="artifact count range 'lo,hi'")
-    p.add_argument("--defect-ratio", default="0.05,0.15", help="defect ratio range 'lo,hi'")
-    p.add_argument("--features", type=int, default=8)
-    p.add_argument("--signal", type=finite_float, default=1.0)
-    p.add_argument("--size-mu", type=finite_float, default=4.0)
-    p.add_argument("--size-sigma", type=float_in(0.0, sys.float_info.max), default=1.0)
+    p.add_argument("--projects", dest="n_projects", type=int, default=SynthSpec.n_projects)
+    p.add_argument("--releases", dest="releases_per_project", type=int, default=SynthSpec.releases_per_project)
+    p.add_argument("--artifacts", dest="artifacts_range", type=number_range(int), default=SynthSpec.artifacts_range,
+                   help="artifact count range 'lo,hi'")
+    p.add_argument("--defect-ratio", dest="defect_ratio_range", type=number_range(float),
+                   default=SynthSpec.defect_ratio_range, help="defect ratio range 'lo,hi'")
+    p.add_argument("--features", dest="n_features", type=int, default=SynthSpec.n_features)
+    p.add_argument("--signal", type=finite_float, default=SynthSpec.signal)
+    p.add_argument("--size-mu", dest="size_log_mean", type=finite_float, default=SynthSpec.size_log_mean)
+    p.add_argument("--size-sigma", dest="size_log_sigma", type=float_in(0.0, sys.float_info.max),
+                   default=SynthSpec.size_log_sigma)
     p.add_argument("-o", "--out", type=Path, required=True)
 
     return parser
@@ -228,9 +237,11 @@ def _read_config(path: Path) -> dict:
 
 def _config_tokens(values: dict, parser: argparse.ArgumentParser) -> list[str]:
     """The config values for options of ``parser`` as command-line tokens:
-    lists become 'a,b', true a bare flag. Other keys (``config`` among
-    them), and null values, are ignored."""
-    options = {a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")}
+    a key is an option's long flag without its dashes, '_' or '-' between
+    its words; lists become 'a,b', true a bare flag. Other keys (``config``
+    among them), and null values, are ignored."""
+    options = {a.option_strings[-1][2:].replace("-", "_"): a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     tokens = []
     for key, value in values.items():
         action = options.get(key.replace("-", "_"))
@@ -257,17 +268,16 @@ def _load_filtered(args):
     return releases, kept
 
 
-def _scenario_config(args, config_type, **extra):
-    """The config of an experiment subcommand: the model from the model
-    options, every other field from the option of the same name, if there is
-    one, or from ``extra``."""
-    if args.model == "forest":
-        model = ForestModel(params=ForestParams(n_trees=args.trees), tune=args.tune,
-                            tune_population=args.de_population, tune_generations=args.de_generations)
-    else:
-        model = GaussianNBModel()
-    options = {f.name: getattr(args, f.name) for f in fields(config_type) if f.name != "model" and hasattr(args, f.name)}
-    return config_type(model=model, **options, **extra)
+def _settings(args, config_type):
+    """A ``config_type`` whose fields come from the options of the same name;
+    a record config's model, and a forest model's params, from the model
+    options."""
+    values = {f.name: getattr(args, f.name) for f in fields(config_type) if hasattr(args, f.name)}
+    if config_type is ForestModel:
+        values["params"] = _settings(args, ForestParams)
+    elif "model" in values:
+        values["model"] = _settings(args, ForestModel) if args.model == "forest" else GaussianNBModel()
+    return config_type(**values)
 
 
 def _write_outputs(result, outdir: Path) -> None:
@@ -333,20 +343,19 @@ def cmd_bootstrap(args) -> int:
     _, kept = _load_filtered(args)
     if not kept:
         raise DataError("no releases pass the eligibility filter")
-    config = _scenario_config(args, BootstrapConfig, n_samples=args.samples)
-    _write_outputs(run_bootstrap(kept, config, args.jobs), args.out)
+    _write_outputs(run_bootstrap(kept, _settings(args, BootstrapConfig), args.jobs), args.out)
     return EXIT_OK
 
 
 def cmd_cross_version(args) -> int:
     releases, _ = _load_filtered(args)
-    _write_outputs(run_cross_version(releases, _scenario_config(args, EvalConfig)), args.out)
+    _write_outputs(run_cross_version(releases, _settings(args, EvalConfig)), args.out)
     return EXIT_OK
 
 
 def cmd_cross_project(args) -> int:
     releases, _ = _load_filtered(args)
-    _write_outputs(run_cross_project(releases, _scenario_config(args, EvalConfig), args.gap_days), args.out)
+    _write_outputs(run_cross_project(releases, _settings(args, EvalConfig), args.gap_days), args.out)
     return EXIT_OK
 
 
@@ -361,15 +370,18 @@ def cmd_analyze(args) -> int:
     from . import analysis  # only the report commands load it
 
     records = _read_records_checked(args.records)
-    analysis.write_report_bundle(
-        args.out,
-        records,
-        seed=args.seed,
-        correlation_threshold=args.corr_threshold,
-        forest_params=ForestParams(n_trees=args.trees),
-        tune_forest=args.tune,
-        boundaries=args.boundaries,
-    )
+    try:
+        analysis.write_report_bundle(
+            args.out,
+            records,
+            seed=args.seed,
+            correlation_threshold=args.corr_threshold,
+            forest_params=_settings(args, ForestParams),
+            tune_forest=args.tune,
+            boundaries=args.boundaries,
+        )
+    except analysis.InsufficientRecords as exc:
+        raise DataError(str(exc), args.records) from exc
     log.info("report bundle written to %s", args.out)
     return EXIT_OK
 
@@ -379,7 +391,7 @@ def cmd_sensitivity(args) -> int:
 
     records = analysis.records_matrix(_read_records_checked(args.records))
     eval_records = args.eval_records and analysis.records_matrix(_read_records_checked(args.eval_records))
-    params = ForestParams(n_trees=args.trees)
+    params = _settings(args, ForestParams)
     sens = analysis.sensitivity_boundaries(records, seed=args.seed, base=args.boundaries, forest_params=params)
     payload = sens.to_json_dict()
     if args.eval_records:
@@ -395,16 +407,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n_projects=args.projects,
-        releases_per_project=args.releases,
-        artifacts_range=_parse_range(args.artifacts, int),
-        defect_ratio_range=_parse_range(args.defect_ratio, float),
-        n_features=args.features,
-        signal=args.signal,
-        size_log_mean=args.size_mu,
-        size_log_sigma=args.size_sigma,
-    )
+    spec = _settings(args, SynthSpec)
     try:  # validates the spec and every size draw before a file is written
         releases = generate_synthetic(spec, args.seed)
     except ValueError as exc:
@@ -412,7 +415,7 @@ def cmd_synth(args) -> int:
     for release in releases:
         write_release(release, Path(args.out) / release.project / release.release_id)
     log.info("wrote %d releases to %s", len(releases), args.out)
-    print(f"generated {len(releases)} releases ({args.projects} projects) in {args.out}")
+    print(f"generated {len(releases)} releases ({spec.n_projects} projects) in {args.out}")
     return EXIT_OK
 
 

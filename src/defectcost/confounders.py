@@ -34,14 +34,15 @@ class ConfounderVector:
 
 
 CONFOUNDER_NAMES = tuple(f.name for f in fields(ConfounderVector))
+SUPER_INSTANCE_SHARE = 0.01  # the share of the largest artifacts that the prop variables take
 
 
-def top_share(sizes: Sequence[int], fraction: float = 0.01) -> float:
-    """Size share of the ceil(fraction * n) largest items; undefined on empty input."""
+def top_share(sizes: Sequence[int]) -> float:
+    """Size share of the ceil(SUPER_INSTANCE_SHARE * n) largest items; undefined on empty input."""
     sizes = np.asarray(sizes, dtype=np.float64)
     if sizes.size == 0:
         return UNDEFINED
-    m = math.ceil(fraction * sizes.size)
+    m = math.ceil(SUPER_INSTANCE_SHARE * sizes.size)
     top = np.sort(sizes)[::-1][:m]
     return safe_div(float(top.sum()), float(sizes.sum()))
 

@@ -10,7 +10,6 @@ bound the saved effort per missed defect. Corner cases are values, not errors:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress
@@ -93,16 +92,16 @@ def diff_simplified(pred: Prediction) -> float:
     return ext_sub(upper, safe_div(float(view.sizes[labels].sum()), tp))
 
 
-def classify_potential(diff: float, boundaries: tuple[float, float] = DEFAULT_BOUNDARIES) -> Potential:
-    """Bin diff into the four ordinal levels; boundaries are configurable
-    for the sensitivity analysis and must satisfy 0 < b1 < b2."""
+def potential_levels(diff, boundaries: tuple[float, float] = DEFAULT_BOUNDARIES) -> np.ndarray:
+    """The potential level of each diff as int64: none up to 0 and for NaN, medium
+    up to b1, large up to b2, extra large above; boundaries need 0 < b1 < b2."""
     b1, b2 = boundaries
     if not (0 < b1 < b2):
         raise ValueError(f"boundaries must satisfy 0 < b1 < b2, got {boundaries}")
-    if math.isnan(diff) or diff <= 0:
-        return Potential.NONE
-    if diff <= b1:
-        return Potential.MEDIUM
-    if diff <= b2:
-        return Potential.LARGE
-    return Potential.EXTRA_LARGE
+    diff = np.asarray(diff, dtype=np.float64)
+    return (diff > 0).astype(np.int64) + (diff > b1) + (diff > b2)  # NaN compares false
+
+
+def classify_potential(diff: float, boundaries: tuple[float, float] = DEFAULT_BOUNDARIES) -> Potential:
+    """The ``Potential`` of one diff, binned by ``potential_levels``."""
+    return Potential(int(potential_levels(diff, boundaries)))

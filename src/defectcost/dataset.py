@@ -483,22 +483,25 @@ def filter_releases(
     ]
 
 
-def bootstrap_split(release: Release, seed: int, max_redraws: int = 1000) -> SplitSample:
+MAX_REDRAWS = 1000  # bootstrap draws of a release before its sample is given up
+
+
+def bootstrap_split(release: Release, seed: int) -> SplitSample:
     """Size-|S| resample with replacement; out-of-bag artifacts form the test set.
 
     Redraws until the in-bag rows contain at least two defective instances and
     the out-of-bag set at least one defective artifact. Raises SplitError when
-    the redraw budget is exhausted.
+    MAX_REDRAWS draws fail.
     """
     rng = np.random.default_rng(seed)
     n = release.n_artifacts
     y = np.bincount(release._defect_map[1], minlength=n) > 0
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         draw = rng.integers(0, n, size=n)
         test = np.flatnonzero(np.bincount(draw, minlength=n) == 0)
         if y[draw].sum() >= 2 and y[test].sum() >= 1:
             return SplitSample(train=draw, test=test)
     raise SplitError(
-        f"no valid bootstrap sample for {release.key()} after {max_redraws} redraws "
+        f"no valid bootstrap sample for {release.key()} after {MAX_REDRAWS} redraws "
         f"(needs >=2 defective in-bag instances and >=1 defective out-of-bag artifact)"
     )

@@ -174,6 +174,12 @@ def read_records_csv(path) -> list[EvaluationRecord]:
     return records
 
 
+def _no_constant(name: str):
+    """Reject the NaN, Infinity and -Infinity that ``json.loads`` takes: they
+    are not JSON, and the writer writes "nan", "inf" and "-inf" instead."""
+    raise json.JSONDecodeError(f"{name} is not JSON", name, 0)
+
+
 def read_records_jsonl(path) -> list[EvaluationRecord]:
     """Records of a JSONL file in the layout of ``write_records_jsonl``."""
     records = []
@@ -182,7 +188,7 @@ def read_records_jsonl(path) -> list[EvaluationRecord]:
             if not text.strip():
                 continue
             try:
-                obj = json.loads(text)
+                obj = json.loads(text, parse_constant=_no_constant)
             except json.JSONDecodeError as exc:
                 raise DataError(f"malformed JSON: {exc.msg}", path, lineno) from None
             if not isinstance(obj, dict) or not all(isinstance(obj.get(group), dict) for group in _JSON_GROUPS):
@@ -378,13 +384,12 @@ class BootstrapConfig(RecordConfig):
     defaults to SMOTE."""
 
     n_samples: int
-    max_redraws: int = 1000
     oversample: str = "smote"
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_samples < 1 or self.max_redraws < 1:
-            raise ValueError("n_samples and max_redraws must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
 
 
 def _fit_and_record(
@@ -401,11 +406,14 @@ def _fit_and_record(
 ) -> EvaluationRecord:
     """Oversample the training data, fit ``config.model`` on it and evaluate
     the model on ``test_view``, scoring ``test_X`` (default ``test_view.X``).
-    ``seeds`` are the (model, SMOTE, SMOTE tuning) seeds the scenario derived."""
+    ``seeds`` are the (model, SMOTE, SMOTE tuning) seeds the scenario derived.
+    SMOTE needs two rows of the minority class: training data with fewer is
+    fitted as it is, as when SMOTE needs no synthetic row."""
     model_seed, smote_seed, tune_seed = (int(v) for v in seeds)
     test_X = test_view.X if test_X is None else test_X
     X, y = train_X, np.asarray(train_y, dtype=np.int64)
-    if oversample != "off":
+    n_pos = int(y.sum())
+    if oversample != "off" and min(n_pos, len(y) - n_pos) >= 2:
         tuned = tune_smote(X, y, seed=tune_seed) if oversample == "smote_tuned" else ()
         X, y = apply_smote(X, y, *tuned, seed=smote_seed)
     if y.min() == y.max():
@@ -449,7 +457,7 @@ def _bootstrap_release(args) -> tuple[list[EvaluationRecord], list[str]]:
         ss = np.random.SeedSequence([config.seed, SCENARIO_CODES["bootstrap"], release_idx, s])
         split_seed, model_plain, model_over, smote_seed, tune_seed = ss.generate_state(5)
         try:
-            split = bootstrap_split(release, seed=int(split_seed), max_redraws=config.max_redraws)
+            split = bootstrap_split(release, seed=int(split_seed))
         except SplitError as exc:
             notices.append(str(exc))
             continue

@@ -28,21 +28,11 @@ def safe_div(num: float, den: float) -> float:
 
 
 def ext_sub(a: float, b: float) -> float:
-    """a - b with explicit rules for undefined and infinite operands.
+    """a - b on the extended reals, which IEEE 754 subtraction already is:
 
     undefined propagates; inf - inf and (-inf) - (-inf) are undefined;
     inf - finite = finite - (-inf) = +inf; -inf - finite = finite - inf = -inf.
     """
-    if math.isnan(a) or math.isnan(b):
-        return UNDEFINED
-    if math.isinf(a) and math.isinf(b):
-        if a == b:
-            return UNDEFINED
-        return a  # inf - (-inf) = inf, -inf - inf = -inf
-    if math.isinf(a):
-        return a
-    if math.isinf(b):
-        return -b
     return a - b
 
 

@@ -21,7 +21,7 @@ from .logit import (
     softmax,
 )
 from .nb import GaussianNB, train_gaussian_nb
-from .smote import SmoteTuning, apply_smote, smote_oversample, tune_smote
+from .smote import apply_smote, smote_oversample, tune_smote
 from .stats import spearman, spearman_matrix
 from .tree import (
     Tree,
@@ -36,7 +36,6 @@ __all__ = [
     "GaussianNB",
     "GoodnessOfFit",
     "LogitModel",
-    "SmoteTuning",
     "Tree",
     "apply_smote",
     "apply_tree",

@@ -1,4 +1,4 @@
-"""Differential evolution, DE/rand/1/bin with F=0.8 and CR=0.9.
+"""Differential evolution, DE/rand/1/bin with the weight F and the crossover rate CR below.
 
 Integer-valued dimensions are rounded at evaluation time; the best-seen vector
 is tracked across all generations and returned (rounded in integer dims).
@@ -9,6 +9,9 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+F = 0.8  # differential weight
+CR = 0.9  # crossover probability
 
 
 def _round_integers(vec: np.ndarray, integer_dims) -> np.ndarray:
@@ -24,8 +27,6 @@ def differential_evolution(
     *,
     population: int = 20,
     generations: int = 30,
-    f: float = 0.8,
-    cr: float = 0.9,
     integer_dims: Sequence[int] = (),
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
@@ -54,8 +55,8 @@ def differential_evolution(
         for i in range(population):
             candidates = [j for j in range(population) if j != i]
             r1, r2, r3 = rng.choice(candidates, size=3, replace=False)
-            mutant = np.clip(pop[r1] + f * (pop[r2] - pop[r3]), lo, hi)
-            cross = rng.random(dim) < cr
+            mutant = np.clip(pop[r1] + F * (pop[r2] - pop[r3]), lo, hi)
+            cross = rng.random(dim) < CR
             cross[rng.integers(dim)] = True
             trial = np.where(cross, mutant, pop[i])
             trial_f = float(objective(_round_integers(trial, integer_dims)))

@@ -8,7 +8,6 @@ neighbors, so synthetics never leave the minority bounding box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,23 +89,13 @@ def apply_smote(
 # the search box of the tuned-SMOTE approximation: k_neighbors and target_ratio
 SMOTE_K_BOUNDS = (1, 10)
 SMOTE_RATIO_BOUNDS = (0.3, 0.7)
+# its DE budget, and the trees of each objective's forest
+TUNE_POPULATION = 8
+TUNE_GENERATIONS = 5
+TUNE_OBJECTIVE_TREES = 25
 
 
-@dataclass(frozen=True)
-class SmoteTuning:
-    """DE budget for the tuned-SMOTE approximation."""
-
-    population: int = 8
-    generations: int = 5
-    objective_trees: int = 25
-
-
-def tune_smote(
-    X: np.ndarray,
-    y: np.ndarray,
-    seed: int,
-    tuning: SmoteTuning = SmoteTuning(),
-) -> tuple[int, float]:
+def tune_smote(X: np.ndarray, y: np.ndarray, seed: int) -> tuple[int, float]:
     """Pick (k_neighbors, target_ratio) maximizing forest OOB MCC on real rows.
 
     OOB predictions of synthetic rows are not scored; only the original
@@ -114,7 +103,7 @@ def tune_smote(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    params = ForestParams(n_trees=tuning.objective_trees)
+    params = ForestParams(n_trees=TUNE_OBJECTIVE_TREES)
 
     def objective(vec):
         k = int(vec[0])
@@ -130,8 +119,8 @@ def tune_smote(
     best, _ = differential_evolution(
         objective,
         bounds=[SMOTE_K_BOUNDS, SMOTE_RATIO_BOUNDS],
-        population=tuning.population,
-        generations=tuning.generations,
+        population=TUNE_POPULATION,
+        generations=TUNE_GENERATIONS,
         integer_dims=(0,),
         seed=seed,
     )

@@ -67,6 +67,13 @@ class Prediction:
     def labels(self) -> np.ndarray:
         return self.scores > self.threshold
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Row indices in inspection order: by descending score, then
+        descending size, then ascending id, by the release's rank of the ids."""
+        view = self.view
+        return np.lexsort((view.release.id_rank[view.rows], -view.sizes, -self.scores))
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -188,16 +195,10 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _inspection_order(view: ReleaseView, scores: np.ndarray) -> np.ndarray:
-    """Row indices by descending score, then descending size, then ascending
-    id, by the release's rank of the ids."""
-    return np.lexsort((view.release.id_rank[view.rows], -view.sizes, -scores))
-
-
 def auc_alberg(pred: Prediction) -> float:
     """Area under (fraction of modules considered, fraction of defective found)."""
     view = pred.view
-    found = np.cumsum(view.y[_inspection_order(view, pred.scores)])
+    found = np.cumsum(view.y[pred.order])
     total_def = int(view.y.sum())
     if total_def == 0:
         return UNDEFINED
@@ -260,7 +261,7 @@ def effort_metrics(pred: Prediction, mode: str = "defects") -> tuple[float, floa
         raise ValueError(f"unknown effort counting mode {mode!r}")
     view = pred.view
     cost = float(view.sizes[pred.labels].sum())
-    order = _inspection_order(view, pred.scores)
+    order = pred.order
     rank = np.empty(view.n, dtype=np.int64)
     rank[order] = np.arange(1, view.n + 1)
     budget = 0.2 * float(view.sizes.sum())

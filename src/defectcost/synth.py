@@ -22,6 +22,8 @@ from .dataset import Defect, Release
 
 MAX_DEFECT_FOOTPRINT = 3  # artifacts per defect, at most
 FIX_DELAY_DAYS = (10, 400)  # days from a release to the fix of one of its defects
+FEATURE_BASE = 3.0  # mean of every feature before the defective artifacts get the signal
+START = datetime(2015, 1, 1, tzinfo=timezone.utc)  # every project's first release falls within 120 days of it
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,6 @@ class SynthSpec:
     size_log_sigma: float = 1.0
     n_features: int = 8
     signal: float = 1.0
-    feature_base: float = 3.0
-    start: datetime = datetime(2015, 1, 1, tzinfo=timezone.utc)
     release_gap_days: tuple[int, int] = (120, 260)
 
     def validate(self) -> None:
@@ -50,8 +50,8 @@ class SynthSpec:
         rlo, rhi = self.defect_ratio_range
         if not (0.0 < rlo <= rhi < 1.0):
             raise ValueError(f"invalid defect_ratio_range {self.defect_ratio_range}")
-        if not np.all(np.isfinite([self.size_log_mean, self.size_log_sigma, self.signal, self.feature_base])):
-            raise ValueError("size_log_mean, size_log_sigma, signal and feature_base must be finite")
+        if not np.all(np.isfinite([self.size_log_mean, self.size_log_sigma, self.signal])):
+            raise ValueError("size_log_mean, size_log_sigma and signal must be finite")
         if self.size_log_sigma < 0 or self.n_features < 1:
             raise ValueError("size_log_sigma must be >= 0 and n_features >= 1")
         glo, ghi = self.release_gap_days
@@ -91,7 +91,7 @@ def _generate_release(spec: SynthSpec, project: str, release_id: str,
         defects.append(Defect(id=f"d{k:03d}", artifacts=frozenset(f"f{i:04d}" for i in footprint), fixed_at=fixed_at))
         k += 1
 
-    base = rng.normal(spec.feature_base, 1.0, size=(n, spec.n_features))
+    base = rng.normal(FEATURE_BASE, 1.0, size=(n, spec.n_features))
     shift = np.zeros(n)
     shift[sorted(covered)] = spec.signal
     features = np.maximum(base + shift[:, None], 0.0)  # static metrics are non-negative
@@ -108,7 +108,7 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> list[Release]:
     for p in range(spec.n_projects):
         project = f"proj{p:02d}"
         date_rng = np.random.default_rng(np.random.SeedSequence([seed, p, 0xDA7E]))
-        released_at = spec.start + timedelta(days=int(date_rng.integers(0, 120)))
+        released_at = START + timedelta(days=int(date_rng.integers(0, 120)))
         for r in range(spec.releases_per_project):
             rng = np.random.default_rng(np.random.SeedSequence([seed, p, r]))
             releases.append(_generate_release(spec, project, f"r{r}", released_at, rng))

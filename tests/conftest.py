@@ -10,7 +10,7 @@ from defectcost.dataset import DataError, Defect, Release
 from defectcost.experiments import EvaluationRecord
 from defectcost.learners import logit
 from defectcost.learners.nb import GaussianNB
-from defectcost.metrics import METRIC_NAMES, Prediction, _inspection_order
+from defectcost.metrics import METRIC_NAMES, Prediction
 
 T1_SIZES = {"a1": 100, "a2": 50, "a3": 200, "a4": 10, "a5": 40, "a6": 600}
 T1_DEFECTS = {"d1": {"a1"}, "d2": {"a3", "a5"}}
@@ -60,7 +60,7 @@ def rows_of(release, ids) -> list[int]:
 
 def ranking_order(view, pred) -> list[str]:
     """The package's inspection order as ids: descending score, then descending size, then id."""
-    return [view.ids[i] for i in _inspection_order(view, pred.scores)]
+    return [view.ids[i] for i in pred.order]
 
 
 def column_total(conf, level) -> int:

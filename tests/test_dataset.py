@@ -182,7 +182,7 @@ def test_redraw_exhaustion_single_defective():
         )
         assert not ok
     with pytest.raises(SplitError, match="p/r"):
-        bootstrap_split(release, seed=0, max_redraws=50)
+        bootstrap_split(release, seed=0)
 
 
 def test_view_multiset_and_defect_restriction(t1_release):

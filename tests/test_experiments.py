@@ -138,7 +138,7 @@ def test_bootstrap_split_failure_recorded():
         defects={"d0": {"f0"}},
         project="bad", release_id="r0",
     )
-    cfg = BootstrapConfig(n_samples=1, seed=0, model=GaussianNBModel(), max_redraws=20)
+    cfg = BootstrapConfig(n_samples=1, seed=0, model=GaussianNBModel())
     result = run_bootstrap([bad], config=cfg)
     assert result.records == []
     assert any("bad/r0" in n for n in result.notices)
@@ -161,7 +161,7 @@ def test_bootstrap_jobs_parallel_matches_serial(small_corpus):
     bad = make_release(sizes={f"f{i}": 10 for i in range(20)}, defects={"d0": {"f0"}},
                        project="bad", release_id="r0")
     releases = [small_corpus[0], bad, *small_corpus[1:]]
-    cfg = BootstrapConfig(n_samples=2, seed=6, model=GaussianNBModel(), max_redraws=20)
+    cfg = BootstrapConfig(n_samples=2, seed=6, model=GaussianNBModel())
     serial = run_bootstrap(releases, config=cfg, jobs=1)
     parallel = run_bootstrap(releases, config=cfg, jobs=2)
     assert len(serial.notices) == 2 and serial.records
@@ -185,6 +185,24 @@ def test_cross_version_picks_first_eligible_prior():
     assert targets[("p", "r3")].n_train == 120
     assert any("p/r1" in n for n in result.notices)
     assert any("p/r2" in n for n in result.notices)
+
+
+@pytest.mark.parametrize("oversample", ["smote", "smote_tuned"])
+def test_oversampling_fits_a_minority_of_one_as_it_is(oversample):
+    """SMOTE needs two rows of the minority class: a training release with one
+    defective row is fitted as it is, and n_train_prime shows that no row was added."""
+    releases = [dated_release("p", "r1", "2020-01-01", n_defective=1), dated_release("p", "r2", "2020-06-01")]
+    config = EvalConfig(model=GaussianNBModel(), oversample=oversample, min_defects=1)
+    (record,) = run_cross_version(releases, config).records
+    assert record.preprocessing == "oversampled"
+    assert record.n_train_prime == record.n_train == 120
+
+
+def test_bootstrap_oversampling_of_an_all_defective_release():
+    release = dated_release("p", "r1", "2020-01-01", n_artifacts=20, n_defective=20)
+    result = run_bootstrap([release], BootstrapConfig(n_samples=2, model=GaussianNBModel()))
+    assert [r.preprocessing for r in result.records] == ["plain", "oversampled"] * 2
+    assert all(r.n_train_prime == r.n_train == 20 for r in result.records)
 
 
 def test_cross_version_single_release_project():

@@ -2,6 +2,7 @@
 and line, and of out-of-range thresholds."""
 
 import json
+import math
 import re
 import shutil
 
@@ -202,13 +203,11 @@ def test_config_threshold_outside_unit_interval_is_rejected(value):
     ("min_instances", 0, "min_instances and min_defects must be >= 1"),
     ("min_defects", -1, "min_instances and min_defects must be >= 1"),
     ("seed", -1, "seed must be >= 0, got -1"),
-    ("max_redraws", 0, "n_samples and max_redraws must be >= 1"),
-], ids=["count_mode", "transfer", "effort_mode", "min_instances", "min_defects", "seed", "max_redraws"])
+], ids=["count_mode", "transfer", "effort_mode", "min_instances", "min_defects", "seed"])
 def test_config_value_outside_its_domain_is_rejected(field, value, message):
-    if field != "max_redraws":
-        with pytest.raises(ValueError, match=message):
-            EvalConfig(**{field: value})
-    if field in ("effort_mode", "seed", "max_redraws"):
+    with pytest.raises(ValueError, match=message):
+        EvalConfig(**{field: value})
+    if field in ("effort_mode", "seed"):
         with pytest.raises(ValueError, match=message):
             BootstrapConfig(n_samples=1, **{field: value})
 
@@ -261,7 +260,7 @@ def test_synth_option_not_finite_is_usage_error(tmp_path, capsys, option, value)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field", ["size_log_mean", "size_log_sigma", "signal", "feature_base"])
+@pytest.mark.parametrize("field", ["size_log_mean", "size_log_sigma", "signal"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_synth_spec_value_not_finite_is_rejected(field, value):
     with pytest.raises(ValueError, match="must be finite"):
@@ -354,6 +353,13 @@ BAD_RECORD_LINES = {
                             "malformed 'recall' value '0.25'"),
     "jsonl_string_bound": (".jsonl", 1, _json_edit(lambda o: o["bounds"].update(lower="Infinity")),
                            "malformed 'lower' value 'Infinity'"),
+    # json.dumps writes these non-JSON tokens for nan and the infinities; the writer never does
+    "jsonl_nan_token": (".jsonl", 2, _json_edit(lambda o: o["metrics"].update(recall=math.nan)),
+                        "malformed JSON: NaN is not JSON"),
+    "jsonl_infinity_token": (".jsonl", 1, _json_edit(lambda o: o["bounds"].update(lower=math.inf)),
+                             "malformed JSON: Infinity is not JSON"),
+    "jsonl_minus_infinity_token": (".jsonl", 3, _json_edit(lambda o: o["confounders"].update(n_test=-math.inf)),
+                                   "malformed JSON: -Infinity is not JSON"),
 }
 
 
@@ -370,6 +376,20 @@ def test_malformed_record_line_names_file_and_line(tmp_path, capsys, case):
     assert main(["analyze", "--records", str(path), "-o", str(tmp_path / "r")]) == EXIT_DATA
     assert f"[{path}:{line}]" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("records, message", [
+    ([make_record(sample=i, diff=500.0) for i in range(3)], "at least two potential levels"),
+    ([make_record(sample=0, diff=0.0), make_record(sample=1, diff=500.0)], "at least three records"),
+], ids=["one_level", "two_records"])
+def test_analyze_rejects_records_it_cannot_model_before_writing(tmp_path, capsys, records, message):
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    out = tmp_path / "r"
+    assert main(["analyze", "--records", str(path), "-o", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and f"[{path}]" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])

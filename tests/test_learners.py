@@ -336,9 +336,7 @@ def test_tune_smote_returns_in_bounds():
     rng = np.random.default_rng(3)
     X = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(2, 1, (10, 3))])
     y = np.array([0] * 40 + [1] * 10)
-    from defectcost.learners import SmoteTuning
-
-    k, ratio = tune_smote(X, y, seed=1, tuning=SmoteTuning(population=4, generations=2, objective_trees=10))
+    k, ratio = tune_smote(X, y, seed=1)
     assert 1 <= k <= 10
     assert 0.3 <= ratio <= 0.7
 

@@ -33,6 +33,16 @@ def all_zero(view):
     return Prediction.from_ids(view, {a: 0.0 for a in view.ids}, 0.5)
 
 
+def test_inspection_order_is_sorted_once_per_prediction(t1_prediction, monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+    evaluate_metrics(t1_prediction)
+    evaluate_metrics(t1_prediction, effort_mode="files")
+    assert len(calls) == 1
+    assert t1_prediction.order is t1_prediction.order
+
+
 def test_t1_confusion(t1_prediction):
     c = confusion_counts(t1_prediction)
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 2, 1)
